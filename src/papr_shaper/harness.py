@@ -3,18 +3,22 @@
 Every campaign output is a pure function of its plan and master seed.
 Frames are independent single OFDM symbols; frame i always consumes the
 same random substream slice, and stopping decisions are made at frame
-granularity in index order, so re-running with a different worker count
-produces byte-identical results.
+granularity in index order. A BER point computes its frames in batches
+of 64, doubling up to ``BATCH_FRAMES``, so a point that stops early
+wastes little work; with several workers each wave runs the next batches
+of the same schedule. Neither the batch sizes nor the worker count can
+change a result, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import seeding
 from .analysis import (
@@ -41,6 +45,9 @@ __all__ = [
     "zf_noise_enhancement_db",
 ]
 
+# A BER point's batches start small and double up to BATCH_FRAMES, so a
+# point that meets its error target early computes few frames it discards.
+FIRST_BATCH_FRAMES = 64
 BATCH_FRAMES = 2048
 
 
@@ -83,7 +90,7 @@ def wilson_interval(errors: int, trials_bits: int, confidence: float = 0.95):
         raise PlanError("trials_bits must be >= 1")
     if not 0 <= errors <= trials_bits:
         raise PlanError("errors must lie in [0, trials_bits]")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     n = trials_bits
     p = errors / n
     denom = 1.0 + z * z / n
@@ -134,6 +141,15 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     return (bits_hat != bits).sum(axis=1)
 
 
+def _batches(max_frames: int):
+    """Lazy (first, end) frame ranges of the batch schedule, up to max_frames."""
+    lo, size = 0, min(FIRST_BATCH_FRAMES, BATCH_FRAMES)
+    while lo < max_frames:
+        hi = min(lo + size, max_frames)
+        yield lo, hi
+        lo, size = hi, min(2 * size, BATCH_FRAMES)
+
+
 def run_ber_point(
     cfg: OfdmConfig,
     ebn0_db: float,
@@ -153,13 +169,11 @@ def run_ber_point(
     if kern.gram_condition > GRAM_CONDITION_LIMIT:
         raise IllConditionedGramError(kern.gram_condition)
 
+    kern.gram_inv  # computed once, before any worker thread reads it
+
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame
-
-    batches = [
-        (lo, min(lo + BATCH_FRAMES, max_frames))
-        for lo in range(0, max_frames, BATCH_FRAMES)
-    ]
+    batches = _batches(max_frames)
 
     total_errors = 0
     frames_used = 0
@@ -183,19 +197,14 @@ def run_ber_point(
                 break
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = False
-            for wave_start in range(0, len(batches), workers):
-                wave = batches[wave_start : wave_start + workers]
+            while wave := list(itertools.islice(batches, workers)):
                 futures = [
                     pool.submit(_frame_errors_batch, kern, ebn0_db, lo, hi - lo, key)
                     for lo, hi in wave
                 ]
-                for (lo, _), fut in zip(wave, futures):
-                    if not done:
-                        done = consume(fut.result(), lo)
-                    else:
-                        fut.result()  # computed past the stop; discarded
-                if done:
+                results = [fut.result() for fut in futures]
+                # any() stops at the stop frame; later batches are discarded
+                if any(consume(per_frame, lo) for (lo, _), per_frame in zip(wave, results)):
                     break
 
     if frames_used == 0:
@@ -303,6 +312,5 @@ def run_xcorr_report(
 def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
     """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
     orthogonal (rectangular-pulse) system."""
-    kern = get_kernel(cfg)
-    inv = np.linalg.inv(kern.gram.entries)
+    inv = get_kernel(cfg).gram_inv
     return float(10.0 * np.log10(np.real(np.trace(inv)) / cfg.n_subcarriers))

@@ -210,7 +210,9 @@ class GramMatrix:
 
     @property
     def condition(self) -> float:
-        return float(np.linalg.cond(self.entries))
+        """max|lambda| / min|lambda|, from eigvalsh since G is Hermitian."""
+        lam = np.abs(np.linalg.eigvalsh(self.entries))
+        return float(lam.max() / lam.min()) if lam.min() > 0 else math.inf
 
 
 class ModemKernel:
@@ -219,6 +221,7 @@ class ModemKernel:
     synth: (N, S) rows a_k -> contribution p_k(t) exp(+j2pi k t/T)
     mf:    (S, N) so that y = r @ mf is the normalized matched filter bank
     gram:  Hermitian N x N with unit diagonal; noiseless y = gram @ a
+    gram_inv: G^-1, computed on first use and shared by every ZF solve
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -251,10 +254,14 @@ class ModemKernel:
     def constellation(self) -> Constellation:
         return build_constellation(self.cfg.m_order)
 
+    @functools.cached_property
+    def gram_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.gram.entries)
+
     def solve_zf(self, y: np.ndarray) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
             raise IllConditionedGramError(self.gram_condition)
-        return np.linalg.solve(self.gram.entries, y.T).T
+        return y @ self.gram_inv.T
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,0 +1,88 @@
+"""Golden CLI outputs: byte identity of every file the CLI writes.
+
+Each case runs one small fixed ``papr-shaper`` invocation and compares
+the SHA-256 of every file it wrote against digests recorded before any
+performance work touched the pipeline. A change that alters one output
+byte (a flipped decision, a reordered draw, a changed float format)
+fails here. Regenerate the table only for a change that is meant to
+alter outputs, and say so where the change is recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from papr_shaper.cli import main
+
+BER_N16 = ("n_subcarriers=16", "target_errors=200")
+
+CASES = {
+    # 0/4/6 dB stop in the second and fourth (ramp) batches and in a
+    # full-size one
+    "ber-rect-m4": ("ber", "seed=3", *BER_N16, "m=4", "pulse_family=rect",
+                    "ebn0_db_list=0,4,6", "max_frames=20000"),
+    # 14 dB runs out of frames before the error target
+    "ber-rect-m32": ("ber", "seed=4", *BER_N16, "m=32", "pulse_family=rect",
+                     "ebn0_db_list=10,14", "max_frames=3000"),
+    "ber-sine1-m16": ("ber", "seed=5", *BER_N16, "m=16", "pulse_family=sine_power",
+                      "shape_n=1", "ebn0_db_list=16,20", "max_frames=6000"),
+    "ber-rect-m4-workers2": ("ber", "seed=6", "workers=2", *BER_N16, "m=4",
+                             "pulse_family=rect", "ebn0_db_list=2,5", "max_frames=50000"),
+    "ccdf-rect-n16": ("ccdf", "seed=7", "n_subcarriers=16", "m=4",
+                      "pulse_family=rect", "trials=2000"),
+    "papr-rect-n4": ("papr", "seed=8", "n_subcarriers=4", "m=4",
+                     "pulse_family=rect", "trials=5000"),
+    "xcorr-sine": ("xcorr", "n_list=0,1,2", "f_max=8"),
+}
+
+GOLDEN = {
+    "ber-rect-m32": {
+        "ber.csv": "960eaf9be0acc59e6d129cf2099e7360b78cf64c7c9d84d5356534a99b03d455",
+        "summary.txt": "7d46c1d91c40e4ee8385a854eba65d681d5f7c084dce2c55bb380d99e2f60d57",
+    },
+    "ber-rect-m4": {
+        "ber.csv": "50a69bf827fb7c585bee27dccaedb3072b4e89506e71665a2ca4daf16d2d1573",
+        "summary.txt": "a285fb7ef668e72a210292d5ed9944e7e707ae3d649d18009a8b6d7511a40ad5",
+    },
+    "ber-rect-m4-workers2": {
+        "ber.csv": "f40da054472c0c05f148bfede3460c98914f04a0a6859091b9efc83cba4d269c",
+        "summary.txt": "cf98984be8e60647bc3eca57581492a663eff5f6a790dd4bd00d8dfca8b1ed32",
+    },
+    "ber-sine1-m16": {
+        "ber.csv": "9a6e2fb2167804444c294f09610a35221a9ec848ef56fcbb40445befdfcd8873",
+        "summary.txt": "84e0e39ef63bc757a33ef52d6db4028ee2549e89386e221dde901de53932d26c",
+    },
+    "ccdf-rect-n16": {
+        "ccdf.csv": "b5509eeb761b27bb17009a882dd82bdc5178e567a726a7860122b4518ddbdb67",
+        "summary.txt": "5b3ff0392eb962b6372509ed1fa54783f37c8d0cda32b20a48cc1b2b7a094911",
+    },
+    "papr-rect-n4": {
+        "papr.csv": "1a04873cbe99c0fa84232bd42599aa4cdb57d59e2afaa49efd290d46b9c7d618",
+        "summary.txt": "552063d834557f5eaf74c3c032d6dfa4cccf5bf42704fe2b4fef7944ca45e982",
+    },
+    "xcorr-sine": {
+        "metrics.csv": "8417666754d6df8814766b8bf21efcd90c406c375f419035c45f697d88b5a2ff",
+        "summary.txt": "3d349cb71b754f42adbb9f6ef3f95479007b1f8bf1d3522ec99efcf075e38917",
+        "xcorr.csv": "dc191270d8469b9017d10e68ce2f484582c3045e2ee5311719685fcee4237502",
+    },
+}
+
+
+def _argv(case, outdir):
+    subcommand, *settings = case
+    return [subcommand, "--output", str(outdir)] + [
+        arg for item in settings for arg in ("--set", item)
+    ]
+
+
+def _digests(outdir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(outdir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_golden(name, tmp_path):
+    assert main(_argv(CASES[name], tmp_path)) == 0
+    assert _digests(tmp_path) == GOLDEN[name]

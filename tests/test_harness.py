@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from papr_shaper import harness
 from papr_shaper.analysis import max_papr, theoretical_ber
 from papr_shaper.errors import IllConditionedGramError, PlanError
 from papr_shaper.harness import (
@@ -14,7 +16,7 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import GramMatrix, OfdmConfig
+from papr_shaper.modem import GramMatrix, OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -100,6 +102,49 @@ class TestBerPoint:
         cfg = OfdmConfig(n_subcarriers=16, m_order=4, pulse_assignment=narrow)
         with pytest.raises(IllConditionedGramError):
             run_ber_point(cfg, 10.0, target_errors=5, max_frames=10, seed=1)
+
+
+class TestBatchSchedule:
+    # (Eb/N0, target_errors, max_frames, frame range the stop must fall in)
+    CASES = {
+        "first-batch": (0.0, 100, 10_000, (1, 64)),
+        "mid-ramp": (4.0, 200, 10_000, (449, 960)),
+        "max-frames": (8.0, 10**6, 3_000, (3_000, 3_000)),
+    }
+
+    def test_schedule_ramps_to_cap(self):
+        sizes = [hi - lo for lo, hi in harness._batches(10_000)]
+        assert sizes == [64, 128, 256, 512, 1024, 2048, 2048, 2048, 1872]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_point_independent_of_batch_size_and_workers(self, case, monkeypatch):
+        ebn0_db, target, max_frames, (first, last) = self.CASES[case]
+        cfg = cfg_for()
+
+        def point(workers):
+            return run_ber_point(
+                cfg, ebn0_db, target_errors=target, max_frames=max_frames,
+                seed=9, workers=workers,
+            )
+
+        ref = point(1)
+        assert first <= ref.bits_sent // cfg.bits_per_frame <= last
+        for batch_frames in (64, 2048, 4096):
+            monkeypatch.setattr(harness, "BATCH_FRAMES", batch_frames)
+            for workers in (1, 2, 4):
+                assert point(workers) == ref, (batch_frames, workers)
+
+    def test_huge_max_frames_allocates_only_what_it_computes(self):
+        cfg = cfg_for()
+        get_kernel(cfg).gram_inv  # kernel allocations are not the point's
+        tracemalloc.start()
+        try:
+            p = run_ber_point(cfg, 0.0, target_errors=50, max_frames=10**9, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.bits_sent < 64 * cfg.bits_per_frame
+        assert peak < 4 * 2**20
 
 
 class TestBerSweep:

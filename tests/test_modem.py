@@ -18,6 +18,7 @@ from papr_shaper.modem import (
     build_constellation,
     demap_symbols,
     equalize,
+    get_kernel,
     gram_matrix,
     map_bits,
     matched_filter,
@@ -189,6 +190,21 @@ class TestGram:
         for d in range(-15, 16):
             diag = np.diagonal(G, offset=d)
             assert np.max(np.abs(diag - diag[0])) < 1e-9
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_condition_matches_svd(self, n):
+        desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
+        G = gram_matrix(cfg_for(N=16, pulse=desc))
+        assert G.condition == pytest.approx(np.linalg.cond(G.entries), rel=1e-6)
+
+    def test_condition_of_singular_is_infinite(self):
+        assert GramMatrix(np.zeros((2, 2), dtype=complex)).condition == math.inf
+        assert GramMatrix(np.ones((2, 2), dtype=complex)).condition > 1e8
+
+    def test_cached_inverse(self):
+        kern = get_kernel(cfg_for(N=8, pulse=SINE1))
+        assert np.allclose(kern.gram_inv @ kern.gram.entries, np.eye(8), atol=1e-9)
+        assert kern.gram_inv is kern.gram_inv
 
     def test_mixed_assignment(self):
         pulses = tuple(
