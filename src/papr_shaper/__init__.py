@@ -23,7 +23,6 @@ from .harness import (
     SweepPlan,
     run_ber_point,
     run_ber_sweep,
-    run_papr_experiment,
     run_xcorr_report,
     wilson_interval,
 )
@@ -32,15 +31,10 @@ from .modem import (
     GramMatrix,
     OfdmConfig,
     SampledWaveform,
-    SymbolFrame,
-    awgn,
+    add_awgn,
     build_constellation,
     demap_symbols,
-    equalize,
-    gram_matrix,
     map_bits,
-    matched_filter,
-    synthesize,
 )
 from .pulses import (
     PulseDescriptor,
@@ -49,7 +43,6 @@ from .pulses import (
     SamplingGrid,
     normalize_pulse,
     pulse_energy,
-    pulse_spectrum,
     sample_pulse,
 )
 

@@ -20,7 +20,6 @@ from .analysis import (
     max_papr,
     reference_ccdf,
     theoretical_ber,
-    xcorr_curve,
 )
 from .config import FAMILY_NAMES, ConfigKeyError, RunConfig, parse_config
 from .errors import PaprShaperError
@@ -30,9 +29,9 @@ from .harness import (
     run_xcorr_report,
     zf_noise_enhancement_db,
 )
-from .pulses import PulseDescriptor, PulseFamily, SamplingGrid
+from .pulses import PulseFamily, SamplingGrid
 
-SUBCOMMANDS = ("xcorr", "papr", "ccdf", "ber", "sweep")
+SUBCOMMANDS = ("xcorr", "papr", "ccdf", "ber")
 
 XCORR_GRID_SAMPLES = 1024
 XCORR_POINTS_PER_UNIT = 128
@@ -70,19 +69,16 @@ def _run_xcorr(cfg: RunConfig, outdir: str):
     grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
     n_points = int(round(f_max * XCORR_POINTS_PER_UNIT)) + 1
 
-    curve_rows = []
-    for n in n_list:
-        desc = PulseDescriptor(family=family, shape_n=int(n))
-        curve = xcorr_curve(desc, grid, f_max, n_points)
-        for f, r in zip(curve.freq, curve.rho):
-            curve_rows.append((n, f, r.real, r.imag, abs(r)))
+    rows = run_xcorr_report(family, n_list, grid, f_max, n_points)
     _write_csv(
         os.path.join(outdir, "xcorr.csv"),
         "n,f_over_invT,rho_re,rho_im,rho_abs",
-        curve_rows,
+        [
+            (r.shape_n, f, rho.real, rho.imag, abs(rho))
+            for r in rows
+            for f, rho in zip(r.curve.freq, r.curve.rho)
+        ],
     )
-
-    rows = run_xcorr_report(family, n_list, grid, f_max, n_points)
     _write_csv(
         os.path.join(outdir, "metrics.csv"),
         "n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band",
@@ -154,7 +150,6 @@ def dispatch(subcommand: str, cfg: RunConfig) -> int:
         "papr": _run_papr,
         "ccdf": _run_ccdf,
         "ber": _run_ber,
-        "sweep": _run_ber,
     }[subcommand]
     result = runner(cfg, outdir)
     emit_report([result], os.path.join(outdir, "summary.txt"))
@@ -275,13 +270,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigKeyError("config", f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigKeyError(
+            "config", f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        text = ""
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = _read_config(args.config) if args.config else ""
         overrides = list(args.overrides)
         if args.output is not None:
             overrides.append(f"output_path={args.output}")

@@ -38,7 +38,13 @@ class ConfigKeyError(ConfigError):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PAPR_SHAPER_SEED", "1"))
+    raw = os.environ.get("PAPR_SHAPER_SEED", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigKeyError(
+            "PAPR_SHAPER_SEED", f"malformed value {raw!r}, expected an integer"
+        ) from None
 
 
 @dataclass
@@ -185,8 +191,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("ebn0_db_list", "must be nonempty")
     if any(b < a for a, b in zip(cfg.ebn0_db_list, cfg.ebn0_db_list[1:])):
         bad("ebn0_db_list", "must be ascending")
-    if any(math.isnan(x) for x in cfg.ebn0_db_list):
-        bad("ebn0_db_list", "must not contain NaN")
+    if any(math.isnan(x) or x == -math.inf for x in cfg.ebn0_db_list):
+        bad("ebn0_db_list", "must not contain NaN or -inf (inf is the noiseless channel)")
     if cfg.trials < 1:
         bad("trials", "must be >= 1")
     if cfg.target_errors < 1:

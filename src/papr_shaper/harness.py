@@ -15,22 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import seeding
-from .analysis import (
-    CcdfCurve,
-    MetricsOutOfRangeError,
-    ccdf_empirical,
-    max_papr,
-    pulse_metrics,
-    xcorr_curve,
-)
+from .analysis import MetricsOutOfRangeError, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import PlanError
-from .modem import GRAM_CONDITION_LIMIT, IllConditionedGramError, OfdmConfig, get_kernel
+from .modem import OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
 from .pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 __all__ = [
@@ -39,7 +32,6 @@ __all__ = [
     "XcorrRow",
     "run_ber_point",
     "run_ber_sweep",
-    "run_papr_experiment",
     "run_xcorr_report",
     "wilson_interval",
     "zf_noise_enhancement_db",
@@ -108,36 +100,21 @@ def _pulse_tag(cfg: OfdmConfig) -> tuple[str, int]:
 
 
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
-    """Bit errors per frame for frames [first_frame, first_frame + n_frames)."""
-    cfg = kern.cfg
-    N, S = cfg.n_subcarriers, cfg.samples_per_symbol
-    nbits = cfg.bits_per_frame
+    """Bit errors per frame for frames [first_frame, first_frame + n_frames).
+
+    Frame i reads nbits uniforms for its bits, then 2S for its noise
+    normals, from its own slice of the substream.
+    """
+    S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
     words = seeding.words_per_trial(nbits + 2 * S)
     u = seeding.trial_uniforms(key, first_frame, n_frames, words)
 
     bits = seeding.uniforms_to_bits(u[:, :nbits])
-    const = kern.constellation
-    k = const.bits_per_symbol
-    values = bits.reshape(n_frames, N, k) @ (1 << np.arange(k - 1, -1, -1))
-    a = const.points[values]
-
-    s = a @ kern.synth
-    if math.isinf(ebn0_db) and ebn0_db > 0:
-        r = s
-    else:
-        z = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
-        energy = (np.abs(s) ** 2).sum(axis=1) * kern.dt
-        n0 = (energy / nbits) * 10.0 ** (-ebn0_db / 10.0)
-        sigma = np.sqrt(n0 / (2.0 * kern.dt))
-        r = s + sigma[:, None] * (z[:, :S] + 1j * z[:, S:])
-
-    y = r @ kern.mf
-    a_hat = kern.solve_zf(y)
-    d2 = np.abs(a_hat[:, :, None] - const.points) ** 2
-    values_hat = np.argmin(d2, axis=2)
-    bits_hat = ((values_hat[:, :, None] >> np.arange(k - 1, -1, -1)) & 1).reshape(
-        n_frames, nbits
-    )
+    s = map_bits(bits, kern.constellation) @ kern.synth
+    noiseless = ebn0_db == math.inf
+    z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
+    r = add_awgn(s, z, ebn0_db, nbits, kern.dt)
+    bits_hat = demap_symbols(kern.solve_zf(r @ kern.mf), kern.constellation)
     return (bits_hat != bits).sum(axis=1)
 
 
@@ -166,10 +143,7 @@ def run_ber_point(
     if target_errors < 1 or max_frames < 1:
         raise PlanError("target_errors and max_frames must be >= 1")
     kern = get_kernel(cfg)
-    if kern.gram_condition > GRAM_CONDITION_LIMIT:
-        raise IllConditionedGramError(kern.gram_condition)
-
-    kern.gram_inv  # computed once, before any worker thread reads it
+    kern.gram_inv  # checks the ZF limit; computed once, before any worker thread
 
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame
@@ -248,21 +222,10 @@ def run_ber_sweep(plan: SweepPlan, workers: int = 1) -> list[BerPoint]:
     return points
 
 
-def run_papr_experiment(
-    cfg: OfdmConfig,
-    trials: int,
-    seed: int,
-    gamma_db: np.ndarray,
-) -> tuple[CcdfCurve, float]:
-    """Empirical CCDF plus the running maximum PAPR over the trials."""
-    curve = ccdf_empirical(cfg, trials, seed, gamma_db)
-    observed_max = max_papr(cfg, method="random", trials=trials, seed=seed)
-    return curve, observed_max
-
-
 @dataclass(frozen=True)
 class XcorrRow:
     shape_n: int
+    curve: XcorrCurve = field(compare=False, repr=False)
     cutoff_3db: float | None
     cutoff_first_null: float | None
     peak_sidelobe_db: float | None
@@ -277,7 +240,7 @@ def run_xcorr_report(
     f_max: float,
     n_points: int | None = None,
 ) -> list[XcorrRow]:
-    """Crosscorrelation metrics per shape parameter, one row per n.
+    """Crosscorrelation curve and metrics per shape parameter, one row per n.
 
     A row whose metrics cannot be fully located is marked with the
     error message; the remaining rows are still computed.
@@ -299,6 +262,7 @@ def run_xcorr_report(
         rows.append(
             XcorrRow(
                 shape_n=int(n),
+                curve=curve,
                 cutoff_3db=m.cutoff_3db,
                 cutoff_first_null=m.cutoff_first_null,
                 peak_sidelobe_db=m.peak_sidelobe_db,
@@ -311,6 +275,7 @@ def run_xcorr_report(
 
 def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
     """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
-    orthogonal (rectangular-pulse) system."""
+    orthogonal (rectangular-pulse) system. Raises IllConditionedGramError
+    beyond the ZF limit."""
     inv = get_kernel(cfg).gram_inv
     return float(10.0 * np.log10(np.real(np.trace(inv)) / cfg.n_subcarriers))

@@ -1,4 +1,12 @@
-"""Gray-mapped M-QAM, pulse-shaped OFDM synthesis, AWGN and the receiver.
+"""The frame pipeline: Gray M-QAM, pulse-shaped OFDM, AWGN and the receiver.
+
+Every stage works on a batch of frames, one frame per row:
+
+    a = map_bits(bits, kern.constellation)       # (F, N*k) -> (F, N)
+    s = a @ kern.synth                           # (F, S) waveforms
+    r = add_awgn(s, z, ebn0_db, frame_bits, kern.dt)
+    a_hat = kern.solve_zf(r @ kern.mf)           # matched filter, then ZF
+    bits_hat = demap_symbols(a_hat, kern.constellation)
 
 The receiver is a matched-filter bank followed by an exact zero-forcing
 solve against the subcarrier Gram matrix. With identical shaped pulses
@@ -10,14 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DegeneratePulseError,
-    DegenerateSignalError,
     FramingError,
     IllConditionedGramError,
     UnsupportedOrderError,
@@ -27,17 +34,12 @@ from .pulses import PulseDescriptor, SamplingGrid, sample_pulse
 __all__ = [
     "Constellation",
     "OfdmConfig",
-    "SymbolFrame",
     "SampledWaveform",
     "GramMatrix",
     "build_constellation",
     "map_bits",
+    "add_awgn",
     "demap_symbols",
-    "synthesize",
-    "gram_matrix",
-    "awgn",
-    "matched_filter",
-    "equalize",
 ]
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
@@ -121,20 +123,21 @@ def build_constellation(M: int) -> Constellation:
 
 
 def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map consecutive log2(M)-bit groups (MSB first) to symbols."""
+    """Map (..., N*k) bits to (..., N) symbols, k = log2(M) bits per
+    symbol taken MSB first."""
     bits = np.asarray(bits, dtype=np.int64)
     k = c.bits_per_symbol
-    if bits.size % k:
+    if bits.shape[-1] % k:
         raise FramingError(
-            f"bit count {bits.size} is not a multiple of {k} (M={c.m_order})"
+            f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})"
         )
-    groups = bits.reshape(-1, k)
-    values = groups @ (1 << np.arange(k - 1, -1, -1))
+    values = bits.reshape(*bits.shape[:-1], -1, k) @ (1 << np.arange(k - 1, -1, -1))
     return c.points[values]
 
 
 def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Minimum-distance hard decision; ties go to the lowest point index."""
+    """Map (..., N) symbols to (..., N*k) bits by minimum-distance hard
+    decision; ties go to the lowest point index."""
     y = np.asarray(y, dtype=complex)
     # argmin returns the first (lowest-index) minimizer, which is the tie-break.
     d2 = np.abs(y[..., None] - c.points) ** 2
@@ -142,7 +145,7 @@ def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
     k = c.bits_per_symbol
     shifts = np.arange(k - 1, -1, -1)
     bits = (values[..., None] >> shifts) & 1
-    return bits.reshape(*y.shape[:-1], -1) if y.ndim > 1 else bits.ravel()
+    return bits.reshape(*y.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,6 @@ class OfdmConfig:
 
 
 @dataclass(frozen=True)
-class SymbolFrame:
-    symbols: np.ndarray
-    source_bits: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampledWaveform:
     samples: np.ndarray
     dt: float
@@ -221,7 +218,8 @@ class ModemKernel:
     synth: (N, S) rows a_k -> contribution p_k(t) exp(+j2pi k t/T)
     mf:    (S, N) so that y = r @ mf is the normalized matched filter bank
     gram:  Hermitian N x N with unit diagonal; noiseless y = gram @ a
-    gram_inv: G^-1, computed on first use and shared by every ZF solve
+    gram_inv: G^-1, computed on first use and shared by every ZF solve;
+              raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -256,11 +254,12 @@ class ModemKernel:
 
     @functools.cached_property
     def gram_inv(self) -> np.ndarray:
+        if self.gram_condition > GRAM_CONDITION_LIMIT:
+            raise IllConditionedGramError(self.gram_condition)
         return np.linalg.inv(self.gram.entries)
 
     def solve_zf(self, y: np.ndarray) -> np.ndarray:
-        if self.gram_condition > GRAM_CONDITION_LIMIT:
-            raise IllConditionedGramError(self.gram_condition)
+        """Exact zero-forcing of (F, N) matched-filter outputs: G a_hat = y."""
         return y @ self.gram_inv.T
 
 
@@ -269,63 +268,24 @@ def get_kernel(cfg: OfdmConfig) -> ModemKernel:
     return ModemKernel(cfg)
 
 
-def synthesize(frame: SymbolFrame, cfg: OfdmConfig) -> SampledWaveform:
-    """Sum of pulse-shaped, modulated subcarriers over one symbol."""
-    a = np.asarray(frame.symbols, dtype=complex)
-    if a.shape != (cfg.n_subcarriers,):
-        raise ConfigError(
-            f"frame has {a.shape} symbols for N={cfg.n_subcarriers}"
-        )
-    kern = get_kernel(cfg)
-    return SampledWaveform(samples=a @ kern.synth, dt=kern.dt)
-
-
-def gram_matrix(cfg: OfdmConfig) -> GramMatrix:
-    """Normalized crosscorrelation matrix of the modulated subcarriers."""
-    return get_kernel(cfg).gram
-
-
-def awgn(
-    w: SampledWaveform,
+def add_awgn(
+    s: np.ndarray,
+    z: np.ndarray | None,
     ebn0_db: float,
     frame_bits: int,
-    seed: int,
-) -> SampledWaveform:
-    """Add circular complex white Gaussian noise at the given Eb/N0.
+    dt: float,
+) -> np.ndarray:
+    """Add circular complex white Gaussian noise to (F, S) waveforms.
 
-    Eb is measured from the waveform itself, so shaped and unshaped
-    systems are compared at equal energy per bit. ``ebn0_db = inf``
-    bypasses the channel entirely.
+    ``z`` holds (F, 2S) standard normals, real parts first. Eb is
+    measured per frame from the waveform itself, so shaped and unshaped
+    systems are compared at equal energy per bit. ``ebn0_db = +inf``
+    bypasses the channel and reads no ``z``.
     """
-    if frame_bits < 1:
-        raise ConfigError("frame_bits must be >= 1")
-    if math.isinf(ebn0_db) and ebn0_db > 0:
-        return w
-    energy = float(np.sum(np.abs(w.samples) ** 2) * w.dt)
-    if energy <= 0:
-        raise DegenerateSignalError("cannot calibrate noise for a zero-energy waveform")
-    eb = energy / frame_bits
-    n0 = eb * 10.0 ** (-ebn0_db / 10.0)
-    sigma = math.sqrt(n0 / (2.0 * w.dt))  # per real dimension
-    rng = np.random.default_rng(seed)
-    noise = sigma * (rng.standard_normal(w.samples.shape) + 1j * rng.standard_normal(w.samples.shape))
-    return SampledWaveform(samples=w.samples + noise, dt=w.dt)
-
-
-def matched_filter(r: SampledWaveform, cfg: OfdmConfig) -> np.ndarray:
-    """Per-subcarrier matched filter outputs, normalized by pulse energy."""
-    kern = get_kernel(cfg)
-    samples = np.asarray(r.samples, dtype=complex)
-    if samples.shape[-1] != cfg.samples_per_symbol:
-        raise ConfigError(
-            f"waveform length {samples.shape[-1]} does not match S={cfg.samples_per_symbol}"
-        )
-    return samples @ kern.mf
-
-
-def equalize(y: np.ndarray, G: GramMatrix) -> np.ndarray:
-    """Exact zero-forcing: solve G a_hat = y."""
-    cond = G.condition
-    if cond > GRAM_CONDITION_LIMIT:
-        raise IllConditionedGramError(cond)
-    return np.linalg.solve(G.entries, np.asarray(y, dtype=complex).T).T
+    if ebn0_db == math.inf:
+        return s
+    S = s.shape[1]
+    energy = (np.abs(s) ** 2).sum(axis=1) * dt
+    n0 = (energy / frame_bits) * 10.0 ** (-ebn0_db / 10.0)
+    sigma = np.sqrt(n0 / (2.0 * dt))  # per real dimension
+    return s + sigma[:, None] * (z[:, :S] + 1j * z[:, S:])

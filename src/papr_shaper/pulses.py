@@ -1,4 +1,4 @@
-"""Subcarrier pulse shapes: sampling, energy normalization and spectra.
+"""Subcarrier pulse shapes: sampling and energy normalization.
 
 All pulses are real, time-limited to one symbol interval [0, T) and
 sampled on a left-closed uniform grid (no sample at t = T), so that
@@ -21,11 +21,9 @@ __all__ = [
     "PulseDescriptor",
     "SamplingGrid",
     "SampledPulse",
-    "SpectrumCurve",
     "sample_pulse",
     "pulse_energy",
     "normalize_pulse",
-    "pulse_spectrum",
 ]
 
 
@@ -84,19 +82,6 @@ class SampledPulse:
     samples: np.ndarray
     dt: float
     descriptor: PulseDescriptor
-
-
-@dataclass(frozen=True)
-class SpectrumCurve:
-    """Finite-interval Fourier transform of a pulse and of its square.
-
-    ``pulse_ft`` is P(f) = sum p(t_i) exp(-j2pi f t_i) dt; ``kernel_ft``
-    is the same transform of p(t)^2, the crosscorrelation kernel.
-    """
-
-    freq: np.ndarray
-    pulse_ft: np.ndarray
-    kernel_ft: np.ndarray
 
 
 def _validate_descriptor(desc: PulseDescriptor) -> None:
@@ -171,21 +156,3 @@ def normalize_pulse(p: SampledPulse) -> SampledPulse:
     scaled = p.samples / math.sqrt(e)
     desc = replace(p.descriptor, normalize_energy=True)
     return SampledPulse(samples=scaled, dt=p.dt, descriptor=desc)
-
-
-def pulse_spectrum(p: SampledPulse, f_max: float, n_points: int) -> SpectrumCurve:
-    """Transform of the pulse and of its square on [0, f_max].
-
-    Frequencies are in units of 1/T. The transform of p^2 is the kernel
-    whose normalized values give the subcarrier crosscorrelation.
-    """
-    if f_max <= 0:
-        raise ValueError("f_max must be > 0")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    t = np.arange(len(p.samples)) * p.dt
-    freq = np.linspace(0.0, f_max, n_points)
-    kernel = np.exp(-2j * np.pi * np.outer(freq, t))
-    pulse_ft = (kernel @ p.samples) * p.dt
-    kernel_ft = (kernel @ np.square(p.samples)) * p.dt
-    return SpectrumCurve(freq=freq, pulse_ft=pulse_ft, kernel_ft=kernel_ft)

@@ -28,7 +28,7 @@ from papr_shaper.cli import dispatch
 from papr_shaper.config import parse_config
 from papr_shaper.errors import MetricsOutOfRangeError
 from papr_shaper.harness import SweepPlan, run_ber_point, run_ber_sweep
-from papr_shaper.modem import OfdmConfig, SampledWaveform, gram_matrix, get_kernel
+from papr_shaper.modem import OfdmConfig, SampledWaveform, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 from papr_shaper.seeding import mix64
 
@@ -421,7 +421,7 @@ def test_10_gram_structure(report):
     positive definite, Toeplitz, and banded with bandwidth n."""
     failures = []
     for n in (1, 2, 4):
-        G = gram_matrix(cfg_for(16, pulse=sine(n))).entries
+        G = get_kernel(cfg_for(16, pulse=sine(n))).gram.entries
         if not np.allclose(G, G.conj().T, atol=1e-12):
             failures.append(f"n={n} not Hermitian")
         if not np.allclose(np.diag(G).real, 1.0, atol=1e-9):

@@ -1,10 +1,14 @@
 import os
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papr_shaper.cli import dispatch, emit_report, main
-from papr_shaper.config import ConfigKeyError, RunConfig, parse_config
+from papr_shaper.config import FAMILY_NAMES, ConfigKeyError, RunConfig, parse_config
 from papr_shaper.errors import PaprShaperError
 
 
@@ -59,6 +63,11 @@ class TestParseConfig:
         cfg = parse_config("ebn0_db_list = inf")
         assert cfg.ebn0_db_list == [float("inf")]
 
+    def test_minus_inf_rejected(self):
+        with pytest.raises(ConfigKeyError) as exc:
+            parse_config("ebn0_db_list = -inf, 0, 4")
+        assert exc.value.key == "ebn0_db_list"
+
     def test_bool_values(self):
         assert parse_config("normalize = true").normalize is True
         assert parse_config("normalize = 0").normalize is False
@@ -72,11 +81,52 @@ class TestParseConfig:
         monkeypatch.delenv("PAPR_SHAPER_SEED")
         assert parse_config("").seed == 1
 
+    def test_malformed_env_seed(self, monkeypatch):
+        monkeypatch.setenv("PAPR_SHAPER_SEED", "abc")
+        with pytest.raises(ConfigKeyError) as exc:
+            parse_config("")
+        assert exc.value.key == "PAPR_SHAPER_SEED"
+
     def test_parse_serialize_parse_fixed_point(self):
         cfg = parse_config("m = 32\nebn0_db_list = 0,3,6\nnormalize = yes\nf_max = 10\n")
         again = parse_config(cfg.serialize())
         assert again == cfg
         assert parse_config(again.serialize()) == again
+
+    # The config format has no escapes: '#' starts a comment, a line ends
+    # a value and values are stripped, so paths are drawn without those.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            RunConfig,
+            n_subcarriers=st.integers(1, 4096),
+            m=st.sampled_from([4, 8, 16, 32]),
+            oversample=st.integers(4, 64),
+            pulse_family=st.sampled_from(sorted(FAMILY_NAMES)),
+            shape_n=st.integers(0, 64),
+            taper_alpha=st.floats(0.0, 1.0),
+            bandwidth_factor=st.floats(1e-3, 1e3),
+            normalize=st.booleans(),
+            ebn0_db_list=st.lists(
+                st.floats(-50.0, 50.0) | st.just(math.inf), min_size=1, max_size=6
+            ).map(sorted),
+            trials=st.integers(1, 10**6),
+            target_errors=st.integers(1, 10**6),
+            max_frames=st.integers(1, 10**9),
+            seed=st.integers(-(2**63), 2**63 - 1),
+            output_path=st.from_regex(
+                r"[\w./-]([\w ./=-]*[\w./-])?", fullmatch=True
+            ),
+            n_list=st.none() | st.lists(st.integers(0, 64), min_size=1, max_size=6),
+            f_max=st.none() | st.floats(1.0, 100.0),
+            gamma_min_db=st.floats(-20.0, 0.0),
+            gamma_max_db=st.floats(0.0, 20.0),
+            gamma_step_db=st.floats(1e-3, 1.0),
+            workers=st.integers(1, 64),
+        )
+    )
+    def test_serialize_roundtrip_property(self, cfg):
+        assert parse_config(cfg.serialize()) == cfg
 
 
 class TestDispatch:
@@ -135,14 +185,6 @@ class TestDispatch:
         ]
         assert methods == ["random", "bound"]
 
-    def test_sweep_alias(self, tmp_path):
-        cfg = parse_config(
-            "ebn0_db_list = inf\nn_subcarriers = 8\nmax_frames = 5\n",
-            [f"output_path={tmp_path}"],
-        )
-        assert dispatch("sweep", cfg) == 0
-        assert (tmp_path / "ber.csv").exists()
-
     def test_unknown_subcommand(self):
         with pytest.raises(PaprShaperError):
             dispatch("frobnicate", RunConfig())
@@ -186,6 +228,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: m:")
         assert err.count("\n") == 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        rc = main(["xcorr", "--config", str(missing), "--output", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read {missing}")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfile = tmp_path / "latin1.cfg"
+        cfile.write_bytes("output_path = caf\u00e9\n".encode("latin-1"))
+        rc = main(["xcorr", "--config", str(cfile), "--output", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {cfile} is not UTF-8")
+        assert err.count("\n") == 1
+
+    def test_malformed_env_seed_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PAPR_SHAPER_SEED", "abc")
+        rc = main(["xcorr", "--output", str(tmp_path), "--set", "n_list=0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: PAPR_SHAPER_SEED:")
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -3,15 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papr_shaper import harness
-from papr_shaper.analysis import max_papr, theoretical_ber
+from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import IllConditionedGramError, PlanError
 from papr_shaper.harness import (
     SweepPlan,
     run_ber_point,
     run_ber_sweep,
-    run_papr_experiment,
     run_xcorr_report,
     wilson_interval,
     zf_noise_enhancement_db,
@@ -96,6 +97,21 @@ class TestBerPoint:
         assert p.pulse == "sine_power"
         assert p.shape_n == 1
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        N=st.integers(1, 32),
+        M=st.sampled_from([4, 8, 16, 32]),
+        shape_n=st.integers(0, 2),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_noiseless_zero_errors_property(self, N, M, shape_n, seed):
+        pulse = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=shape_n)
+        p = run_ber_point(
+            cfg_for(N=N, M=M, pulse=pulse), math.inf, target_errors=1, max_frames=70, seed=seed
+        )
+        assert p.bit_errors == 0
+        assert p.bits_sent == 70 * N * (M.bit_length() - 1)
+
     def test_ill_conditioned_gram_propagates(self):
         # nearly time-disjoint narrow pulses: strongly non-orthogonal set
         narrow = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=400)
@@ -176,18 +192,19 @@ class TestBerSweep:
 
 class TestPaprExperiment:
     def test_single_trial(self):
-        curve, mx = run_papr_experiment(cfg_for(N=4), 1, seed=3, gamma_db=np.array([0.0]))
+        curve = ccdf_empirical(cfg_for(N=4), 1, seed=3, gamma_db=np.array([0.0]))
+        mx = max_papr(cfg_for(N=4), method="random", trials=1, seed=3)
         assert curve.trials == 1
         assert mx > 1.0
 
     def test_max_below_bound(self):
         cfg = cfg_for(N=8)
-        _, mx = run_papr_experiment(cfg, 500, seed=1, gamma_db=np.array([0.0]))
+        mx = max_papr(cfg, method="random", trials=500, seed=1)
         assert mx <= max_papr(cfg, method="bound") + 1e-12
 
     def test_rect_near_exhaustive(self):
         cfg = cfg_for(N=4)
-        _, mx = run_papr_experiment(cfg, 10_000, seed=1, gamma_db=np.array([0.0]))
+        mx = max_papr(cfg, method="random", trials=10_000, seed=1)
         assert 10 * math.log10(mx) == pytest.approx(6.0206, abs=0.3)
 
 
@@ -198,6 +215,15 @@ class TestXcorrReport:
     def test_rect_row(self):
         rows = run_xcorr_report(PulseFamily.SINE_POWER, [0], self.grid(), 8.0)
         assert rows[0].cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
+
+    def test_rows_carry_their_curves(self):
+        grid = self.grid()
+        rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 3], grid, 8.0)
+        for row in rows:
+            desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=row.shape_n)
+            ref = xcorr_curve(desc, grid, 8.0, 8 * 128 + 1)
+            assert np.array_equal(row.curve.freq, ref.freq)
+            assert np.array_equal(row.curve.rho, ref.rho)
 
     def test_rows_ordered_as_n_list(self):
         rows = run_xcorr_report(PulseFamily.SINE_POWER, [4, 0, 2], self.grid(), 8.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from papr_shaper.analysis import xcorr_curve
 from papr_shaper.errors import DegeneratePulseError, InvalidDescriptorError
 from papr_shaper.pulses import (
     PulseDescriptor,
@@ -12,7 +13,6 @@ from papr_shaper.pulses import (
     SamplingGrid,
     normalize_pulse,
     pulse_energy,
-    pulse_spectrum,
     sample_pulse,
 )
 
@@ -154,31 +154,13 @@ class TestNormalize:
 
 
 class TestSpectrum:
-    def test_rect_dc_equals_area(self):
-        p = sample_pulse(desc(PulseFamily.RECT), grid(128))
-        spec = pulse_spectrum(p, f_max=4.0, n_points=257)
-        assert spec.pulse_ft[0] == pytest.approx(1.0)
-
-    def test_rect_null_at_subcarrier_spacing(self):
-        p = sample_pulse(desc(PulseFamily.RECT), grid(128))
-        spec = pulse_spectrum(p, f_max=4.0, n_points=257)
-        f1 = np.argmin(np.abs(spec.freq - 1.0))
-        assert abs(spec.pulse_ft[f1]) < 1e-6
-
     def test_truncated_sinc_aliasing_ripple_shrinks_with_resolution(self):
         # oracle: a much finer grid stands in for the continuous pulse
         d = desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0)
         f = 3.0, 385
-        ref = pulse_spectrum(sample_pulse(d, grid(8192)), *f)
+        ref = xcorr_curve(d, grid(8192), *f)
         dev = []
         for S in (64, 256):
-            spec = pulse_spectrum(sample_pulse(d, grid(S)), *f)
-            dev.append(np.max(np.abs(np.abs(spec.pulse_ft) - np.abs(ref.pulse_ft))))
+            curve = xcorr_curve(d, grid(S), *f)
+            dev.append(np.max(np.abs(np.abs(curve.rho) - np.abs(ref.rho))))
         assert dev[1] < dev[0]
-
-    def test_kernel_is_square_transform(self):
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=1), grid(64))
-        sq = SampledPulse(p.samples**2, p.dt, p.descriptor)
-        a = pulse_spectrum(p, 2.0, 129).kernel_ft
-        b = pulse_spectrum(sq, 2.0, 129).pulse_ft
-        assert np.allclose(a, b, atol=1e-12)
