@@ -108,6 +108,8 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, batch: int = 4096) ->
     Trial i draws its symbols from a fixed slice of a counter-based
     stream, so the result is independent of batching.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     kern = get_kernel(cfg)
     points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
@@ -179,8 +181,6 @@ def ccdf_empirical(
     gamma_db: np.ndarray,
 ) -> CcdfCurve:
     """Empirical exceedance probability of PAPR over random frames."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     gamma_db = np.asarray(gamma_db, dtype=float)
     papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed)))
     # strict inequality: count of samples > gamma
@@ -206,7 +206,7 @@ def xcorr_curve(
     n_points: int,
 ) -> XcorrCurve:
     """rho(f) = transform of p^2 at separation f, over the pulse energy."""
-    if f_max < 1.0 / grid.symbol_duration:
+    if f_max < 1.0:
         raise ValueError("f_max must be at least 1/T")
     p = sample_pulse(desc, grid)
     e = pulse_energy(p)

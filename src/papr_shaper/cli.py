@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -31,10 +32,7 @@ from .harness import (
 )
 from .pulses import PulseFamily, SamplingGrid
 
-SUBCOMMANDS = ("xcorr", "papr", "ccdf", "ber")
-
 XCORR_GRID_SAMPLES = 1024
-XCORR_POINTS_PER_UNIT = 128
 
 
 def _fmt(x) -> str:
@@ -58,174 +56,6 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.gamma_min_db, cfg.gamma_max_db, count)
 
 
-def _run_xcorr(cfg: RunConfig, outdir: str):
-    family = FAMILY_NAMES[cfg.pulse_family]
-    if family is PulseFamily.RECT:
-        # rect is the n = 0 member of the sine-power family; using the
-        # family here makes n_list meaningful for the default config.
-        family = PulseFamily.SINE_POWER
-    n_list = cfg.resolved_n_list()
-    f_max = cfg.resolved_f_max()
-    grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
-    n_points = int(round(f_max * XCORR_POINTS_PER_UNIT)) + 1
-
-    rows = run_xcorr_report(family, n_list, grid, f_max, n_points)
-    _write_csv(
-        os.path.join(outdir, "xcorr.csv"),
-        "n,f_over_invT,rho_re,rho_im,rho_abs",
-        [
-            (r.shape_n, f, rho.real, rho.imag, abs(rho))
-            for r in rows
-            for f, rho in zip(r.curve.freq, r.curve.rho)
-        ],
-    )
-    _write_csv(
-        os.path.join(outdir, "metrics.csv"),
-        "n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band",
-        [
-            (r.shape_n, r.cutoff_3db, r.cutoff_first_null, r.peak_sidelobe_db, r.orthogonality_band)
-            for r in rows
-        ],
-    )
-    return ("xcorr", {"rows": rows, "family": cfg.pulse_family, "f_max": f_max})
-
-
-def _run_papr(cfg: RunConfig, outdir: str):
-    ofdm = cfg.ofdm_config()
-    rows = []
-    values = {}
-    if ofdm.m_order**ofdm.n_subcarriers <= EXHAUSTIVE_FRAME_CAP:
-        values["exhaustive"] = max_papr(ofdm, method="exhaustive")
-    values["random"] = max_papr(ofdm, method="random", trials=cfg.trials, seed=cfg.seed)
-    values["bound"] = max_papr(ofdm, method="bound")
-    for method in ("exhaustive", "random", "bound"):
-        if method in values:
-            v = values[method]
-            rows.append((method, v, 10.0 * np.log10(v)))
-    _write_csv(os.path.join(outdir, "papr.csv"), "method,papr_linear,papr_db", rows)
-    return ("papr", {"values": values, "cfg": cfg})
-
-
-def _run_ccdf(cfg: RunConfig, outdir: str):
-    ofdm = cfg.ofdm_config()
-    gamma = _gamma_grid(cfg)
-    curve = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
-    _write_csv(
-        os.path.join(outdir, "ccdf.csv"),
-        "gamma_db,prob,trials",
-        [(g, p, curve.trials) for g, p in zip(curve.gamma_db, curve.prob)],
-    )
-    return ("ccdf", {"curve": curve, "cfg": cfg})
-
-
-def _run_ber(cfg: RunConfig, outdir: str):
-    plan = SweepPlan(
-        cfg=cfg.ofdm_config(),
-        ebn0_db_list=tuple(cfg.ebn0_db_list),
-        target_errors=cfg.target_errors,
-        max_frames=cfg.max_frames,
-        master_seed=cfg.seed,
-    )
-    points = run_ber_sweep(plan, workers=cfg.workers)
-    _write_csv(
-        os.path.join(outdir, "ber.csv"),
-        "ebn0_db,m,pulse,shape_n,bits,errors,ber,ci_lo,ci_hi,seed",
-        [
-            (p.ebn0_db, p.m_order, p.pulse, p.shape_n, p.bits_sent, p.bit_errors,
-             p.ber, p.ci_lo, p.ci_hi, p.seed)
-            for p in points
-        ],
-    )
-    return ("ber", {"points": points, "cfg": cfg})
-
-
-def dispatch(subcommand: str, cfg: RunConfig) -> int:
-    """Run one subcommand, writing its CSVs and a summary file."""
-    if subcommand not in SUBCOMMANDS:
-        raise PaprShaperError(f"unknown subcommand {subcommand!r}")
-    outdir = cfg.output_path
-    os.makedirs(outdir, exist_ok=True)
-    runner = {
-        "xcorr": _run_xcorr,
-        "papr": _run_papr,
-        "ccdf": _run_ccdf,
-        "ber": _run_ber,
-    }[subcommand]
-    result = runner(cfg, outdir)
-    emit_report([result], os.path.join(outdir, "summary.txt"))
-    return 0
-
-
-def emit_report(results, output_path: str) -> None:
-    """Plain-text summary of one or more result sets."""
-    if not results:
-        raise PaprShaperError("emit_report needs at least one result set")
-    lines = []
-    for kind, data in results:
-        if kind == "xcorr":
-            lines.append(f"# Crosscorrelation metrics ({data['family']}, f up to {_fmt(data['f_max'])}/T)")
-            lines.append("n cutoff_3db cutoff_null sidelobe_db ortho_band")
-            rows = data["rows"]
-            for r in rows:
-                mark = "  [partial: " + r.error + "]" if r.error else ""
-                lines.append(
-                    f"{r.shape_n} {_fmt(r.cutoff_3db)} {_fmt(r.cutoff_first_null)} "
-                    f"{_fmt(r.peak_sidelobe_db)} {_fmt(r.orthogonality_band)}{mark}"
-                )
-            usable = [r for r in rows if r.cutoff_3db is not None]
-            for a, b in zip(usable, usable[1:]):
-                lines.append(
-                    f"cutoff_3db ratio n={b.shape_n}/n={a.shape_n}: "
-                    f"{_fmt(b.cutoff_3db / a.cutoff_3db)}"
-                )
-        elif kind == "papr":
-            cfg = data["cfg"]
-            lines.append(
-                f"# Max PAPR (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-                f"n={cfg.shape_n}, trials={cfg.trials}, seed={cfg.seed})"
-            )
-            for method, v in data["values"].items():
-                lines.append(f"{method}: {_fmt(v)} ({_fmt(10.0 * np.log10(v))} dB)")
-        elif kind == "ccdf":
-            cfg = data["cfg"]
-            curve = data["curve"]
-            lines.append(
-                f"# PAPR CCDF (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-                f"trials={curve.trials}, seed={cfg.seed})"
-            )
-            crossing = _ccdf_crossing(curve, 1e-2)
-            if crossing is not None:
-                lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
-                if cfg.pulse_family == "rect":
-                    ref = _reference_crossing(cfg.n_subcarriers, 1e-2)
-                    lines.append(f"rect reference gamma at P=1e-2: {_fmt(ref)} dB")
-                    lines.append(f"horizontal deviation: {_fmt(crossing - ref)} dB")
-        elif kind == "ber":
-            cfg = data["cfg"]
-            points = data["points"]
-            lines.append(
-                f"# BER sweep (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-                f"n={cfg.shape_n}, seed={cfg.seed})"
-            )
-            try:
-                enh = zf_noise_enhancement_db(cfg.ofdm_config())
-                lines.append(f"ZF noise enhancement: {_fmt(enh)} dB")
-            except PaprShaperError as exc:
-                lines.append(f"ZF noise enhancement: unavailable ({exc})")
-            lines.append("ebn0_db ber ci_lo ci_hi theory delta")
-            for p in points:
-                th = theoretical_ber(p.m_order, p.ebn0_db)
-                lines.append(
-                    f"{_fmt(p.ebn0_db)} {_fmt(p.ber)} {_fmt(p.ci_lo)} {_fmt(p.ci_hi)} "
-                    f"{_fmt(th)} {_fmt(p.ber - th)}"
-                )
-        else:
-            raise PaprShaperError(f"unknown result kind {kind!r}")
-        lines.append("")
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-
-
 def _ccdf_crossing(curve, level: float):
     """Threshold (dB) where the empirical CCDF falls to ``level``."""
     below = np.flatnonzero(curve.prob <= level)
@@ -245,6 +75,146 @@ def _reference_crossing(N: int, level: float) -> float:
     return float(10.0 * np.log10(gamma))
 
 
+def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
+    family = FAMILY_NAMES[cfg.pulse_family]
+    if family is PulseFamily.RECT:
+        # rect is the n = 0 member of the sine-power family; using the
+        # family here makes n_list meaningful for the default config.
+        family = PulseFamily.SINE_POWER
+    n_list = cfg.resolved_n_list()
+    f_max = cfg.resolved_f_max()
+    grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
+
+    rows = run_xcorr_report(family, n_list, grid, f_max)
+    _write_csv(
+        os.path.join(outdir, "xcorr.csv"),
+        "n,f_over_invT,rho_re,rho_im,rho_abs",
+        [
+            (r.shape_n, f, rho.real, rho.imag, abs(rho))
+            for r in rows
+            for f, rho in zip(r.curve.freq, r.curve.rho)
+        ],
+    )
+    metrics = [(r.shape_n, *astuple(r.metrics)) for r in rows]
+    _write_csv(
+        os.path.join(outdir, "metrics.csv"),
+        "n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band",
+        metrics,
+    )
+
+    lines = [
+        f"# Crosscorrelation metrics ({cfg.pulse_family}, f up to {_fmt(f_max)}/T)",
+        "n cutoff_3db cutoff_null sidelobe_db ortho_band",
+    ]
+    for r, values in zip(rows, metrics):
+        mark = "  [partial: " + r.error + "]" if r.error else ""
+        lines.append(" ".join(_fmt(v) for v in values) + mark)
+    usable = [r for r in rows if r.metrics.cutoff_3db is not None]
+    for a, b in zip(usable, usable[1:]):
+        lines.append(
+            f"cutoff_3db ratio n={b.shape_n}/n={a.shape_n}: "
+            f"{_fmt(b.metrics.cutoff_3db / a.metrics.cutoff_3db)}"
+        )
+    return lines
+
+
+def _run_papr(cfg: RunConfig, outdir: str) -> list[str]:
+    ofdm = cfg.ofdm_config()
+    values = {}
+    if ofdm.m_order**ofdm.n_subcarriers <= EXHAUSTIVE_FRAME_CAP:
+        values["exhaustive"] = max_papr(ofdm, method="exhaustive")
+    values["random"] = max_papr(ofdm, method="random", trials=cfg.trials, seed=cfg.seed)
+    values["bound"] = max_papr(ofdm, method="bound")
+    _write_csv(
+        os.path.join(outdir, "papr.csv"),
+        "method,papr_linear,papr_db",
+        [(method, v, 10.0 * np.log10(v)) for method, v in values.items()],
+    )
+
+    lines = [
+        f"# Max PAPR (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
+        f"n={cfg.shape_n}, trials={cfg.trials}, seed={cfg.seed})"
+    ]
+    for method, v in values.items():
+        lines.append(f"{method}: {_fmt(v)} ({_fmt(10.0 * np.log10(v))} dB)")
+    return lines
+
+
+def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
+    ofdm = cfg.ofdm_config()
+    gamma = _gamma_grid(cfg)
+    curve = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
+    _write_csv(
+        os.path.join(outdir, "ccdf.csv"),
+        "gamma_db,prob,trials",
+        [(g, p, curve.trials) for g, p in zip(curve.gamma_db, curve.prob)],
+    )
+
+    lines = [
+        f"# PAPR CCDF (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
+        f"trials={curve.trials}, seed={cfg.seed})"
+    ]
+    crossing = _ccdf_crossing(curve, 1e-2)
+    if crossing is not None:
+        lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
+        if cfg.pulse_family == "rect":
+            ref = _reference_crossing(cfg.n_subcarriers, 1e-2)
+            lines.append(f"rect reference gamma at P=1e-2: {_fmt(ref)} dB")
+            lines.append(f"horizontal deviation: {_fmt(crossing - ref)} dB")
+    return lines
+
+
+def _run_ber(cfg: RunConfig, outdir: str) -> list[str]:
+    plan = SweepPlan(
+        cfg=cfg.ofdm_config(),
+        ebn0_db_list=tuple(cfg.ebn0_db_list),
+        target_errors=cfg.target_errors,
+        max_frames=cfg.max_frames,
+        master_seed=cfg.seed,
+    )
+    points = run_ber_sweep(plan, workers=cfg.workers)
+    _write_csv(
+        os.path.join(outdir, "ber.csv"),
+        "ebn0_db,m,pulse,shape_n,bits,errors,ber,ci_lo,ci_hi,seed",
+        [
+            (p.ebn0_db, p.m_order, p.pulse, p.shape_n, p.bits_sent, p.bit_errors,
+             p.ber, p.ci_lo, p.ci_hi, p.seed)
+            for p in points
+        ],
+    )
+
+    # the sweep has already raised if the kernel is beyond the ZF limit
+    lines = [
+        f"# BER sweep (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
+        f"n={cfg.shape_n}, seed={cfg.seed})",
+        f"ZF noise enhancement: {_fmt(zf_noise_enhancement_db(plan.cfg))} dB",
+        "ebn0_db ber ci_lo ci_hi theory delta",
+    ]
+    for p in points:
+        th = theoretical_ber(p.m_order, p.ebn0_db)
+        lines.append(
+            f"{_fmt(p.ebn0_db)} {_fmt(p.ber)} {_fmt(p.ci_lo)} {_fmt(p.ci_hi)} "
+            f"{_fmt(th)} {_fmt(p.ber - th)}"
+        )
+    return lines
+
+
+# Each runner writes its CSVs and returns the lines of its summary.txt.
+RUNNERS = {"xcorr": _run_xcorr, "papr": _run_papr, "ccdf": _run_ccdf, "ber": _run_ber}
+
+
+def dispatch(subcommand: str, cfg: RunConfig) -> int:
+    """Run one subcommand, writing its CSVs and a summary file."""
+    if subcommand not in RUNNERS:
+        raise PaprShaperError(f"unknown subcommand {subcommand!r}")
+    os.makedirs(cfg.output_path, exist_ok=True)
+    lines = RUNNERS[subcommand](cfg, cfg.output_path)
+    path = os.path.join(cfg.output_path, "summary.txt")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return 0
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line machine-parsable errors
         raise PaprShaperError(f"cli: {message}")
@@ -253,7 +223,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="papr-shaper", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument(

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import seeding
-from .analysis import MetricsOutOfRangeError, XcorrCurve, pulse_metrics, xcorr_curve
+from .analysis import MetricsOutOfRangeError, PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import PlanError
 from .modem import OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
 from .pulses import PulseDescriptor, PulseFamily, SamplingGrid
@@ -142,6 +142,11 @@ def run_ber_point(
     """
     if target_errors < 1 or max_frames < 1:
         raise PlanError("target_errors and max_frames must be >= 1")
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        # +inf is the noiseless channel
+        raise PlanError(f"ebn0_db must not be NaN or -inf, got {ebn0_db}")
+    if workers < 1:
+        raise PlanError(f"workers must be >= 1, got {workers}")
     kern = get_kernel(cfg)
     kern.gram_inv  # checks the ZF limit; computed once, before any worker thread
 
@@ -165,21 +170,16 @@ def run_ber_point(
         frames_used = lo + len(per_frame)
         return False
 
-    if workers <= 1:
-        for lo, hi in batches:
-            if consume(_frame_errors_batch(kern, ebn0_db, lo, hi - lo, key), lo):
+    def errors(batch):
+        lo, hi = batch
+        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while wave := list(itertools.islice(batches, workers)):
+            results = list(pool.map(errors, wave))  # a failed batch raises here
+            # any() stops at the stop frame; later batches are discarded
+            if any(consume(per_frame, lo) for (lo, _), per_frame in zip(wave, results)):
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while wave := list(itertools.islice(batches, workers)):
-                futures = [
-                    pool.submit(_frame_errors_batch, kern, ebn0_db, lo, hi - lo, key)
-                    for lo, hi in wave
-                ]
-                results = [fut.result() for fut in futures]
-                # any() stops at the stop frame; later batches are discarded
-                if any(consume(per_frame, lo) for (lo, _), per_frame in zip(wave, results)):
-                    break
 
     if frames_used == 0:
         raise PlanError("plan produced zero frames")
@@ -226,10 +226,7 @@ def run_ber_sweep(plan: SweepPlan, workers: int = 1) -> list[BerPoint]:
 class XcorrRow:
     shape_n: int
     curve: XcorrCurve = field(compare=False, repr=False)
-    cutoff_3db: float | None
-    cutoff_first_null: float | None
-    peak_sidelobe_db: float | None
-    orthogonality_band: int | None
+    metrics: PulseMetrics
     error: str | None = None
 
 
@@ -259,17 +256,7 @@ def run_xcorr_report(
         except MetricsOutOfRangeError as exc:
             m = exc.partial
             err = str(exc)
-        rows.append(
-            XcorrRow(
-                shape_n=int(n),
-                curve=curve,
-                cutoff_3db=m.cutoff_3db,
-                cutoff_first_null=m.cutoff_first_null,
-                peak_sidelobe_db=m.peak_sidelobe_db,
-                orthogonality_band=m.orthogonality_band,
-                error=err,
-            )
-        )
+        rows.append(XcorrRow(shape_n=int(n), curve=curve, metrics=m, error=err))
     return rows
 
 

@@ -57,24 +57,20 @@ class PulseDescriptor:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Uniform grid of S sample instants t_i = i*T/S, i = 0..S-1."""
+    """Uniform grid of S sample instants t_i = i/S, i = 0..S-1 (T = 1)."""
 
     samples_per_symbol: int
-    symbol_duration: float = 1.0
 
     def __post_init__(self):
         if self.samples_per_symbol < 1:
             raise InvalidDescriptorError("samples_per_symbol must be >= 1")
-        if not (self.symbol_duration > 0 and math.isfinite(self.symbol_duration)):
-            raise InvalidDescriptorError("symbol_duration must be finite and > 0")
 
     @property
     def dt(self) -> float:
-        return self.symbol_duration / self.samples_per_symbol
+        return 1.0 / self.samples_per_symbol
 
     def times(self) -> np.ndarray:
-        S = self.samples_per_symbol
-        return np.arange(S) * (self.symbol_duration / S)
+        return np.arange(self.samples_per_symbol) * self.dt
 
 
 @dataclass(frozen=True)
@@ -107,19 +103,17 @@ def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> SampledPulse:
     """Sample a pulse on the grid, optionally scaled to unit energy."""
     _validate_descriptor(desc)
     t = grid.times()
-    T = grid.symbol_duration
 
     if desc.family is PulseFamily.RECT or (
         desc.family is PulseFamily.SINE_POWER and desc.shape_n == 0
     ):
         p = np.ones_like(t)
     elif desc.family is PulseFamily.SINE_POWER:
-        p = np.sin(np.pi * t / T) ** desc.shape_n
+        p = np.sin(np.pi * t) ** desc.shape_n
     elif desc.family is PulseFamily.TAPERED_FLAT_TOP:
-        p = _tapered_flat_top(t, T, desc.taper_alpha)
+        p = _tapered_flat_top(t, desc.taper_alpha)
     elif desc.family is PulseFamily.TRUNCATED_SINC:
-        W = desc.bandwidth_factor / T
-        p = np.sinc(2.0 * W * (t - T / 2.0))
+        p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
     else:  # pragma: no cover - enum is exhaustive
         raise InvalidDescriptorError(f"unknown pulse family: {desc.family!r}")
 
@@ -129,17 +123,17 @@ def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> SampledPulse:
     return pulse
 
 
-def _tapered_flat_top(t: np.ndarray, T: float, alpha: float) -> np.ndarray:
+def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
     # Flat 1 over the central (1 - alpha)T, raised-cosine ramps of width
     # alpha*T/2 at each end; alpha = 0 recovers the rectangular pulse.
     p = np.ones_like(t)
     if alpha == 0.0:
         return p
-    edge = alpha * T / 2.0
+    edge = alpha / 2.0
     lo = t < edge
-    hi = t > T - edge
+    hi = t > 1.0 - edge
     p[lo] = 0.5 * (1.0 - np.cos(np.pi * t[lo] / edge))
-    p[hi] = 0.5 * (1.0 - np.cos(np.pi * (T - t[hi]) / edge))
+    p[hi] = 0.5 * (1.0 - np.cos(np.pi * (1.0 - t[hi]) / edge))
     return p
 
 

@@ -91,6 +91,10 @@ class TestMaxPapr:
         with pytest.raises(ValueError):
             max_papr(cfg_for(), method="simulated-annealing")
 
+    def test_random_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            max_papr(cfg_for(), method="random", trials=0)
+
 
 class TestCcdf:
     def test_low_threshold_probability_one(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papr_shaper.cli import dispatch, emit_report, main
+from papr_shaper.cli import dispatch, main
 from papr_shaper.config import FAMILY_NAMES, ConfigKeyError, RunConfig, parse_config
 from papr_shaper.errors import PaprShaperError
 
@@ -197,19 +197,6 @@ class TestDispatch:
         assert raw.endswith(b"\n")
 
 
-class TestEmitReport:
-    def test_empty_results_rejected(self, tmp_path):
-        with pytest.raises(PaprShaperError):
-            emit_report([], str(tmp_path / "summary.txt"))
-
-    def test_regenerated_identical(self, tmp_path):
-        rows = []
-        result = ("papr", {"values": {"bound": 4.0}, "cfg": RunConfig()})
-        emit_report([result], str(tmp_path / "s1.txt"))
-        emit_report([result], str(tmp_path / "s2.txt"))
-        assert read(tmp_path / "s1.txt") == read(tmp_path / "s2.txt")
-
-
 class TestMain:
     def test_success_exit_zero(self, tmp_path):
         rc = main(["xcorr", "--output", str(tmp_path), "--set", "n_list=0"])
@@ -251,6 +238,18 @@ class TestMain:
         rc = main(["xcorr", "--output", str(tmp_path), "--set", "n_list=0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: PAPR_SHAPER_SEED:")
+
+    def test_ill_conditioned_ber_writes_nothing(self, tmp_path, capsys):
+        # sine n=4 at N=64 is beyond the ZF limit; the sweep fails before
+        # any CSV or summary line is written
+        rc = main(["ber", "--output", str(tmp_path), "--set", "pulse_family=sine_power",
+                   "--set", "shape_n=4", "--set", "max_frames=10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run: sweep point 0")
+        assert "gram matrix condition" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "file"

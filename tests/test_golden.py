@@ -33,9 +33,29 @@ CASES = {
     "papr-rect-n4": ("papr", "seed=8", "n_subcarriers=4", "m=4",
                      "pulse_family=rect", "trials=5000"),
     "xcorr-sine": ("xcorr", "n_list=0,1,2", "f_max=8"),
+    # summary branches the cases above do not reach
+    "ber-rect-m8-inf": ("ber", "seed=12", *BER_N16, "m=8", "pulse_family=rect",
+                        "ebn0_db_list=4,inf", "max_frames=3000"),
+    # shaped pulse: no rect-reference lines
+    "ccdf-sine1-n16": ("ccdf", "seed=9", "n_subcarriers=16", "m=4",
+                       "pulse_family=sine_power", "shape_n=1", "trials=2000"),
+    # the CCDF never falls to 1e-2 below 2 dB: no crossing line
+    "ccdf-rect-n4-no-crossing": ("ccdf", "seed=10", "n_subcarriers=4", "m=4",
+                                 "pulse_family=rect", "trials=50", "gamma_max_db=2"),
+    # 4^16 frames exceed the exhaustive cap: no exhaustive row
+    "papr-rect-n16": ("papr", "seed=11", "n_subcarriers=16", "m=4",
+                      "pulse_family=rect", "trials=2000"),
+    # n=16 has no null below 8/T: a [partial: ...] row
+    "xcorr-sine-partial": ("xcorr", "n_list=0,16", "f_max=8"),
+    # no orthogonality band inside 8/T
+    "xcorr-sinc": ("xcorr", "pulse_family=truncated_sinc", "n_list=0,16", "f_max=8"),
 }
 
 GOLDEN = {
+    "ber-rect-m8-inf": {
+        "ber.csv": "a9f413dc64826f4f75d00750c8bc48e5e661cf450b1f91952c87a5c322c4e37c",
+        "summary.txt": "29a407545517b8a632ec85351c583e0934d36ec047790f76c906e74d9e788def",
+    },
     "ber-rect-m32": {
         "ber.csv": "960eaf9be0acc59e6d129cf2099e7360b78cf64c7c9d84d5356534a99b03d455",
         "summary.txt": "7d46c1d91c40e4ee8385a854eba65d681d5f7c084dce2c55bb380d99e2f60d57",
@@ -52,9 +72,21 @@ GOLDEN = {
         "ber.csv": "9a6e2fb2167804444c294f09610a35221a9ec848ef56fcbb40445befdfcd8873",
         "summary.txt": "84e0e39ef63bc757a33ef52d6db4028ee2549e89386e221dde901de53932d26c",
     },
+    "ccdf-rect-n4-no-crossing": {
+        "ccdf.csv": "4953af8a99fa5ed5e36850da70f59d09effda08a4cf7fe640c31cc2ec3f0bb30",
+        "summary.txt": "1b67fd290b7edc3ddb662407ec7e4821d17d73866a9c3aa2074212f7c6f0014c",
+    },
     "ccdf-rect-n16": {
         "ccdf.csv": "b5509eeb761b27bb17009a882dd82bdc5178e567a726a7860122b4518ddbdb67",
         "summary.txt": "5b3ff0392eb962b6372509ed1fa54783f37c8d0cda32b20a48cc1b2b7a094911",
+    },
+    "ccdf-sine1-n16": {
+        "ccdf.csv": "8903541d6ed69916b3be5679513f2d144b09c48e2519e0acd965257478e0053b",
+        "summary.txt": "b4a93d3948bf82db21e0d7b0a9634fac8ce734a52757559d316e477e43800335",
+    },
+    "papr-rect-n16": {
+        "papr.csv": "9adb397eb87593709da0f8ffadefce05a096fbb34b5470f8f0fb5f23649b26d3",
+        "summary.txt": "2f03ccddc8c499d08ad6bdc7674460ff8fad46bbc462ea3e85e8c3233cd0e502",
     },
     "papr-rect-n4": {
         "papr.csv": "1a04873cbe99c0fa84232bd42599aa4cdb57d59e2afaa49efd290d46b9c7d618",
@@ -64,6 +96,16 @@ GOLDEN = {
         "metrics.csv": "8417666754d6df8814766b8bf21efcd90c406c375f419035c45f697d88b5a2ff",
         "summary.txt": "3d349cb71b754f42adbb9f6ef3f95479007b1f8bf1d3522ec99efcf075e38917",
         "xcorr.csv": "dc191270d8469b9017d10e68ce2f484582c3045e2ee5311719685fcee4237502",
+    },
+    "xcorr-sine-partial": {
+        "metrics.csv": "a5844f65564fd2073503c5e7bc1e82dbf6f56716a0035d7863630ab5817a1bab",
+        "summary.txt": "501232174b4a61d947f7b8f44f985b03af38e661f64a137992b0462f91b294d9",
+        "xcorr.csv": "50ef13f53c343cb51a1db7123bc2bf71f3743388f3c05e2084c68e9aa019d006",
+    },
+    "xcorr-sinc": {
+        "metrics.csv": "0d43b935ada2e9c57634361cf67b0d2363c18e29a7a4a4d81ae37e0d7894219a",
+        "summary.txt": "1c53fee462342dec05f53d76947e88cb365a817f988156bdb45fc22aa6b5f87a",
+        "xcorr.csv": "25ac77f26a7c023b27c7f33febb99fac9b78237c5328c94134709074f06a88ee",
     },
 }
 

@@ -87,8 +87,15 @@ class TestBerPoint:
         assert p.bit_errors < 25 + cfg_for().bits_per_frame
 
     def test_bad_plan(self):
-        with pytest.raises(PlanError):
-            run_ber_point(cfg_for(), 0.0, target_errors=0, max_frames=10, seed=1)
+        bad = [
+            (0.0, {"target_errors": 0}),
+            (-math.inf, {}),
+            (math.nan, {}),
+            (0.0, {"workers": 0}),
+        ]
+        for ebn0_db, kwargs in bad:
+            with pytest.raises(PlanError):
+                run_ber_point(cfg_for(), ebn0_db, max_frames=10, seed=1, **kwargs)
 
     def test_shaped_pulse_tag(self):
         p = run_ber_point(
@@ -189,6 +196,11 @@ class TestBerSweep:
         with pytest.raises(PlanError):
             SweepPlan(cfg=cfg_for(), ebn0_db_list=(4.0, 2.0))
 
+    def test_minus_inf_point_rejected(self):
+        plan = SweepPlan(cfg=cfg_for(), ebn0_db_list=(-math.inf, 0.0), max_frames=10)
+        with pytest.raises(PlanError, match=r"sweep point 0 .*-inf"):
+            run_ber_sweep(plan)
+
 
 class TestPaprExperiment:
     def test_single_trial(self):
@@ -214,7 +226,7 @@ class TestXcorrReport:
 
     def test_rect_row(self):
         rows = run_xcorr_report(PulseFamily.SINE_POWER, [0], self.grid(), 8.0)
-        assert rows[0].cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
+        assert rows[0].metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
 
     def test_rows_carry_their_curves(self):
         grid = self.grid()
@@ -231,14 +243,14 @@ class TestXcorrReport:
 
     def test_cutoff_increasing(self):
         rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
-        cutoffs = [r.cutoff_3db for r in rows]
+        cutoffs = [r.metrics.cutoff_3db for r in rows]
         assert all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_partial_row_marked_others_computed(self):
         rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 16], self.grid(), 8.0)
         assert rows[0].error is None
         assert rows[1].error is not None
-        assert rows[1].cutoff_3db is not None  # partial result kept
+        assert rows[1].metrics.cutoff_3db is not None  # partial result kept
 
     def test_empty_n_list(self):
         with pytest.raises(PlanError):
