@@ -21,7 +21,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     UnsupportedOrderError,
 )
-from .modem import SUPPORTED_ORDERS, OfdmConfig, SampledWaveform, get_kernel
+from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, SampledWaveform, get_kernel
 from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse
 from . import seeding
 
@@ -96,8 +96,8 @@ def papr(w: SampledWaveform) -> float:
     return float(power.max() / mean)
 
 
-def _batch_papr(symbols: np.ndarray, synth: np.ndarray) -> np.ndarray:
-    s = symbols @ synth
+def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
+    s = kern.synthesize(symbols)
     power = np.abs(s) ** 2
     return power.max(axis=1) / power.mean(axis=1)
 
@@ -106,13 +106,15 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, batch: int = 4096) ->
     """PAPR of ``trials`` frames with uniform random constellation symbols.
 
     Trial i draws its symbols from a fixed slice of a counter-based
-    stream, so the result is independent of batching.
+    stream, so the result is independent of batching. A batch holds at
+    most 2**20 waveform samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kern = get_kernel(cfg)
     points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
+    batch = max(1, min(batch, (1 << 20) // cfg.samples_per_symbol))
     words = seeding.words_per_trial(N)
     key = seeding.mix64(seed)
     out = np.empty(trials)
@@ -121,7 +123,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, batch: int = 4096) ->
         b = min(batch, trials - done)
         u = seeding.trial_uniforms(key, done, b, words)[:, :N]
         idx = seeding.uniforms_to_indices(u, M)
-        out[done : done + b] = _batch_papr(points[idx], kern.synth)
+        out[done : done + b] = _batch_papr(points[idx], kern)
         done += b
     return out
 
@@ -159,7 +161,7 @@ def max_papr(
             for k in range(N - 1, -1, -1):
                 digits[:, k] = rem % M
                 rem //= M
-            best = max(best, float(_batch_papr(points[digits], kern.synth).max()))
+            best = max(best, float(_batch_papr(points[digits], kern).max()))
         return best
 
     if method == "random":

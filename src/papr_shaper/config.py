@@ -26,6 +26,12 @@ FAMILY_NAMES = {
 }
 
 
+# Caps on what one config may ask for, so that a typo ends in a named
+# error instead of an unbounded allocation or thread count.
+MAX_GAMMA_POINTS = 100_001
+MAX_WORKERS = 64
+
+
 class ConfigKeyError(ConfigError):
     """Invalid configuration input, attributed to one key."""
 
@@ -199,8 +205,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("target_errors", "must be >= 1")
     if cfg.max_frames < 1:
         bad("max_frames", "must be >= 1")
-    if cfg.workers < 1:
-        bad("workers", "must be >= 1")
+    if not 1 <= cfg.workers <= MAX_WORKERS:
+        bad("workers", f"must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
     if cfg.n_list is not None and (not cfg.n_list or any(n < 0 for n in cfg.n_list)):
         bad("n_list", "must be a nonempty list of integers >= 0")
     if cfg.f_max is not None and not cfg.f_max >= 1.0:
@@ -209,6 +215,10 @@ def _validate(cfg: RunConfig) -> None:
         bad("gamma_step_db", "must be > 0")
     if not cfg.gamma_max_db >= cfg.gamma_min_db:
         bad("gamma_max_db", "must be >= gamma_min_db")
+    # the CLI grid has round(span) + 1 points; NaN and inf spans fail too
+    span = (cfg.gamma_max_db - cfg.gamma_min_db) / cfg.gamma_step_db
+    if not span < MAX_GAMMA_POINTS - 0.5:
+        bad("gamma_step_db", f"gives more than {MAX_GAMMA_POINTS} gamma grid points")
 
 
 def parse_config(file_contents: str, overrides: list[str] = ()) -> RunConfig:

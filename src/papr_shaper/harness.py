@@ -110,11 +110,11 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     u = seeding.trial_uniforms(key, first_frame, n_frames, words)
 
     bits = seeding.uniforms_to_bits(u[:, :nbits])
-    s = map_bits(bits, kern.constellation) @ kern.synth
+    s = kern.synthesize(map_bits(bits, kern.constellation))
     noiseless = ebn0_db == math.inf
     z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
     r = add_awgn(s, z, ebn0_db, nbits, kern.dt)
-    bits_hat = demap_symbols(kern.solve_zf(r @ kern.mf), kern.constellation)
+    bits_hat = demap_symbols(kern.solve_zf(kern.matched_filter(r)), kern.constellation)
     return (bits_hat != bits).sum(axis=1)
 
 

@@ -3,15 +3,22 @@
 Every stage works on a batch of frames, one frame per row:
 
     a = map_bits(bits, kern.constellation)       # (F, N*k) -> (F, N)
-    s = a @ kern.synth                           # (F, S) waveforms
+    s = kern.synthesize(a)                       # (F, S) waveforms
     r = add_awgn(s, z, ebn0_db, frame_bits, kern.dt)
-    a_hat = kern.solve_zf(r @ kern.mf)           # matched filter, then ZF
+    a_hat = kern.solve_zf(kern.matched_filter(r))  # matched filter, then ZF
     bits_hat = demap_symbols(a_hat, kern.constellation)
 
 The receiver is a matched-filter bank followed by an exact zero-forcing
 solve against the subcarrier Gram matrix. With identical shaped pulses
 on every subcarrier the Gram matrix is a banded Toeplitz matrix and the
 ZF solve removes the resulting intercarrier interference exactly.
+
+A pulse shared by every subcarrier is sampled once. Its Gram matrix is
+built from its first column, the DFT of p^2, and from
+``FFT_MIN_SUBCARRIERS`` subcarriers up synthesis and matched filter are
+an inverse and a forward FFT of length S instead of a product with a
+dense N x S matrix. Below that size, and for per-subcarrier pulse sets,
+the dense matrices ``kern.synth`` and ``kern.mf`` are used.
 """
 
 from __future__ import annotations
@@ -47,6 +54,10 @@ SUPPORTED_ORDERS = (4, 8, 16, 32)
 # Condition number beyond which the ZF solve is refused.
 GRAM_CONDITION_LIMIT = 1e8
 
+# A shared pulse synthesizes and matched-filters by FFT from this many
+# subcarriers up; below it the dense BLAS product is faster.
+FFT_MIN_SUBCARRIERS = 512
+
 
 def _gray(i: int) -> int:
     return i ^ (i >> 1)
@@ -77,10 +88,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.m_order.bit_length() - 1
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.m_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,11 +196,6 @@ class OfdmConfig:
     def grid(self) -> SamplingGrid:
         return SamplingGrid(samples_per_symbol=self.samples_per_symbol)
 
-    def descriptors(self) -> tuple[PulseDescriptor, ...]:
-        if isinstance(self.pulse_assignment, tuple):
-            return self.pulse_assignment
-        return (self.pulse_assignment,) * self.n_subcarriers
-
 
 @dataclass(frozen=True)
 class SampledWaveform:
@@ -215,38 +217,77 @@ class GramMatrix:
 class ModemKernel:
     """Precomputed matrices for one configuration.
 
+    pulses: (N, S) samples p_k(t); a read-only broadcast of one row when
+            the pulse is shared
     synth: (N, S) rows a_k -> contribution p_k(t) exp(+j2pi k t/T)
     mf:    (S, N) so that y = r @ mf is the normalized matched filter bank
     gram:  Hermitian N x N with unit diagonal; noiseless y = gram @ a
     gram_inv: G^-1, computed on first use and shared by every ZF solve;
               raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
+    use_fft: synthesize and matched_filter by FFT (a shared pulse and
+             N >= FFT_MIN_SUBCARRIERS) instead of by synth and mf
+
+    ``synth`` and ``mf`` are built on first use. A dense kernel builds
+    them here; an FFT kernel never reads them.
     """
 
     def __init__(self, cfg: OfdmConfig):
         self.cfg = cfg
         grid = cfg.grid
-        t = grid.times()
         N, S = cfg.n_subcarriers, cfg.samples_per_symbol
         self.dt = grid.dt
 
-        pulses = np.empty((N, S))
-        for k, desc in enumerate(cfg.descriptors()):
-            pulses[k] = sample_pulse(desc, grid).samples
-        energies = np.sum(pulses**2, axis=1) * self.dt
+        shared = isinstance(cfg.pulse_assignment, PulseDescriptor)
+        if shared:
+            p = sample_pulse(cfg.pulse_assignment, grid).samples
+            energies = np.full(N, np.sum(p**2) * self.dt)
+            pulses = np.broadcast_to(p, (N, S))
+        else:
+            pulses = np.stack([sample_pulse(d, grid).samples for d in cfg.pulse_assignment])
+            energies = np.sum(pulses**2, axis=1) * self.dt
         if np.any(energies <= 0):
             raise DegeneratePulseError("zero-energy pulse in assignment")
         self.pulses = pulses
         self.energies = energies
+        self.use_fft = shared and N >= FFT_MIN_SUBCARRIERS
 
-        phases = np.exp(2j * np.pi * np.outer(np.arange(N), t))
-        self.synth = pulses * phases
-        self.mf = (pulses * np.conj(phases)).T * (self.dt / energies)
-
-        corr = (self.synth @ self.synth.conj().T) * self.dt
-        scale = np.sqrt(np.outer(energies, energies))
-        g = np.conj(corr) / scale
+        if shared:
+            # G[k, l] = c[(k - l) mod S], c the DFT of p^2 over the energy
+            c = np.fft.fft(p**2) * (self.dt / energies[0])
+            k = np.arange(N)
+            g = c[(k[:, None] - k) % S]
+        else:
+            corr = (self.synth @ self.synth.conj().T) * self.dt
+            g = np.conj(corr) / np.sqrt(np.outer(energies, energies))
         self.gram = GramMatrix(entries=0.5 * (g + g.conj().T))
         self.gram_condition = self.gram.condition
+        if not self.use_fft:
+            self.mf  # built once here, never concurrently by worker threads
+
+    @functools.cached_property
+    def synth(self) -> np.ndarray:
+        N = self.cfg.n_subcarriers
+        phases = np.exp(2j * np.pi * np.outer(np.arange(N), self.cfg.grid.times()))
+        return self.pulses * phases
+
+    @functools.cached_property
+    def mf(self) -> np.ndarray:
+        return self.synth.conj().T * (self.dt / self.energies)
+
+    def synthesize(self, a: np.ndarray) -> np.ndarray:
+        """(F, N) symbols -> (F, S) waveforms."""
+        if not self.use_fft:
+            return a @ self.synth
+        s = np.fft.ifft(a, n=self.cfg.samples_per_symbol, axis=-1, norm="forward")
+        s *= self.pulses[0]
+        return s
+
+    def matched_filter(self, r: np.ndarray) -> np.ndarray:
+        """(F, S) received waveforms -> (F, N) matched-filter outputs."""
+        if not self.use_fft:
+            return r @ self.mf
+        y = np.fft.fft(r * self.pulses[0], axis=-1)[..., : self.cfg.n_subcarriers]
+        return y * (self.dt / self.energies)
 
     @functools.cached_property
     def constellation(self) -> Constellation:

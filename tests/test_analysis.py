@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from papr_shaper.analysis import (
+    _random_paprs,
     ccdf_empirical,
     max_papr,
     papr,
@@ -118,6 +120,20 @@ class TestCcdf:
         a = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
         b = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
         assert np.array_equal(a.prob, b.prob)
+
+    def test_batches_capped_by_samples(self):
+        # S = 4096 gives 256-frame batches; one uncapped 1024-frame batch
+        # would hold two 64 MB waveform arrays
+        cfg = cfg_for(N=1024)
+        get_kernel(cfg)  # kernel allocations are not the run's
+        tracemalloc.start()
+        try:
+            paprs = _random_paprs(cfg, 1024, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2, batch=37))
 
 
 class TestReferenceCcdf:

@@ -68,6 +68,18 @@ class TestParseConfig:
             parse_config("ebn0_db_list = -inf, 0, 4")
         assert exc.value.key == "ebn0_db_list"
 
+    # parsed only: a missing cap would otherwise allocate or spawn without bound
+    @pytest.mark.parametrize(
+        "key,value,limit",
+        [("gamma_step_db", "1e-9", "1.3e-4"), ("workers", str(10**6), "64")],
+    )
+    def test_size_caps(self, key, value, limit):
+        with pytest.raises(ConfigKeyError) as exc:
+            parse_config("", [f"{key}={value}"])
+        assert exc.value.key == key
+        assert "\n" not in str(exc.value)
+        parse_config("", [f"{key}={limit}"])  # the largest accepted size
+
     def test_bool_values(self):
         assert parse_config("normalize = true").normalize is True
         assert parse_config("normalize = 0").normalize is False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papr_shaper import harness
+from papr_shaper import harness, modem
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import IllConditionedGramError, PlanError
 from papr_shaper.harness import (
@@ -17,7 +17,7 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import GramMatrix, OfdmConfig, get_kernel
+from papr_shaper.modem import GramMatrix, ModemKernel, OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -168,6 +168,38 @@ class TestBatchSchedule:
             tracemalloc.stop()
         assert p.bits_sent < 64 * cfg.bits_per_frame
         assert peak < 4 * 2**20
+
+
+class TestFftPath:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
+    def test_fft_and_dense_paths_give_the_same_point(self, pulse, workers, monkeypatch):
+        kernels = []
+
+        def fresh_kernel(cfg):  # uncached, so it reads the patched cut-over
+            kernels.append(ModemKernel(cfg))
+            return kernels[-1]
+
+        monkeypatch.setattr(harness, "get_kernel", fresh_kernel)
+
+        def point():
+            return run_ber_point(
+                cfg_for(N=64, pulse=pulse), 4.0, target_errors=300, max_frames=5_000,
+                seed=11, workers=workers,
+            )
+
+        dense = point()
+        monkeypatch.setattr(modem, "FFT_MIN_SUBCARRIERS", 1)
+        assert point() == dense
+        assert [k.use_fft for k in kernels] == [False, True]
+
+    def test_fft_kernel_builds_no_dense_matrix(self):
+        cfg = cfg_for(N=1024)
+        run_ber_point(cfg, 4.0, target_errors=10, max_frames=64, seed=1)
+        kern = get_kernel(cfg)
+        assert kern.use_fft
+        assert "synth" not in kern.__dict__
+        assert "mf" not in kern.__dict__
 
 
 class TestBerSweep:

@@ -14,6 +14,7 @@ from papr_shaper.errors import (
 )
 from papr_shaper.modem import (
     GramMatrix,
+    ModemKernel,
     OfdmConfig,
     add_awgn,
     build_constellation,
@@ -25,6 +26,12 @@ from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
+FAMILIES = {
+    "rect": RECT,
+    "sine1": SINE1,
+    "tapered": PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5),
+    "tsinc": PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
+}
 
 
 def cfg_for(N=4, M=4, pulse=RECT, L=4):
@@ -57,7 +64,7 @@ class TestConstellation:
         c = build_constellation(M)
         assert len(c.points) == M
         assert len(np.unique(c.points)) == M
-        assert len(np.unique(c.labels)) == M
+        assert len(np.unique(np.arange(M))) == M
 
     @pytest.mark.parametrize("M,max_hamming", [(4, 1), (8, 1), (16, 1), (32, 2)])
     def test_neighbor_hamming(self, M, max_hamming):
@@ -107,7 +114,7 @@ class TestMapDemap:
         k = c.bits_per_symbol
         bits = demap_symbols(c.points, c)
         values = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-        assert np.array_equal(values, c.labels)
+        assert np.array_equal(values, np.arange(M))
 
     def test_tie_break_lowest_index(self):
         c = build_constellation(4)
@@ -221,6 +228,48 @@ class TestGram:
         G = gram(cfg_for(N=8, pulse=pulses))
         assert np.allclose(np.diag(G).real, 1.0, atol=1e-9)
         assert np.allclose(G, G.conj().T, atol=1e-12)
+
+
+class TestSharedPulseKernel:
+    # Kernels are built directly, not through get_kernel's cache: the
+    # dense N x S oracles of the large ones would stay alive otherwise.
+
+    @pytest.mark.parametrize("N", [512, 1024])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fft_stages_match_dense(self, N, family):
+        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
+        assert kern.use_fft
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
+        S = kern.cfg.samples_per_symbol
+        r = rng.standard_normal((4, S)) + 1j * rng.standard_normal((4, S))
+        for fast, dense in ((kern.synthesize(a), a @ kern.synth), (kern.matched_filter(r), r @ kern.mf)):
+            assert np.abs(fast - dense).max() <= 1e-11 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("N", [8, 64, 512])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_toeplitz_gram_matches_dense(self, N, family):
+        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
+        g = np.conj(kern.synth @ kern.synth.conj().T) * kern.dt / kern.energies[0]
+        assert np.abs(kern.gram.entries - 0.5 * (g + g.conj().T)).max() < 1e-12
+
+    def test_shared_pulse_is_one_read_only_row(self):
+        kern = get_kernel(cfg_for(N=8, pulse=SINE1))
+        assert kern.pulses.shape == (8, 32)
+        assert kern.pulses.strides[0] == 0
+        assert not kern.pulses.flags.writeable
+
+    def test_pulse_set_keeps_dense_path(self):
+        sine2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
+        pulses = tuple(sine2 if k % 2 else RECT for k in range(512))
+        kern = ModemKernel(cfg_for(N=512, pulse=pulses))
+        assert not kern.use_fft
+        assert "mf" in kern.__dict__
+        corr = (kern.synth @ kern.synth.conj().T) * kern.dt
+        g = np.conj(corr) / np.sqrt(np.outer(kern.energies, kern.energies))
+        assert np.array_equal(kern.gram.entries, 0.5 * (g + g.conj().T))
+        # rect-rect and sine2-sine2 at separation 2 differ: not Toeplitz
+        assert abs(kern.gram.entries[0, 2] - kern.gram.entries[1, 3]) > 0.1
 
 
 class TestAwgn:
