@@ -10,7 +10,6 @@ from .analysis import (
     XcorrCurve,
     ccdf_empirical,
     max_papr,
-    papr,
     pulse_metrics,
     q_function,
     reference_ccdf,
@@ -28,9 +27,7 @@ from .harness import (
 )
 from .modem import (
     Constellation,
-    GramMatrix,
     OfdmConfig,
-    SampledWaveform,
     add_awgn,
     build_constellation,
     demap_symbols,
@@ -39,9 +36,7 @@ from .modem import (
 from .pulses import (
     PulseDescriptor,
     PulseFamily,
-    SampledPulse,
     SamplingGrid,
-    normalize_pulse,
     pulse_energy,
     sample_pulse,
 )

@@ -16,12 +16,11 @@ from scipy.special import erfc
 
 from .errors import (
     DegeneratePulseError,
-    DegenerateSignalError,
     MetricsOutOfRangeError,
     SearchSpaceTooLargeError,
     UnsupportedOrderError,
 )
-from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, SampledWaveform, get_kernel
+from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
 from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse
 from . import seeding
 
@@ -29,7 +28,6 @@ __all__ = [
     "CcdfCurve",
     "XcorrCurve",
     "PulseMetrics",
-    "papr",
     "max_papr",
     "EXHAUSTIVE_FRAME_CAP",
     "ccdf_empirical",
@@ -85,15 +83,6 @@ class PulseMetrics:
     cutoff_first_null: float | None
     peak_sidelobe_db: float | None
     orthogonality_band: int | None
-
-
-def papr(w: SampledWaveform) -> float:
-    """Peak over mean instantaneous power (linear ratio, >= 1)."""
-    power = np.abs(np.asarray(w.samples)) ** 2
-    mean = power.mean()
-    if mean <= 0.0:
-        raise DegenerateSignalError("PAPR of an all-zero waveform is undefined")
-    return float(power.max() / mean)
 
 
 def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
@@ -211,13 +200,13 @@ def xcorr_curve(
     if f_max < 1.0:
         raise ValueError("f_max must be at least 1/T")
     p = sample_pulse(desc, grid)
-    e = pulse_energy(p)
+    e = pulse_energy(p, grid.dt)
     if e <= 0.0:
         raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
     t = grid.times()
     freq = np.linspace(0.0, f_max, n_points)
-    p2 = np.square(p.samples)
-    rho = (np.exp(-2j * np.pi * np.outer(freq, t)) @ p2) * p.dt / e
+    p2 = np.square(p)
+    rho = (np.exp(-2j * np.pi * np.outer(freq, t)) @ p2) * grid.dt / e
     center = float(np.sum(t * p2) / p2.sum())
     return XcorrCurve(freq=freq, rho=rho, phase_center=center)
 

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .modem import SUPPORTED_ORDERS, OfdmConfig
+from .modem import MAX_ABS_EBN0_DB, SUPPORTED_ORDERS, OfdmConfig
 from .pulses import PulseDescriptor, PulseFamily
 
 __all__ = ["RunConfig", "ConfigKeyError", "parse_config"]
@@ -30,6 +30,8 @@ FAMILY_NAMES = {
 # error instead of an unbounded allocation or thread count.
 MAX_GAMMA_POINTS = 100_001
 MAX_WORKERS = 64
+# xcorr's frequency grid and its (points x 1024) phase matrix grow with f_max
+MAX_F_MAX = 128
 
 
 class ConfigKeyError(ConfigError):
@@ -62,7 +64,6 @@ class RunConfig:
     shape_n: int = 0
     taper_alpha: float = 0.5
     bandwidth_factor: float = 2.0
-    normalize: bool = False
     ebn0_db_list: list[float] = field(default_factory=lambda: [0.0, 2.0, 4.0, 6.0, 8.0])
     trials: int = 10_000
     target_errors: int = 200
@@ -77,15 +78,17 @@ class RunConfig:
     workers: int = 1
 
     def serialize(self) -> str:
-        """Config-file text that parses back to this exact RunConfig."""
+        """Config-file text that parses back to an equal RunConfig.
+
+        The format has no escapes, so an ``output_path`` holding ``#``, a
+        line break or leading or trailing spaces does not round-trip.
+        """
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
             if v is None:
                 continue
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, list):
+            if isinstance(v, list):
                 v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
             elif isinstance(v, float):
                 v = repr(v)
@@ -97,8 +100,13 @@ class RunConfig:
 
     def resolved_f_max(self) -> float:
         if self.f_max is not None:
-            return self.f_max
-        return float(max(8, max(self.resolved_n_list()) + 2))
+            key, f_max = "f_max", self.f_max
+        else:
+            key = "n_list" if self.n_list is not None else "shape_n"
+            f_max = float(max(8, max(self.resolved_n_list()) + 2))
+        if f_max > MAX_F_MAX:
+            raise ConfigKeyError(key, f"gives f_max = {f_max:g}/T, above the cap {MAX_F_MAX}")
+        return f_max
 
     def pulse_descriptor(self) -> PulseDescriptor:
         return PulseDescriptor(
@@ -106,7 +114,6 @@ class RunConfig:
             shape_n=self.shape_n,
             taper_alpha=self.taper_alpha,
             bandwidth_factor=self.bandwidth_factor,
-            normalize_energy=self.normalize,
         )
 
     def ofdm_config(self) -> OfdmConfig:
@@ -137,14 +144,11 @@ _FLOAT_KEYS = {
     "gamma_max_db",
     "gamma_step_db",
 }
-_BOOL_KEYS = {"normalize"}
 _FLOAT_LIST_KEYS = {"ebn0_db_list"}
 _INT_LIST_KEYS = {"n_list"}
 _TEXT_KEYS = {"pulse_family", "output_path"}
 
-ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _TEXT_KEYS
-)
+ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _TEXT_KEYS
 
 
 def _parse_float(raw: str) -> float:
@@ -159,13 +163,6 @@ def _coerce(key: str, raw: str, line: int | None):
             return int(raw)
         if key in _FLOAT_KEYS:
             return _parse_float(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if key in _FLOAT_LIST_KEYS:
             return [_parse_float(x) for x in raw.split(",") if x.strip()]
         if key in _INT_LIST_KEYS:
@@ -197,8 +194,9 @@ def _validate(cfg: RunConfig) -> None:
         bad("ebn0_db_list", "must be nonempty")
     if any(b < a for a, b in zip(cfg.ebn0_db_list, cfg.ebn0_db_list[1:])):
         bad("ebn0_db_list", "must be ascending")
-    if any(math.isnan(x) or x == -math.inf for x in cfg.ebn0_db_list):
-        bad("ebn0_db_list", "must not contain NaN or -inf (inf is the noiseless channel)")
+    if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in cfg.ebn0_db_list):
+        bad("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, {MAX_ABS_EBN0_DB:g}] dB "
+            "or be inf (the noiseless channel)")
     if cfg.trials < 1:
         bad("trials", "must be >= 1")
     if cfg.target_errors < 1:

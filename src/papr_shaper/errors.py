@@ -13,10 +13,6 @@ class DegeneratePulseError(PaprShaperError):
     """Operation requires a pulse with nonzero energy."""
 
 
-class DegenerateSignalError(PaprShaperError):
-    """Operation requires a waveform with nonzero energy."""
-
-
 class ConfigError(PaprShaperError):
     """Inconsistent OFDM configuration or mismatched operands."""
 

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 from . import seeding
 from .analysis import MetricsOutOfRangeError, PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import PlanError
-from .modem import OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
+from .modem import MAX_ABS_EBN0_DB, OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
 from .pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 # point that meets its error target early computes few frames it discards.
 FIRST_BATCH_FRAMES = 64
 BATCH_FRAMES = 2048
+
+# z of the 95% two-sided Wilson interval
+WILSON_Z = float(ndtri(0.5 + 0.95 / 2.0))
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,13 @@ class SweepPlan:
             raise PlanError("max_frames must be >= 1")
 
 
-def wilson_interval(errors: int, trials_bits: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials_bits: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials_bits < 1:
         raise PlanError("trials_bits must be >= 1")
     if not 0 <= errors <= trials_bits:
         raise PlanError("errors must lie in [0, trials_bits]")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = WILSON_Z
     n = trials_bits
     p = errors / n
     denom = 1.0 + z * z / n
@@ -142,9 +145,9 @@ def run_ber_point(
     """
     if target_errors < 1 or max_frames < 1:
         raise PlanError("target_errors and max_frames must be >= 1")
-    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
-        # +inf is the noiseless channel
-        raise PlanError(f"ebn0_db must not be NaN or -inf, got {ebn0_db}")
+    if not (abs(ebn0_db) <= MAX_ABS_EBN0_DB or ebn0_db == math.inf):
+        # +inf is the noiseless channel; NaN and -inf fail the test
+        raise PlanError(f"|ebn0_db| must be <= {MAX_ABS_EBN0_DB:g} or +inf, got {ebn0_db}")
     if workers < 1:
         raise PlanError(f"workers must be >= 1, got {workers}")
     kern = get_kernel(cfg)
@@ -235,17 +238,16 @@ def run_xcorr_report(
     n_list,
     grid: SamplingGrid,
     f_max: float,
-    n_points: int | None = None,
 ) -> list[XcorrRow]:
-    """Crosscorrelation curve and metrics per shape parameter, one row per n.
+    """Crosscorrelation curve and metrics per shape parameter, one row per n,
+    on a grid of 128 points per 1/T.
 
     A row whose metrics cannot be fully located is marked with the
     error message; the remaining rows are still computed.
     """
     if not len(n_list):
         raise PlanError("n_list must be nonempty")
-    if n_points is None:
-        n_points = int(round(f_max * 128)) + 1
+    n_points = int(round(f_max * 128)) + 1
     rows = []
     for n in n_list:
         desc = PulseDescriptor(family=family, shape_n=int(n))

@@ -41,8 +41,6 @@ from .pulses import PulseDescriptor, SamplingGrid, sample_pulse
 __all__ = [
     "Constellation",
     "OfdmConfig",
-    "SampledWaveform",
-    "GramMatrix",
     "build_constellation",
     "map_bits",
     "add_awgn",
@@ -197,21 +195,10 @@ class OfdmConfig:
         return SamplingGrid(samples_per_symbol=self.samples_per_symbol)
 
 
-@dataclass(frozen=True)
-class SampledWaveform:
-    samples: np.ndarray
-    dt: float
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    entries: np.ndarray
-
-    @property
-    def condition(self) -> float:
-        """max|lambda| / min|lambda|, from eigvalsh since G is Hermitian."""
-        lam = np.abs(np.linalg.eigvalsh(self.entries))
-        return float(lam.max() / lam.min()) if lam.min() > 0 else math.inf
+def _condition(g: np.ndarray) -> float:
+    """max|lambda| / min|lambda| of a Hermitian matrix, from eigvalsh."""
+    lam = np.abs(np.linalg.eigvalsh(g))
+    return float(lam.max() / lam.min()) if lam.min() > 0 else math.inf
 
 
 class ModemKernel:
@@ -222,13 +209,15 @@ class ModemKernel:
     synth: (N, S) rows a_k -> contribution p_k(t) exp(+j2pi k t/T)
     mf:    (S, N) so that y = r @ mf is the normalized matched filter bank
     gram:  Hermitian N x N with unit diagonal; noiseless y = gram @ a
-    gram_inv: G^-1, computed on first use and shared by every ZF solve;
-              raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
+    gram_condition: max|lambda| / min|lambda| of gram
+    gram_inv: G^-1, shared by every ZF solve; raises
+              IllConditionedGramError beyond GRAM_CONDITION_LIMIT
     use_fft: synthesize and matched_filter by FFT (a shared pulse and
              N >= FFT_MIN_SUBCARRIERS) instead of by synth and mf
 
-    ``synth`` and ``mf`` are built on first use. A dense kernel builds
-    them here; an FFT kernel never reads them.
+    The matrices are built on first use, so PAPR and CCDF runs never
+    build ``gram``. A dense kernel builds ``synth`` and ``mf`` here; an
+    FFT kernel never reads them.
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -239,28 +228,17 @@ class ModemKernel:
 
         shared = isinstance(cfg.pulse_assignment, PulseDescriptor)
         if shared:
-            p = sample_pulse(cfg.pulse_assignment, grid).samples
+            p = sample_pulse(cfg.pulse_assignment, grid)
             energies = np.full(N, np.sum(p**2) * self.dt)
             pulses = np.broadcast_to(p, (N, S))
         else:
-            pulses = np.stack([sample_pulse(d, grid).samples for d in cfg.pulse_assignment])
+            pulses = np.stack([sample_pulse(d, grid) for d in cfg.pulse_assignment])
             energies = np.sum(pulses**2, axis=1) * self.dt
         if np.any(energies <= 0):
             raise DegeneratePulseError("zero-energy pulse in assignment")
         self.pulses = pulses
         self.energies = energies
         self.use_fft = shared and N >= FFT_MIN_SUBCARRIERS
-
-        if shared:
-            # G[k, l] = c[(k - l) mod S], c the DFT of p^2 over the energy
-            c = np.fft.fft(p**2) * (self.dt / energies[0])
-            k = np.arange(N)
-            g = c[(k[:, None] - k) % S]
-        else:
-            corr = (self.synth @ self.synth.conj().T) * self.dt
-            g = np.conj(corr) / np.sqrt(np.outer(energies, energies))
-        self.gram = GramMatrix(entries=0.5 * (g + g.conj().T))
-        self.gram_condition = self.gram.condition
         if not self.use_fft:
             self.mf  # built once here, never concurrently by worker threads
 
@@ -294,10 +272,27 @@ class ModemKernel:
         return build_constellation(self.cfg.m_order)
 
     @functools.cached_property
+    def gram(self) -> np.ndarray:
+        N, S = self.cfg.n_subcarriers, self.cfg.samples_per_symbol
+        if isinstance(self.cfg.pulse_assignment, PulseDescriptor):
+            # G[k, l] = c[(k - l) mod S], c the DFT of p^2 over the energy
+            c = np.fft.fft(self.pulses[0] ** 2) * (self.dt / self.energies[0])
+            k = np.arange(N)
+            g = c[(k[:, None] - k) % S]
+        else:
+            corr = (self.synth @ self.synth.conj().T) * self.dt
+            g = np.conj(corr) / np.sqrt(np.outer(self.energies, self.energies))
+        return 0.5 * (g + g.conj().T)
+
+    @functools.cached_property
+    def gram_condition(self) -> float:
+        return _condition(self.gram)
+
+    @functools.cached_property
     def gram_inv(self) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
             raise IllConditionedGramError(self.gram_condition)
-        return np.linalg.inv(self.gram.entries)
+        return np.linalg.inv(self.gram)
 
     def solve_zf(self, y: np.ndarray) -> np.ndarray:
         """Exact zero-forcing of (F, N) matched-filter outputs: G a_hat = y."""
@@ -307,6 +302,11 @@ class ModemKernel:
 @functools.lru_cache(maxsize=64)
 def get_kernel(cfg: OfdmConfig) -> ModemKernel:
     return ModemKernel(cfg)
+
+
+# Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
+# aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
+MAX_ABS_EBN0_DB = 100.0
 
 
 def add_awgn(

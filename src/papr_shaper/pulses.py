@@ -1,4 +1,4 @@
-"""Subcarrier pulse shapes: sampling and energy normalization.
+"""Subcarrier pulse shapes: sampling and discrete energy.
 
 All pulses are real, time-limited to one symbol interval [0, T) and
 sampled on a left-closed uniform grid (no sample at t = T), so that
@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePulseError, InvalidDescriptorError
+from .errors import InvalidDescriptorError
 
 __all__ = [
     "PulseFamily",
     "PulseDescriptor",
     "SamplingGrid",
-    "SampledPulse",
     "sample_pulse",
     "pulse_energy",
-    "normalize_pulse",
 ]
 
 
@@ -48,7 +46,6 @@ class PulseDescriptor:
     shape_n: int = 0
     taper_alpha: float = 0.0
     bandwidth_factor: float = 1.0
-    normalize_energy: bool = False
 
     def tag(self) -> str:
         """Short text identifier used in CSV output."""
@@ -73,13 +70,6 @@ class SamplingGrid:
         return np.arange(self.samples_per_symbol) * self.dt
 
 
-@dataclass(frozen=True)
-class SampledPulse:
-    samples: np.ndarray
-    dt: float
-    descriptor: PulseDescriptor
-
-
 def _validate_descriptor(desc: PulseDescriptor) -> None:
     if not isinstance(desc.family, PulseFamily):
         raise InvalidDescriptorError(f"unknown pulse family: {desc.family!r}")
@@ -99,8 +89,8 @@ def _validate_descriptor(desc: PulseDescriptor) -> None:
         )
 
 
-def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> SampledPulse:
-    """Sample a pulse on the grid, optionally scaled to unit energy."""
+def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> np.ndarray:
+    """The (S,) samples p(t_i) of a pulse on the grid."""
     _validate_descriptor(desc)
     t = grid.times()
 
@@ -116,11 +106,7 @@ def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> SampledPulse:
         p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
     else:  # pragma: no cover - enum is exhaustive
         raise InvalidDescriptorError(f"unknown pulse family: {desc.family!r}")
-
-    pulse = SampledPulse(samples=p, dt=grid.dt, descriptor=desc)
-    if desc.normalize_energy:
-        pulse = normalize_pulse(pulse)
-    return pulse
+    return p
 
 
 def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
@@ -137,16 +123,6 @@ def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
     return p
 
 
-def pulse_energy(p: SampledPulse) -> float:
+def pulse_energy(samples: np.ndarray, dt: float) -> float:
     """Discrete energy sum(p_i^2) * dt."""
-    return float(np.sum(np.square(p.samples)) * p.dt)
-
-
-def normalize_pulse(p: SampledPulse) -> SampledPulse:
-    """Rescale to unit energy; raises on a zero-energy pulse."""
-    e = pulse_energy(p)
-    if e <= 0.0:
-        raise DegeneratePulseError("cannot normalize a zero-energy pulse")
-    scaled = p.samples / math.sqrt(e)
-    desc = replace(p.descriptor, normalize_energy=True)
-    return SampledPulse(samples=scaled, dt=p.dt, descriptor=desc)
+    return float(np.sum(np.square(samples)) * dt)

@@ -10,7 +10,6 @@ from papr_shaper.analysis import (
     _random_paprs,
     ccdf_empirical,
     max_papr,
-    papr,
     pulse_metrics,
     q_function,
     reference_ccdf,
@@ -18,13 +17,15 @@ from papr_shaper.analysis import (
     xcorr_curve,
 )
 from papr_shaper.errors import (
-    DegenerateSignalError,
     MetricsOutOfRangeError,
     SearchSpaceTooLargeError,
     UnsupportedOrderError,
 )
-from papr_shaper.modem import OfdmConfig, SampledWaveform, get_kernel
+from papr_shaper.harness import run_ber_point
+from papr_shaper.modem import OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
+
+from helpers import papr
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
@@ -41,25 +42,9 @@ def sine_curve(n, f_max=8.0, S=1024, res=128):
 
 
 class TestPapr:
-    def test_constant_envelope(self):
-        w = SampledWaveform(np.exp(1j * np.linspace(0, 4, 64)), 1 / 64)
-        assert papr(w) == pytest.approx(1.0, abs=1e-12)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(0)
-        w = SampledWaveform(rng.standard_normal(128) + 1j * rng.standard_normal(128), 1 / 128)
-        for c in (0.01, -3.0, 1e6, 2j):
-            scaled = SampledWaveform(c * w.samples, w.dt)
-            assert abs(papr(scaled) - papr(w)) <= 1e-12 * papr(w)
-
     def test_single_sine_carrier(self):
         cfg = cfg_for(N=1, pulse=SINE1, L=16)
-        w = SampledWaveform(get_kernel(cfg).synth[0], 1 / 16)
-        assert papr(w) == pytest.approx(2.0, rel=0.01)
-
-    def test_zero_waveform(self):
-        with pytest.raises(DegenerateSignalError):
-            papr(SampledWaveform(np.zeros(8, complex), 1 / 8))
+        assert papr(get_kernel(cfg).synth[0]) == pytest.approx(2.0, rel=0.01)
 
 
 class TestMaxPapr:
@@ -68,8 +53,8 @@ class TestMaxPapr:
 
     def test_single_carrier_equals_pulse_papr(self):
         cfg = cfg_for(N=1, pulse=SINE1, L=16)
-        w = SampledWaveform(get_kernel(cfg).synth[0], 1 / 16)
-        assert max_papr(cfg, method="exhaustive") == pytest.approx(papr(w), rel=1e-12)
+        pulse_papr = papr(get_kernel(cfg).synth[0])
+        assert max_papr(cfg, method="exhaustive") == pytest.approx(pulse_papr, rel=1e-12)
 
     def test_ordering_random_exhaustive_bound(self):
         cfg = cfg_for()
@@ -260,3 +245,27 @@ class TestQFunction:
     def test_matches_normal_tail(self):
         x = np.linspace(0, 8, 33)
         assert np.allclose(q_function(x), norm.sf(x), rtol=1e-10)
+
+
+class TestLazyGram:
+    # PAPR and CCDF never read the Gram matrix; a BER point builds it once,
+    # before its worker threads start.
+
+    @pytest.mark.parametrize("N", [64, 1024])
+    def test_papr_and_ccdf_build_no_gram(self, N):
+        cfg = cfg_for(N=N, pulse=SINE1)
+        get_kernel.cache_clear()
+        ccdf_empirical(cfg, 50, seed=1, gamma_db=np.array([3.0]))
+        max_papr(cfg, method="random", trials=50, seed=1)
+        max_papr(cfg, method="bound")
+        kern = get_kernel(cfg)
+        assert "gram" not in kern.__dict__
+        assert "gram_condition" not in kern.__dict__
+
+    def test_ber_point_builds_gram(self):
+        cfg = cfg_for(N=64, pulse=SINE1)
+        get_kernel.cache_clear()
+        run_ber_point(cfg, 10.0, target_errors=1, max_frames=10, seed=1, workers=2)
+        kern = get_kernel(cfg)
+        assert "gram" in kern.__dict__
+        assert "gram_condition" in kern.__dict__

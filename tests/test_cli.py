@@ -48,6 +48,10 @@ class TestParseConfig:
             parse_config("m = 4\nbogus = 1\n")
         assert exc.value.key == "bogus"
         assert exc.value.line == 2
+        # normalize was removed: no consumer's output depends on pulse scale
+        with pytest.raises(ConfigKeyError) as exc:
+            parse_config("m = 4\nnormalize = true\n")
+        assert str(exc.value) == "normalize: unknown key (line 2)"
 
     def test_malformed_value(self):
         with pytest.raises(ConfigKeyError) as exc:
@@ -71,7 +75,11 @@ class TestParseConfig:
     # parsed only: a missing cap would otherwise allocate or spawn without bound
     @pytest.mark.parametrize(
         "key,value,limit",
-        [("gamma_step_db", "1e-9", "1.3e-4"), ("workers", str(10**6), "64")],
+        [
+            ("gamma_step_db", "1e-9", "1.3e-4"),
+            ("workers", str(10**6), "64"),
+            ("ebn0_db_list", "-4000", "-100"),
+        ],
     )
     def test_size_caps(self, key, value, limit):
         with pytest.raises(ConfigKeyError) as exc:
@@ -79,12 +87,6 @@ class TestParseConfig:
         assert exc.value.key == key
         assert "\n" not in str(exc.value)
         parse_config("", [f"{key}={limit}"])  # the largest accepted size
-
-    def test_bool_values(self):
-        assert parse_config("normalize = true").normalize is True
-        assert parse_config("normalize = 0").normalize is False
-        with pytest.raises(ConfigKeyError):
-            parse_config("normalize = maybe")
 
     def test_env_seed_lowest_precedence(self, monkeypatch):
         monkeypatch.setenv("PAPR_SHAPER_SEED", "99")
@@ -100,7 +102,7 @@ class TestParseConfig:
         assert exc.value.key == "PAPR_SHAPER_SEED"
 
     def test_parse_serialize_parse_fixed_point(self):
-        cfg = parse_config("m = 32\nebn0_db_list = 0,3,6\nnormalize = yes\nf_max = 10\n")
+        cfg = parse_config("m = 32\nebn0_db_list = 0,3,6\nf_max = 10\n")
         again = parse_config(cfg.serialize())
         assert again == cfg
         assert parse_config(again.serialize()) == again
@@ -118,7 +120,6 @@ class TestParseConfig:
             shape_n=st.integers(0, 64),
             taper_alpha=st.floats(0.0, 1.0),
             bandwidth_factor=st.floats(1e-3, 1e3),
-            normalize=st.booleans(),
             ebn0_db_list=st.lists(
                 st.floats(-50.0, 50.0) | st.just(math.inf), min_size=1, max_size=6
             ).map(sorted),
@@ -250,6 +251,27 @@ class TestMain:
         rc = main(["xcorr", "--output", str(tmp_path), "--set", "n_list=0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: PAPR_SHAPER_SEED:")
+
+    @pytest.mark.parametrize(
+        "key,override",
+        [("f_max", "f_max=129"), ("n_list", "n_list=0,127"), ("shape_n", "shape_n=127")],
+    )
+    def test_xcorr_f_max_cap_writes_nothing(self, tmp_path, capsys, monkeypatch, key, override):
+        def no_curve(*args):
+            raise AssertionError("an over-cap xcorr grid was built")
+
+        monkeypatch.setattr("papr_shaper.harness.xcorr_curve", no_curve)
+        assert main(["xcorr", "--output", str(tmp_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: gives f_max = ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_shape_n_outside_xcorr(self, tmp_path):
+        rc = main(["papr", "--output", str(tmp_path), "--set", "shape_n=1000",
+                   "--set", "pulse_family=sine_power", "--set", "n_subcarriers=2",
+                   "--set", "trials=10"])
+        assert rc == 0
 
     def test_ill_conditioned_ber_writes_nothing(self, tmp_path, capsys):
         # sine n=4 at N=64 is beyond the ZF limit; the sweep fails before

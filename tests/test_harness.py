@@ -17,7 +17,7 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import GramMatrix, ModemKernel, OfdmConfig, get_kernel
+from papr_shaper.modem import ModemKernel, OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -91,6 +91,7 @@ class TestBerPoint:
             (0.0, {"target_errors": 0}),
             (-math.inf, {}),
             (math.nan, {}),
+            (-4000.0, {}),
             (0.0, {"workers": 0}),
         ]
         for ebn0_db, kwargs in bad:
