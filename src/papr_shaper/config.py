@@ -30,6 +30,7 @@ FAMILY_NAMES = {
 # error instead of an unbounded allocation or thread count.
 MAX_GAMMA_POINTS = 100_001
 MAX_WORKERS = 64
+MAX_FRAMES = 10**9  # frames per BER point
 # xcorr's frequency grid and its (points x 1024) phase matrix grow with f_max
 MAX_F_MAX = 128
 
@@ -201,8 +202,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("trials", "must be >= 1")
     if cfg.target_errors < 1:
         bad("target_errors", "must be >= 1")
-    if cfg.max_frames < 1:
-        bad("max_frames", "must be >= 1")
+    if not 1 <= cfg.max_frames <= MAX_FRAMES:
+        bad("max_frames", f"must lie in [1, {MAX_FRAMES}], got {cfg.max_frames}")
     if not 1 <= cfg.workers <= MAX_WORKERS:
         bad("workers", f"must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
     if cfg.n_list is not None and (not cfg.n_list or any(n < 0 for n in cfg.n_list)):

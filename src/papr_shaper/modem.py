@@ -11,7 +11,16 @@ Every stage works on a batch of frames, one frame per row:
 The receiver is a matched-filter bank followed by an exact zero-forcing
 solve against the subcarrier Gram matrix. With identical shaped pulses
 on every subcarrier the Gram matrix is a banded Toeplitz matrix and the
-ZF solve removes the resulting intercarrier interference exactly.
+ZF solve removes the resulting intercarrier interference exactly. A rect
+kernel's Toeplitz Gram matrix is exactly the identity; such a kernel
+skips the condition number, the inverse and the per-frame ZF product.
+
+The demapper never measures the distance to every point. Minimum-distance
+detection on a rectangular QAM grid separates per axis, so each axis is
+scaled to the odd-integer level grid and sliced on its own, and the label
+is read from a table built once per constellation. The 32-cross is the
+6x6 grid without its corners; a sample in an empty corner cell goes to
+the nearer of the two cross points beside it, decided by |x| against |y|.
 
 A pulse shared by every subcarrier is sampled once. Its Gram matrix is
 built from its first column, the DFT of p^2, and from
@@ -77,15 +86,44 @@ class Constellation:
 
     ``points[v]`` is the point whose log2(M)-bit label has integer value
     v, so labels are implicitly 0..M-1 and the demap tie-break "lowest
-    point index" is also "lowest label".
+    point index" is also "lowest label". ``points * scale`` lies on the
+    odd-integer level grid. ``label_table`` and ``bit_table`` are the
+    read-only tables of :func:`demap_symbols`, shared by worker threads.
     """
 
     m_order: int
     points: np.ndarray
+    scale: float
+    label_table: np.ndarray
+    bit_table: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
         return self.m_order.bit_length() - 1
+
+
+def _label_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Nearest label for every slicer cell and side of the diagonal.
+
+    An axis with n odd-integer levels has 2n - 1 cells: cell 2j is the
+    open decision interval of level j, cell 2j - 1 the threshold between
+    levels j - 1 and j. Side 0 is |x| = |y|, side 1 |x| > |y| and side 2
+    |x| < |y|; only the empty corners of the 32-cross depend on it. Each
+    entry comes from exact integer distances at one point of the cell,
+    in quarter-level units, and argmin breaks ties to the lowest label.
+    """
+    nx, ny = int(xs.max()) + 1, int(ys.max()) + 1
+    table = np.empty((2 * nx - 1, 2 * ny - 1, 3), dtype=np.intp)
+    for i, j, side in np.ndindex(table.shape):
+        a, b = 4 * (i + 1 - nx), 4 * (j + 1 - ny)
+        # a level coordinate moved a quarter step inward picks the side
+        if side == 1 and j % 2 == 0:
+            b -= np.sign(b)
+        if side == 2 and i % 2 == 0:
+            a -= np.sign(a)
+        table[i, j, side] = np.argmin((4 * xs - a) ** 2 + (4 * ys - b) ** 2)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,9 +160,14 @@ def build_constellation(M: int) -> Constellation:
                 x, y = s * abs(y), 5 * (1 if y > 0 else -1)
         pts[label] = complex(x, y)
 
-    pts /= math.sqrt(float(np.mean(np.abs(pts) ** 2)))
+    labels = _label_table(pts.real.astype(int), pts.imag.astype(int))
+    scale = math.sqrt(float(np.mean(np.abs(pts) ** 2)))
+    pts /= scale
     assert len(np.unique(pts)) == M
-    return Constellation(m_order=M, points=pts)
+    bit_table = (np.arange(M)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    pts.setflags(write=False)
+    bit_table.setflags(write=False)
+    return Constellation(M, pts, scale, labels, bit_table)
 
 
 def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
@@ -140,17 +183,34 @@ def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return c.points[values]
 
 
+def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int) -> np.ndarray:
+    """Slicer cell (see _label_table) of each coordinate on one axis."""
+    h = u * half_scale + 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
+    cells = np.floor(h)
+    cells += np.ceil(h)  # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
+    cells -= 1
+    return np.clip(cells, 0, n_cells - 1, out=cells).astype(np.intp)
+
+
 def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
     """Map (..., N) symbols to (..., N*k) bits by minimum-distance hard
-    decision; ties go to the lowest point index."""
+    decision on the level grid ``y * c.scale``; ties go to the lowest
+    label.
+
+    Each axis is sliced on its own into a cell of ``c.label_table``. The
+    32-cross also needs the side of the diagonal: a sample in an empty
+    corner cell goes to (+-3, +-5) when |x| < |y|, to (+-5, +-3) when
+    |x| > |y|, and to the lower of the two labels when |x| = |y|.
+    """
     y = np.asarray(y, dtype=complex)
-    # argmin returns the first (lowest-index) minimizer, which is the tie-break.
-    d2 = np.abs(y[..., None] - c.points) ** 2
-    values = np.argmin(d2, axis=-1)
-    k = c.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1)
-    bits = (values[..., None] >> shifts) & 1
-    return bits.reshape(*y.shape[:-1], -1)
+    nx, ny, sides = c.label_table.shape
+    ix = _axis_cells(y.real, 0.5 * c.scale, nx)
+    cell = sides * (ix * ny + _axis_cells(y.imag, 0.5 * c.scale, ny))
+    if c.m_order == 32:
+        ar, ai = np.abs(y.real), np.abs(y.imag)
+        cell += (ar > ai) + 2 * (ar < ai)
+    labels = c.label_table.take(cell)
+    return c.bit_table.take(labels, axis=0).reshape(*y.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -212,6 +272,9 @@ class ModemKernel:
     gram_condition: max|lambda| / min|lambda| of gram
     gram_inv: G^-1, shared by every ZF solve; raises
               IllConditionedGramError beyond GRAM_CONDITION_LIMIT
+    gram_is_identity: gram equals the identity exactly, as every rect
+              kernel's Toeplitz gram does; then the condition is 1, G^-1
+              is gram itself and solve_zf returns its input
     use_fft: synthesize and matched_filter by FFT (a shared pulse and
              N >= FFT_MIN_SUBCARRIERS) instead of by synth and mf
 
@@ -285,17 +348,23 @@ class ModemKernel:
         return 0.5 * (g + g.conj().T)
 
     @functools.cached_property
+    def gram_is_identity(self) -> bool:
+        return np.array_equal(self.gram, np.eye(self.cfg.n_subcarriers))
+
+    @functools.cached_property
     def gram_condition(self) -> float:
-        return _condition(self.gram)
+        return 1.0 if self.gram_is_identity else _condition(self.gram)
 
     @functools.cached_property
     def gram_inv(self) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
             raise IllConditionedGramError(self.gram_condition)
-        return np.linalg.inv(self.gram)
+        return self.gram if self.gram_is_identity else np.linalg.inv(self.gram)
 
     def solve_zf(self, y: np.ndarray) -> np.ndarray:
         """Exact zero-forcing of (F, N) matched-filter outputs: G a_hat = y."""
+        if self.gram_is_identity:
+            return y
         return y @ self.gram_inv.T
 
 

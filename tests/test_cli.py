@@ -79,6 +79,7 @@ class TestParseConfig:
             ("gamma_step_db", "1e-9", "1.3e-4"),
             ("workers", str(10**6), "64"),
             ("ebn0_db_list", "-4000", "-100"),
+            ("max_frames", str(10**9 + 1), str(10**9)),
         ],
     )
     def test_size_caps(self, key, value, limit):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from papr_shaper import seeding
+from helpers import demap_argmin
+from papr_shaper import harness, seeding
 from papr_shaper.errors import (
     ConfigError,
     FramingError,
@@ -64,7 +65,15 @@ class TestConstellation:
         c = build_constellation(M)
         assert len(c.points) == M
         assert len(np.unique(c.points)) == M
-        assert len(np.unique(np.arange(M))) == M
+        # the slicer's grid: scaled points are odd integers
+        scaled = c.points * c.scale
+        grid = np.rint(scaled)
+        assert np.abs(scaled - grid).max() < 1e-12
+        assert np.all(grid.real % 2 == 1) and np.all(grid.imag % 2 == 1)
+        if M == 32:
+            levels = range(-5, 6, 2)
+            cross = {(x, y) for x in levels for y in levels if abs(x) + abs(y) < 10}
+            assert set(zip(grid.real.astype(int), grid.imag.astype(int))) == cross
 
     @pytest.mark.parametrize("M,max_hamming", [(4, 1), (8, 1), (16, 1), (32, 2)])
     def test_neighbor_hamming(self, M, max_hamming):
@@ -116,9 +125,49 @@ class TestMapDemap:
         values = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
         assert np.array_equal(values, np.arange(M))
 
+    # level-grid points (x, y) where two or more points are equally near:
+    # the origin, a threshold between two levels, and the 32-cross's
+    # corner diagonal |x| = |y|
+    TIES = {
+        4: [(0, 0), (0, 1)],
+        8: [(0, 0), (2, 1)],
+        16: [(0, 0), (-2, 3)],
+        32: [(0, 0), (4, 1), (-6, 6)],
+    }
+
     def test_tie_break_lowest_index(self):
-        c = build_constellation(4)
-        assert np.array_equal(demap_symbols(np.array([0j]), c), [0, 0])
+        for M, ties in self.TIES.items():
+            c = build_constellation(M)
+            k = c.bits_per_symbol
+            scaled = c.points * c.scale
+            xs, ys = np.rint(scaled.real).astype(int), np.rint(scaled.imag).astype(int)
+            for x, y in ties:
+                symbol = complex(x / c.scale, y / c.scale)
+                # the slicer must see the tie exactly
+                assert (symbol.real * c.scale, symbol.imag * c.scale) == (x, y)
+                d2 = (xs - x) ** 2 + (ys - y) ** 2
+                nearest = np.flatnonzero(d2 == d2.min())
+                assert len(nearest) >= 2, (M, x, y)
+                bits = demap_symbols(np.array([symbol]), c)
+                assert int(bits @ (1 << np.arange(k - 1, -1, -1))) == nearest[0], (M, x, y)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        M=st.sampled_from([4, 8, 16, 32]),
+        sigma=st.sampled_from([0.05, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_argmin_oracle_under_noise(self, M, sigma, seed):
+        c = build_constellation(M)
+        rng = np.random.default_rng(seed)
+        shape = (4, 256)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = c.points[rng.integers(0, M, shape)] + sigma * noise
+        assert np.array_equal(demap_symbols(y, c), demap_argmin(y, c))
+        if M == 32 and sigma > 0.05:
+            # the noise reaches the empty corner cells |x|, |y| > 4
+            scaled = y * c.scale
+            assert np.any((np.abs(scaled.real) > 4) & (np.abs(scaled.imag) > 4))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -342,6 +391,20 @@ class TestReceiver:
         a = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         a_hat = get_kernel(cfg).solve_zf((gram(cfg) @ a.T).T)
         assert np.allclose(a_hat, a, atol=1e-8)
+
+    def test_rect_gram_is_exactly_identity(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a rect kernel needs no dense linear algebra")
+
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        cfg = cfg_for(N=48, M=8)  # a kernel no other test builds
+        kern = get_kernel(cfg)
+        assert "gram_inv" not in kern.__dict__
+        harness.run_ber_point(cfg, 6.0, target_errors=5, max_frames=100, seed=1)
+        assert kern.gram_condition == 1.0
+        y = np.arange(96, dtype=complex).reshape(2, 48)
+        assert kern.solve_zf(y) is y
 
     def test_singular_gram_rejected(self):
         # nearly time-disjoint narrow pulses: a numerically singular Gram matrix
