@@ -91,29 +91,24 @@ def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
     return power.max(axis=1) / power.mean(axis=1)
 
 
-def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, batch: int = 4096) -> np.ndarray:
+def _random_paprs(cfg: OfdmConfig, trials: int, seed: int) -> np.ndarray:
     """PAPR of ``trials`` frames with uniform random constellation symbols.
 
     Trial i draws its symbols from a fixed slice of a counter-based
-    stream, so the result is independent of batching. A batch holds at
-    most 2**20 waveform samples.
+    stream, so the batches of ``seeding.frame_batches`` it is computed
+    in change none of its draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kern = get_kernel(cfg)
     points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
-    batch = max(1, min(batch, (1 << 20) // cfg.samples_per_symbol))
     words = seeding.words_per_trial(N)
     key = seeding.mix64(seed)
     out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        u = seeding.trial_uniforms(key, done, b, words)[:, :N]
-        idx = seeding.uniforms_to_indices(u, M)
-        out[done : done + b] = _batch_papr(points[idx], kern)
-        done += b
+    for lo, hi in seeding.frame_batches(trials, cfg.samples_per_symbol):
+        u = seeding.trial_uniforms(key, lo, hi - lo, words)[:, :N]
+        out[lo:hi] = _batch_papr(points[seeding.uniforms_to_indices(u, M)], kern)
     return out
 
 
@@ -142,14 +137,9 @@ def max_papr(
                 f"M^N = {n_frames} exceeds the exhaustive cap {EXHAUSTIVE_FRAME_CAP}"
             )
         best = 0.0
-        batch = 4096
-        for start in range(0, n_frames, batch):
-            ids = np.arange(start, min(start + batch, n_frames))
-            digits = np.empty((len(ids), N), dtype=np.int64)
-            rem = ids.copy()
-            for k in range(N - 1, -1, -1):
-                digits[:, k] = rem % M
-                rem //= M
+        for lo, hi in seeding.frame_batches(n_frames, cfg.samples_per_symbol):
+            # frame i carries the N base-M digits of i, most significant first
+            digits = np.stack(np.unravel_index(np.arange(lo, hi), (M,) * N), axis=-1)
             best = max(best, float(_batch_papr(points[digits], kern).max()))
         return best
 

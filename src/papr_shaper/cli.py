@@ -22,7 +22,7 @@ from .analysis import (
     reference_ccdf,
     theoretical_ber,
 )
-from .config import FAMILY_NAMES, ConfigKeyError, RunConfig, parse_config
+from .config import ConfigKeyError, RunConfig, parse_config
 from .errors import PaprShaperError
 from .harness import (
     SweepPlan,
@@ -76,7 +76,7 @@ def _reference_crossing(N: int, level: float) -> float:
 
 
 def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
-    family = FAMILY_NAMES[cfg.pulse_family]
+    family = PulseFamily(cfg.pulse_family)
     if family is PulseFamily.RECT:
         # rect is the n = 0 member of the sine-power family; using the
         # family here makes n_list meaningful for the default config.

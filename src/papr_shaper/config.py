@@ -18,19 +18,17 @@ from .pulses import PulseDescriptor, PulseFamily
 
 __all__ = ["RunConfig", "ConfigKeyError", "parse_config"]
 
-FAMILY_NAMES = {
-    "rect": PulseFamily.RECT,
-    "sine_power": PulseFamily.SINE_POWER,
-    "tapered_flat_top": PulseFamily.TAPERED_FLAT_TOP,
-    "truncated_sinc": PulseFamily.TRUNCATED_SINC,
-}
-
-
 # Caps on what one config may ask for, so that a typo ends in a named
 # error instead of an unbounded allocation or thread count.
 MAX_GAMMA_POINTS = 100_001
 MAX_WORKERS = 64
 MAX_FRAMES = 10**9  # frames per BER point
+# a BER kernel holds N x N matrices (G, G^-1): 268 MB each at N = 4096
+MAX_SUBCARRIERS = 4096
+# a dense kernel (N < 512) holds N x S synth and mf: about 267 MB each
+MAX_OVERSAMPLE = 64
+# the PAPR array and its sorted copy: 800 MB each at 10^8 trials
+MAX_TRIALS = 10**8
 # xcorr's frequency grid and its (points x 1024) phase matrix grow with f_max
 MAX_F_MAX = 128
 
@@ -111,7 +109,7 @@ class RunConfig:
 
     def pulse_descriptor(self) -> PulseDescriptor:
         return PulseDescriptor(
-            family=FAMILY_NAMES[self.pulse_family],
+            family=PulseFamily(self.pulse_family),
             shape_n=self.shape_n,
             taper_alpha=self.taper_alpha,
             bandwidth_factor=self.bandwidth_factor,
@@ -126,49 +124,26 @@ class RunConfig:
         )
 
 
-_INT_KEYS = {
-    "n_subcarriers",
-    "m",
-    "oversample",
-    "shape_n",
-    "trials",
-    "target_errors",
-    "max_frames",
-    "seed",
-    "workers",
+def _parse_list(item):
+    return lambda raw: [item(x) for x in raw.split(",") if x.strip()]
+
+
+# Each key's parser, from its RunConfig annotation with "| None" dropped;
+# float() reads "inf", the noiseless-channel sentinel in ebn0_db_list.
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[float]": _parse_list(float),
+    "list[int]": _parse_list(int),
 }
-_FLOAT_KEYS = {
-    "taper_alpha",
-    "bandwidth_factor",
-    "f_max",
-    "gamma_min_db",
-    "gamma_max_db",
-    "gamma_step_db",
-}
-_FLOAT_LIST_KEYS = {"ebn0_db_list"}
-_INT_LIST_KEYS = {"n_list"}
-_TEXT_KEYS = {"pulse_family", "output_path"}
-
-ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _TEXT_KEYS
-
-
-def _parse_float(raw: str) -> float:
-    # "inf" is the noiseless-channel sentinel in ebn0_db_list
-    return float(raw)
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str, line: int | None):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _parse_float(raw)
-        if key in _FLOAT_LIST_KEYS:
-            return [_parse_float(x) for x in raw.split(",") if x.strip()]
-        if key in _INT_LIST_KEYS:
-            return [int(x) for x in raw.split(",") if x.strip()]
-        return raw
+        return _KEY_PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigKeyError(key, f"malformed value {raw!r} ({exc})", line) from None
 
@@ -177,14 +152,15 @@ def _validate(cfg: RunConfig) -> None:
     def bad(key, reason):
         raise ConfigKeyError(key, reason)
 
-    if cfg.n_subcarriers < 1:
-        bad("n_subcarriers", "must be >= 1")
+    if not 1 <= cfg.n_subcarriers <= MAX_SUBCARRIERS:
+        bad("n_subcarriers", f"must lie in [1, {MAX_SUBCARRIERS}], got {cfg.n_subcarriers}")
     if cfg.m not in SUPPORTED_ORDERS:
         bad("m", f"must be one of {sorted(SUPPORTED_ORDERS)}, got {cfg.m}")
-    if cfg.oversample < 4:
-        bad("oversample", "must be >= 4")
-    if cfg.pulse_family not in FAMILY_NAMES:
-        bad("pulse_family", f"must be one of {sorted(FAMILY_NAMES)}, got {cfg.pulse_family!r}")
+    if not 4 <= cfg.oversample <= MAX_OVERSAMPLE:
+        bad("oversample", f"must lie in [4, {MAX_OVERSAMPLE}], got {cfg.oversample}")
+    families = sorted(f.value for f in PulseFamily)
+    if cfg.pulse_family not in families:
+        bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
     if cfg.shape_n < 0:
         bad("shape_n", "must be >= 0")
     if not 0.0 <= cfg.taper_alpha <= 1.0:
@@ -198,8 +174,8 @@ def _validate(cfg: RunConfig) -> None:
     if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in cfg.ebn0_db_list):
         bad("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, {MAX_ABS_EBN0_DB:g}] dB "
             "or be inf (the noiseless channel)")
-    if cfg.trials < 1:
-        bad("trials", "must be >= 1")
+    if not 1 <= cfg.trials <= MAX_TRIALS:
+        bad("trials", f"must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
     if cfg.target_errors < 1:
         bad("target_errors", "must be >= 1")
     if not 1 <= cfg.max_frames <= MAX_FRAMES:
@@ -226,7 +202,7 @@ def parse_config(file_contents: str, overrides: list[str] = ()) -> RunConfig:
 
     def apply(key: str, raw: str, line: int | None):
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in _KEY_PARSERS:
             raise ConfigKeyError(key, "unknown key", line)
         setattr(cfg, key, _coerce(key, raw, line))
 

@@ -3,11 +3,13 @@
 Every campaign output is a pure function of its plan and master seed.
 Frames are independent single OFDM symbols; frame i always consumes the
 same random substream slice, and stopping decisions are made at frame
-granularity in index order. A BER point computes its frames in batches
-of 64, doubling up to ``BATCH_FRAMES``, so a point that stops early
-wastes little work; with several workers each wave runs the next batches
-of the same schedule. Neither the batch sizes nor the worker count can
-change a result, so outputs are byte-identical for any worker count.
+granularity in index order. A BER point computes its frames in the
+batches of ``seeding.frame_batches``: 64 frames, doubling up to
+``seeding.BATCH_SAMPLES`` waveform samples, so a point that stops early
+wastes little work and a batch's memory does not grow with N; with
+several workers each wave runs the next batches of the same schedule.
+The worker count never changes the batches, so outputs are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ __all__ = [
     "wilson_interval",
     "zf_noise_enhancement_db",
 ]
-
-# A BER point's batches start small and double up to BATCH_FRAMES, so a
-# point that meets its error target early computes few frames it discards.
-FIRST_BATCH_FRAMES = 64
-BATCH_FRAMES = 2048
 
 # z of the 95% two-sided Wilson interval
 WILSON_Z = float(ndtri(0.5 + 0.95 / 2.0))
@@ -121,15 +118,6 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     return (bits_hat != bits).sum(axis=1)
 
 
-def _batches(max_frames: int):
-    """Lazy (first, end) frame ranges of the batch schedule, up to max_frames."""
-    lo, size = 0, min(FIRST_BATCH_FRAMES, BATCH_FRAMES)
-    while lo < max_frames:
-        hi = min(lo + size, max_frames)
-        yield lo, hi
-        lo, size = hi, min(2 * size, BATCH_FRAMES)
-
-
 def run_ber_point(
     cfg: OfdmConfig,
     ebn0_db: float,
@@ -155,7 +143,7 @@ def run_ber_point(
 
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame
-    batches = _batches(max_frames)
+    batches = seeding.frame_batches(max_frames, cfg.samples_per_symbol)
 
     total_errors = 0
     frames_used = 0

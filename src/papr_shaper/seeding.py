@@ -3,7 +3,8 @@
 Every trial (an OFDM frame) consumes a fixed number of 64-bit draws, so
 trial i always reads the same slice of a Philox stream no matter how
 trials are batched or spread over workers. That is what makes harness
-output byte-identical for any worker count.
+output byte-identical for any worker count. Every frame loop batches
+its frames by the one schedule of :func:`frame_batches`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ _MASK = (1 << 64) - 1
 # Smallest uniform fed to the inverse normal CDF; Generator.random() can
 # return exactly 0.0, which ndtri would map to -inf.
 _U_FLOOR = 2.0**-64
+
+# Batches start small, so a BER point that meets its error target early
+# computes few frames it discards, and double from there; a cap on the
+# waveform samples, not the frames, bounds a batch's memory at any N.
+FIRST_BATCH_FRAMES = 64
+BATCH_SAMPLES = 2**19
 
 
 def _splitmix64(x: int) -> int:
@@ -37,6 +44,20 @@ def mix64(*parts: int) -> int:
 def words_per_trial(n_draws: int) -> int:
     """Round a per-trial draw count up to a whole Philox block."""
     return -(-n_draws // 4) * 4
+
+
+def frame_batches(n_frames: int, samples_per_frame: int):
+    """Lazy (first, end) frame ranges that tile [0, n_frames).
+
+    Batches start at FIRST_BATCH_FRAMES frames and double, holding at
+    most BATCH_SAMPLES waveform samples and always at least one frame.
+    """
+    cap = max(1, BATCH_SAMPLES // samples_per_frame)
+    lo, size = 0, min(FIRST_BATCH_FRAMES, cap)
+    while lo < n_frames:
+        hi = min(lo + size, n_frames)
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
 
 
 def trial_uniforms(key: int, first_trial: int, n_trials: int, n_words: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from papr_shaper import seeding
 from papr_shaper.analysis import (
     _random_paprs,
     ccdf_empirical,
@@ -70,6 +71,16 @@ class TestMaxPapr:
             max_papr(cfg, method="exhaustive"), rel=1e-9
         )
 
+    @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
+    @pytest.mark.parametrize("N,M", [(4, 4), (3, 8)])
+    def test_exhaustive_independent_of_batch_size(self, N, M, pulse, monkeypatch):
+        cfg = cfg_for(N=N, M=M, pulse=pulse)
+        default = max_papr(cfg, method="exhaustive")
+        monkeypatch.setattr(seeding, "BATCH_SAMPLES", 1)  # one-frame batches
+        # the dense BLAS product can round a one-row batch differently in
+        # the last bit (sine1 at N=3, M=8 moves by 3e-16)
+        assert max_papr(cfg, method="exhaustive") == pytest.approx(default, rel=1e-14)
+
     def test_exhaustive_cap(self):
         with pytest.raises(SearchSpaceTooLargeError):
             max_papr(cfg_for(N=9), method="exhaustive")
@@ -106,9 +117,9 @@ class TestCcdf:
         b = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
         assert np.array_equal(a.prob, b.prob)
 
-    def test_batches_capped_by_samples(self):
-        # S = 4096 gives 256-frame batches; one uncapped 1024-frame batch
-        # would hold two 64 MB waveform arrays
+    def test_batches_capped_by_samples(self, monkeypatch):
+        # S = 4096 caps batches at 128 frames; one uncapped 1024-frame
+        # batch would hold two 64 MB waveform arrays
         cfg = cfg_for(N=1024)
         get_kernel(cfg)  # kernel allocations are not the run's
         tracemalloc.start()
@@ -118,7 +129,8 @@ class TestCcdf:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
-        assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2, batch=37))
+        monkeypatch.setattr(seeding, "BATCH_SAMPLES", 37 * cfg.samples_per_symbol)
+        assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2))
 
 
 class TestReferenceCcdf:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papr_shaper.cli import dispatch, main
-from papr_shaper.config import FAMILY_NAMES, ConfigKeyError, RunConfig, parse_config
+from papr_shaper.config import ConfigKeyError, RunConfig, parse_config
 from papr_shaper.errors import PaprShaperError
+from papr_shaper.pulses import PulseFamily
 
 
 def read(path):
@@ -80,6 +81,9 @@ class TestParseConfig:
             ("workers", str(10**6), "64"),
             ("ebn0_db_list", "-4000", "-100"),
             ("max_frames", str(10**9 + 1), str(10**9)),
+            ("trials", str(10**15), str(10**8)),
+            ("n_subcarriers", str(10**9), "4096"),
+            ("oversample", str(10**9), "64"),
         ],
     )
     def test_size_caps(self, key, value, limit):
@@ -117,7 +121,7 @@ class TestParseConfig:
             n_subcarriers=st.integers(1, 4096),
             m=st.sampled_from([4, 8, 16, 32]),
             oversample=st.integers(4, 64),
-            pulse_family=st.sampled_from(sorted(FAMILY_NAMES)),
+            pulse_family=st.sampled_from(sorted(f.value for f in PulseFamily)),
             shape_n=st.integers(0, 64),
             taper_alpha=st.floats(0.0, 1.0),
             bandwidth_factor=st.floats(1e-3, 1e3),
