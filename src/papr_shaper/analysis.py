@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import (
-    DegeneratePulseError,
-    MetricsOutOfRangeError,
-    SearchSpaceTooLargeError,
-    UnsupportedOrderError,
-)
+from .errors import DegeneratePulseError, SearchSpaceTooLargeError, UnsupportedOrderError
 from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
 from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse
 from . import seeding
@@ -32,6 +27,7 @@ __all__ = [
     "EXHAUSTIVE_FRAME_CAP",
     "ccdf_empirical",
     "reference_ccdf",
+    "XCORR_POINTS_PER_T",
     "xcorr_curve",
     "pulse_metrics",
     "theoretical_ber",
@@ -43,6 +39,10 @@ EXHAUSTIVE_FRAME_CAP = 2**16
 
 # |rho| below this counts as a null / orthogonal separation.
 NULL_THRESHOLD = 1e-6
+
+# xcorr_curve's frequency step is 1/128 of 1/T, so integer separation k
+# is always at index 128 k.
+XCORR_POINTS_PER_T = 128
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class XcorrCurve:
 
     def derotated(self) -> np.ndarray:
         return self.rho * np.exp(2j * np.pi * self.freq * self.phase_center)
-
-    @property
-    def resolution(self) -> float:
-        """Grid points per unit 1/T."""
-        return (len(self.freq) - 1) / float(self.freq[-1] - self.freq[0])
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,9 @@ def xcorr_curve(
     desc: PulseDescriptor,
     grid: SamplingGrid,
     f_max: float,
-    n_points: int,
 ) -> XcorrCurve:
-    """rho(f) = transform of p^2 at separation f, over the pulse energy."""
+    """rho(f) = transform of p^2 at separation f, over the pulse energy,
+    at f = i/128 (units of 1/T) up to the first such point >= f_max."""
     if f_max < 1.0:
         raise ValueError("f_max must be at least 1/T")
     p = sample_pulse(desc, grid)
@@ -194,7 +189,7 @@ def xcorr_curve(
     if e <= 0.0:
         raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
     t = grid.times()
-    freq = np.linspace(0.0, f_max, n_points)
+    freq = np.arange(math.ceil(XCORR_POINTS_PER_T * f_max) + 1) / XCORR_POINTS_PER_T
     p2 = np.square(p)
     rho = (np.exp(-2j * np.pi * np.outer(freq, t)) @ p2) * grid.dt / e
     center = float(np.sum(t * p2) / p2.sum())
@@ -208,16 +203,15 @@ def _interp_crossing(f0, f1, y0, y1, level):
 
 
 def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
-    """Cutoffs, peak sidelobe and orthogonality band of |rho(f)|.
+    """Cutoffs, peak sidelobe and orthogonality band of |rho(f)| on the
+    grid of :func:`xcorr_curve`.
 
     The -3 dB cutoff is the lowest f with |rho|^2 <= 1/2 (linearly
     interpolated); the first null is the lowest f where |rho| drops
-    below 1e-6 or the real part changes sign. Raises
-    MetricsOutOfRangeError (with partial results) when a feature does
-    not occur inside the curve's band.
+    below 1e-6 or the real part changes sign. A feature that does not
+    occur inside the curve's band is None, as is the sidelobe of a curve
+    without a null.
     """
-    if curve.resolution < 64:
-        raise ValueError("curve resolution must be >= 64 points per 1/T")
     f = curve.freq
     mag = np.abs(curve.rho)
     mag2 = mag**2
@@ -251,40 +245,22 @@ def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
         if tail.size and tail.max() > 0:
             sidelobe_db = float(10.0 * np.log10(tail.max()))
 
-    band = _orthogonality_band(curve, mag)
-
-    metrics = PulseMetrics(
+    return PulseMetrics(
         cutoff_3db=cutoff_3db,
         cutoff_first_null=cutoff_null,
         peak_sidelobe_db=sidelobe_db,
-        orthogonality_band=band,
+        orthogonality_band=_orthogonality_band(mag),
     )
-    if cutoff_3db is None or cutoff_null is None:
-        raise MetricsOutOfRangeError(
-            f"no {'-3 dB point' if cutoff_3db is None else 'null'} below "
-            f"f = {f[-1]:g}/T",
-            partial=metrics,
-        )
-    return metrics
 
 
-def _orthogonality_band(curve: XcorrCurve, mag: np.ndarray) -> int | None:
+def _orthogonality_band(mag: np.ndarray) -> int | None:
     """Smallest b with |rho(k/T)| below threshold for every k >= b on
     the grid; None if even the last integer separation is above it."""
-    f = curve.freq
-    res = curve.resolution
-    ks = np.arange(1, int(math.floor(f[-1] + 1e-9)) + 1)
-    if not ks.size:
-        return None
-    idx = np.round(ks * res).astype(int)
-    on_grid = np.abs(f[idx] - ks) < 1e-9
-    if not np.all(on_grid):
-        raise ValueError("frequency grid must contain the integer separations")
-    ok = mag[idx] <= NULL_THRESHOLD
-    if not ok[-1]:
+    ok = mag[XCORR_POINTS_PER_T::XCORR_POINTS_PER_T] <= NULL_THRESHOLD  # k = 1, 2, ...
+    if not ok.size or not ok[-1]:
         return None
     above = np.flatnonzero(~ok)
-    return int(ks[above[-1]] + 1) if above.size else 1
+    return int(above[-1]) + 2 if above.size else 1
 
 
 def q_function(x) -> np.ndarray | float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -76,16 +76,16 @@ def _reference_crossing(N: int, level: float) -> float:
 
 
 def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
-    family = PulseFamily(cfg.pulse_family)
-    if family is PulseFamily.RECT:
+    desc = cfg.pulse_descriptor()
+    if desc.family is PulseFamily.RECT:
         # rect is the n = 0 member of the sine-power family; using the
         # family here makes n_list meaningful for the default config.
-        family = PulseFamily.SINE_POWER
+        desc = replace(desc, family=PulseFamily.SINE_POWER)
     n_list = cfg.resolved_n_list()
     f_max = cfg.resolved_f_max()
     grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
 
-    rows = run_xcorr_report(family, n_list, grid, f_max)
+    rows = run_xcorr_report(desc, n_list, grid, f_max)
     _write_csv(
         os.path.join(outdir, "xcorr.csv"),
         "n,f_over_invT,rho_re,rho_im,rho_abs",
@@ -107,7 +107,11 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
         "n cutoff_3db cutoff_null sidelobe_db ortho_band",
     ]
     for r, values in zip(rows, metrics):
-        mark = "  [partial: " + r.error + "]" if r.error else ""
+        m = r.metrics
+        missing = (
+            "-3 dB point" if m.cutoff_3db is None else "null" if m.cutoff_first_null is None else None
+        )
+        mark = f"  [partial: no {missing} below f = {r.curve.freq[-1]:g}/T]" if missing else ""
         lines.append(" ".join(_fmt(v) for v in values) + mark)
     usable = [r for r in rows if r.metrics.cutoff_3db is not None]
     for a, b in zip(usable, usable[1:]):

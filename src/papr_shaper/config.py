@@ -165,8 +165,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("shape_n", "must be >= 0")
     if not 0.0 <= cfg.taper_alpha <= 1.0:
         bad("taper_alpha", "must lie in [0, 1]")
-    if not cfg.bandwidth_factor > 0:
-        bad("bandwidth_factor", "must be > 0")
+    if not 0 < cfg.bandwidth_factor < math.inf:
+        bad("bandwidth_factor", f"must be finite and > 0, got {cfg.bandwidth_factor}")
     if not cfg.ebn0_db_list:
         bad("ebn0_db_list", "must be nonempty")
     if any(b < a for a, b in zip(cfg.ebn0_db_list, cfg.ebn0_db_list[1:])):

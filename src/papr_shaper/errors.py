@@ -37,16 +37,5 @@ class SearchSpaceTooLargeError(PaprShaperError):
     """Exhaustive frame enumeration requested beyond the M**N cap."""
 
 
-class MetricsOutOfRangeError(PaprShaperError):
-    """A pulse metric could not be located inside the analyzed band.
-
-    Carries whatever metrics could still be computed in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class PlanError(PaprShaperError):
     """Monte-Carlo plan is empty or internally inconsistent."""

@@ -17,16 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import seeding
-from .analysis import MetricsOutOfRangeError, PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
+from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import PlanError
 from .modem import MAX_ABS_EBN0_DB, OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
-from .pulses import PulseDescriptor, PulseFamily, SamplingGrid
+from .pulses import PulseDescriptor, SamplingGrid
 
 __all__ = [
     "BerPoint",
@@ -218,35 +218,26 @@ class XcorrRow:
     shape_n: int
     curve: XcorrCurve = field(compare=False, repr=False)
     metrics: PulseMetrics
-    error: str | None = None
 
 
 def run_xcorr_report(
-    family: PulseFamily,
+    desc: PulseDescriptor,
     n_list,
     grid: SamplingGrid,
     f_max: float,
 ) -> list[XcorrRow]:
-    """Crosscorrelation curve and metrics per shape parameter, one row per n,
-    on a grid of 128 points per 1/T.
+    """Crosscorrelation curve and metrics of ``desc`` with each shape_n of
+    ``n_list``, one row per n, on the grid of ``xcorr_curve``.
 
-    A row whose metrics cannot be fully located is marked with the
-    error message; the remaining rows are still computed.
+    Only ``shape_n`` varies between rows; a metric that does not occur
+    below the curve's last frequency is None.
     """
     if not len(n_list):
         raise PlanError("n_list must be nonempty")
-    n_points = int(round(f_max * 128)) + 1
     rows = []
     for n in n_list:
-        desc = PulseDescriptor(family=family, shape_n=int(n))
-        curve = xcorr_curve(desc, grid, f_max, n_points)
-        try:
-            m = pulse_metrics(curve)
-            err = None
-        except MetricsOutOfRangeError as exc:
-            m = exc.partial
-            err = str(exc)
-        rows.append(XcorrRow(shape_n=int(n), curve=curve, metrics=m, error=err))
+        curve = xcorr_curve(replace(desc, shape_n=int(n)), grid, f_max)
+        rows.append(XcorrRow(shape_n=int(n), curve=curve, metrics=pulse_metrics(curve)))
     return rows
 
 

@@ -141,23 +141,14 @@ def build_constellation(M: int) -> Constellation:
         raise UnsupportedOrderError(f"unsupported constellation order M={M}")
 
     k = M.bit_length() - 1
+    qb = k // 2  # label bits on Q; the rest (as many or one more) on I
+    nq = 1 << qb
     pts = np.empty(M, dtype=complex)
     for label in range(M):
-        if M == 4:
-            i, q = label >> 1, label & 1
-            x, y = _gray_pam(i, 2), _gray_pam(q, 2)
-        elif M == 16:
-            i, q = label >> 2, label & 3
-            x, y = _gray_pam(i, 4), _gray_pam(q, 4)
-        elif M == 8:
-            i, q = label >> 1, label & 1
-            x, y = _gray_pam(i, 4), _gray_pam(q, 2)
-        else:  # M == 32
-            i, q = label >> 2, label & 3
-            x, y = _gray_pam(i, 8), _gray_pam(q, 4)
-            if abs(x) == 7:
-                s = 1 if x > 0 else -1
-                x, y = s * abs(y), 5 * (1 if y > 0 else -1)
+        x, y = _gray_pam(label >> qb, M // nq), _gray_pam(label & (nq - 1), nq)
+        if abs(x) == 7:  # M = 32 only
+            s = 1 if x > 0 else -1
+            x, y = s * abs(y), 5 * (1 if y > 0 else -1)
         pts[label] = complex(x, y)
 
     labels = _label_table(pts.real.astype(int), pts.imag.astype(int))

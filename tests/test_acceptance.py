@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from papr_shaper.analysis import (
+    XCORR_POINTS_PER_T,
     ccdf_empirical,
     max_papr,
     pulse_metrics,
@@ -25,7 +26,6 @@ from papr_shaper.analysis import (
 )
 from papr_shaper.cli import dispatch
 from papr_shaper.config import parse_config
-from papr_shaper.errors import MetricsOutOfRangeError
 from papr_shaper.harness import SweepPlan, run_ber_point, run_ber_sweep
 from papr_shaper.modem import OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
@@ -62,14 +62,11 @@ def report(capsys):
 
 def sine_curve(n, f_max=8.0):
     grid = SamplingGrid(samples_per_symbol=1024)
-    return xcorr_curve(sine(n), grid, f_max, int(round(f_max * 128)) + 1)
+    return xcorr_curve(sine(n), grid, f_max)
 
 
 def cutoff_3db(n, f_max=8.0):
-    try:
-        return pulse_metrics(sine_curve(n, f_max)).cutoff_3db
-    except MetricsOutOfRangeError as exc:
-        return exc.partial.cutoff_3db
+    return pulse_metrics(sine_curve(n, f_max)).cutoff_3db
 
 
 def sine_power_rho(n, f):
@@ -309,7 +306,7 @@ def test_07_crosscorrelation_closed_forms(report):
 
     rect = sine_curve(0)
     worst_null = max(
-        abs(rect.rho[int(round(k * rect.resolution))]) for k in range(1, 9)
+        abs(rect.rho[k * XCORR_POINTS_PER_T]) for k in range(1, 9)
     )
     checks.append(("rect nulls", worst_null, worst_null <= 1e-10))
 
@@ -317,7 +314,7 @@ def test_07_crosscorrelation_closed_forms(report):
     checks.append(("rect sidelobe dB", sidelobe, abs(sidelobe + 13.3) <= 0.2))
 
     s1 = sine_curve(1)
-    rho1 = abs(s1.rho[int(round(s1.resolution))])
+    rho1 = abs(s1.rho[XCORR_POINTS_PER_T])
     checks.append(("sine n=1 |rho(1/T)|", rho1, abs(rho1 - 0.5) <= 1e-4))
 
     for n in (0, 1, 2, 4):

@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from papr_shaper import seeding
 from papr_shaper.analysis import (
+    XCORR_POINTS_PER_T,
     _random_paprs,
     ccdf_empirical,
     max_papr,
@@ -17,11 +18,7 @@ from papr_shaper.analysis import (
     theoretical_ber,
     xcorr_curve,
 )
-from papr_shaper.errors import (
-    MetricsOutOfRangeError,
-    SearchSpaceTooLargeError,
-    UnsupportedOrderError,
-)
+from papr_shaper.errors import SearchSpaceTooLargeError, UnsupportedOrderError
 from papr_shaper.harness import run_ber_point
 from papr_shaper.modem import OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
@@ -36,10 +33,10 @@ def cfg_for(N=4, M=4, pulse=RECT, L=4):
     return OfdmConfig(n_subcarriers=N, m_order=M, pulse_assignment=pulse, oversample=L)
 
 
-def sine_curve(n, f_max=8.0, S=1024, res=128):
+def sine_curve(n, f_max=8.0, S=1024):
     desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
     grid = SamplingGrid(samples_per_symbol=S)
-    return xcorr_curve(desc, grid, f_max, int(round(f_max * res)) + 1)
+    return xcorr_curve(desc, grid, f_max)
 
 
 class TestPapr:
@@ -154,8 +151,7 @@ class TestXcorr:
     def test_rect_nulls_at_integer_separations(self):
         curve = sine_curve(0)
         for k in range(1, 9):
-            idx = int(round(k * curve.resolution))
-            assert abs(curve.rho[idx]) < 1e-10
+            assert abs(curve.rho[k * XCORR_POINTS_PER_T]) < 1e-10
 
     def test_sine1_half_at_unit_separation(self):
         # oracle: quadrature of sin^2(pi t) e^{-j2pi t} over [0,1] = -1/4
@@ -164,8 +160,7 @@ class TestXcorr:
         oracle = abs(complex(re, im)) / 0.5
         assert oracle == pytest.approx(0.5, abs=1e-10)
         curve = sine_curve(1)
-        idx = int(round(curve.resolution))
-        assert abs(curve.rho[idx]) == pytest.approx(oracle, abs=1e-6)
+        assert abs(curve.rho[XCORR_POINTS_PER_T]) == pytest.approx(oracle, abs=1e-6)
 
     def test_cauchy_schwarz(self):
         for n in (0, 1, 4, 16):
@@ -175,7 +170,14 @@ class TestXcorr:
     def test_f_max_below_subcarrier_spacing_rejected(self):
         grid = SamplingGrid(samples_per_symbol=256)
         with pytest.raises(ValueError):
-            xcorr_curve(RECT, grid, 0.5, 65)
+            xcorr_curve(RECT, grid, 0.5)
+
+    @pytest.mark.parametrize("f_max", [1.0, 1.5, 8.0, 10.0, 20.0, 128.0])
+    def test_grid_is_linspace_at_whole_points(self, f_max):
+        # the fixed grid reproduces the old linspace wherever 128 f_max is whole
+        curve = sine_curve(1, f_max=f_max, S=8)
+        ref = np.linspace(0.0, f_max, int(XCORR_POINTS_PER_T * f_max) + 1)
+        assert np.array_equal(curve.freq, ref)
 
 
 class TestPulseMetrics:
@@ -203,17 +205,12 @@ class TestPulseMetrics:
         m = pulse_metrics(sine_curve(2))
         assert m.cutoff_3db <= m.cutoff_first_null
 
-    def test_low_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            pulse_metrics(sine_curve(0, f_max=8.0, res=32))
-
     def test_out_of_range_carries_partial(self):
-        curve = sine_curve(1, f_max=1.0)
-        with pytest.raises(MetricsOutOfRangeError) as exc:
-            pulse_metrics(curve)
-        partial = exc.value.partial
-        assert partial.cutoff_3db == pytest.approx(0.72, abs=0.01)
-        assert partial.cutoff_first_null is None
+        m = pulse_metrics(sine_curve(1, f_max=1.0))
+        assert m.cutoff_3db == pytest.approx(0.72, abs=0.01)
+        assert m.cutoff_first_null is None
+        assert m.peak_sidelobe_db is None
+        assert m.orthogonality_band is None
 
 
 class TestTheoreticalBer:

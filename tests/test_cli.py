@@ -207,6 +207,37 @@ class TestDispatch:
         with pytest.raises(PaprShaperError):
             dispatch("frobnicate", RunConfig())
 
+    @pytest.mark.parametrize(
+        "f_max,band,note",
+        [("8.3", "2", ""), ("1.004", "nan", "  [partial: no null below f = 1.00781/T]")],
+        ids=["8.3", "1.004"],
+    )
+    def test_xcorr_f_max_off_the_grid(self, tmp_path, f_max, band, note):
+        # the grid runs on to the first multiple of 1/128 at or above f_max
+        rc = main(["xcorr", "--output", str(tmp_path), "--set", "n_list=1",
+                   "--set", f"f_max={f_max}"])
+        assert rc == 0
+        row = read(tmp_path / "metrics.csv").decode().splitlines()[1]
+        assert row.split(",")[4] == band  # sine n=1
+        assert read(tmp_path / "summary.txt").decode().splitlines()[2].endswith(f" {band}{note}")
+
+    def test_xcorr_tapered_alpha1_is_sine2(self, tmp_path):
+        # oracle: 0.5 (1 - cos 2 pi t) = sin^2(pi t), so the full taper is sine n=2
+        out = {}
+        for name, family in (("tapered", ["pulse_family=tapered_flat_top", "taper_alpha=1"]),
+                             ("sine2", ["pulse_family=sine_power", "shape_n=2"])):
+            cfg = parse_config("", [*family, f"output_path={tmp_path / name}"])
+            dispatch("xcorr", cfg)
+            lines = read(tmp_path / name / "metrics.csv").decode().splitlines()
+            out[name] = [line.split(",", 1)[1] for line in lines[1:]]
+        assert out["tapered"] == out["sine2"]
+
+    def test_xcorr_honours_bandwidth_factor(self, tmp_path):
+        for w in ("1", "4"):
+            main(["xcorr", "--output", str(tmp_path / w), "--set", "pulse_family=truncated_sinc",
+                  "--set", f"bandwidth_factor={w}"])
+        assert read(tmp_path / "1" / "metrics.csv") != read(tmp_path / "4" / "metrics.csv")
+
     def test_lf_line_endings(self, tmp_path):
         cfg = parse_config("n_list = 0\n", [f"output_path={tmp_path}"])
         dispatch("xcorr", cfg)
@@ -269,6 +300,16 @@ class TestMain:
         assert main(["xcorr", "--output", str(tmp_path), "--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: gives f_max = ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", ["ber", "xcorr"])
+    def test_infinite_bandwidth_factor_exit_two(self, tmp_path, capsys, subcommand):
+        rc = main([subcommand, "--output", str(tmp_path), "--set", "pulse_family=truncated_sinc",
+                   "--set", "bandwidth_factor=inf"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth_factor:")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 

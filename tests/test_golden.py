@@ -48,7 +48,8 @@ CASES = {
     # n=16 has no null below 8/T: a [partial: ...] row
     "xcorr-sine-partial": ("xcorr", "n_list=0,16", "f_max=8"),
     # no orthogonality band inside 8/T
-    "xcorr-sinc": ("xcorr", "pulse_family=truncated_sinc", "n_list=0,16", "f_max=8"),
+    "xcorr-sinc": ("xcorr", "pulse_family=truncated_sinc", "bandwidth_factor=1",
+                   "n_list=0,16", "f_max=8"),
 }
 
 GOLDEN = {

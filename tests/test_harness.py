@@ -22,6 +22,7 @@ from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
+SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
 
 
 def cfg_for(N=16, M=4, pulse=RECT):
@@ -283,36 +284,54 @@ class TestXcorrReport:
         return SamplingGrid(samples_per_symbol=1024)
 
     def test_rect_row(self):
-        rows = run_xcorr_report(PulseFamily.SINE_POWER, [0], self.grid(), 8.0)
+        rows = run_xcorr_report(SINE, [0], self.grid(), 8.0)
         assert rows[0].metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
 
     def test_rows_carry_their_curves(self):
         grid = self.grid()
-        rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 3], grid, 8.0)
+        rows = run_xcorr_report(SINE, [0, 3], grid, 8.0)
         for row in rows:
             desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=row.shape_n)
-            ref = xcorr_curve(desc, grid, 8.0, 8 * 128 + 1)
+            ref = xcorr_curve(desc, grid, 8.0)
             assert np.array_equal(row.curve.freq, ref.freq)
             assert np.array_equal(row.curve.rho, ref.rho)
 
     def test_rows_ordered_as_n_list(self):
-        rows = run_xcorr_report(PulseFamily.SINE_POWER, [4, 0, 2], self.grid(), 8.0)
+        rows = run_xcorr_report(SINE, [4, 0, 2], self.grid(), 8.0)
         assert [r.shape_n for r in rows] == [4, 0, 2]
 
     def test_cutoff_increasing(self):
-        rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
+        rows = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
         cutoffs = [r.metrics.cutoff_3db for r in rows]
         assert all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_partial_row_marked_others_computed(self):
-        rows = run_xcorr_report(PulseFamily.SINE_POWER, [0, 16], self.grid(), 8.0)
-        assert rows[0].error is None
-        assert rows[1].error is not None
+        rows = run_xcorr_report(SINE, [0, 16], self.grid(), 8.0)
+        assert rows[0].metrics.cutoff_first_null is not None
+        assert rows[1].metrics.cutoff_first_null is None  # no null below 8/T
         assert rows[1].metrics.cutoff_3db is not None  # partial result kept
+
+    def test_rows_keep_the_other_parameters(self):
+        # only shape_n varies; a tapered row keeps its taper
+        tapered = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.0)
+        (row,) = run_xcorr_report(tapered, [5], self.grid(), 8.0)
+        ref = xcorr_curve(tapered, self.grid(), 8.0)
+        assert row.shape_n == 5
+        assert np.array_equal(row.curve.rho, ref.rho)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(f_max=st.floats(1.0, 16.0))
+    def test_any_f_max_gives_metrics(self, f_max):
+        (row,) = run_xcorr_report(SINE, [1], self.grid(), f_max)
+        f = row.curve.freq
+        assert f[-2] < f_max <= f[-1]  # the grid ends at the first point past f_max
+        assert row.metrics.cutoff_3db == pytest.approx(0.72, abs=0.01)
+        # sin^2 has harmonics 0 and 1 only: every k >= 2 on the grid is a null
+        assert row.metrics.orthogonality_band == (2 if f[-1] >= 2 else None)
 
     def test_empty_n_list(self):
         with pytest.raises(PlanError):
-            run_xcorr_report(PulseFamily.SINE_POWER, [], self.grid(), 8.0)
+            run_xcorr_report(SINE, [], self.grid(), 8.0)
 
 
 class TestNoiseEnhancement:
