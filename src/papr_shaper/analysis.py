@@ -16,7 +16,7 @@ from scipy.special import erfc
 
 from .errors import DegeneratePulseError, SearchSpaceTooLargeError, UnsupportedOrderError
 from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
-from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse
+from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse, squared_transform
 from . import seeding
 
 __all__ = [
@@ -181,18 +181,17 @@ def xcorr_curve(
     f_max: float,
 ) -> XcorrCurve:
     """rho(f) = transform of p^2 at separation f, over the pulse energy,
-    at f = i/128 (units of 1/T) up to the first such point >= f_max."""
+    at f = i/128 (units of 1/T) up to the first such point >= f_max: bin
+    i of one FFT of p^2 zero-padded to 128 S samples."""
     if f_max < 1.0:
         raise ValueError("f_max must be at least 1/T")
     p = sample_pulse(desc, grid)
-    e = pulse_energy(p, grid.dt)
-    if e <= 0.0:
+    if pulse_energy(p, grid.dt) <= 0.0:
         raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
-    t = grid.times()
-    freq = np.arange(math.ceil(XCORR_POINTS_PER_T * f_max) + 1) / XCORR_POINTS_PER_T
-    p2 = np.square(p)
-    rho = (np.exp(-2j * np.pi * np.outer(freq, t)) @ p2) * grid.dt / e
-    center = float(np.sum(t * p2) / p2.sum())
+    points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
+    freq = np.arange(points) / XCORR_POINTS_PER_T
+    rho = squared_transform(p, grid.dt, XCORR_POINTS_PER_T, points)
+    center = float(np.average(grid.times(), weights=np.square(p)))
     return XcorrCurve(freq=freq, rho=rho, phase_center=center)
 
 

@@ -111,7 +111,7 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
         missing = (
             "-3 dB point" if m.cutoff_3db is None else "null" if m.cutoff_first_null is None else None
         )
-        mark = f"  [partial: no {missing} below f = {r.curve.freq[-1]:g}/T]" if missing else ""
+        mark = f"  [partial: no {missing} below f = {_fmt(r.curve.freq[-1])}/T]" if missing else ""
         lines.append(" ".join(_fmt(v) for v in values) + mark)
     usable = [r for r in rows if r.metrics.cutoff_3db is not None]
     for a, b in zip(usable, usable[1:]):
@@ -260,13 +260,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         text = _read_config(args.config) if args.config else ""
-        overrides = list(args.overrides)
-        if args.output is not None:
-            overrides.append(f"output_path={args.output}")
-        if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
-        if args.workers is not None:
-            overrides.append(f"workers={args.workers}")
+        flags = {"output_path": args.output, "seed": args.seed, "workers": args.workers}
+        overrides = args.overrides + [f"{k}={v}" for k, v in flags.items() if v is not None]
         cfg = parse_config(text, overrides)
         return dispatch(args.subcommand, cfg)
     except ConfigKeyError as exc:

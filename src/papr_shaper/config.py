@@ -25,11 +25,11 @@ MAX_WORKERS = 64
 MAX_FRAMES = 10**9  # frames per BER point
 # a BER kernel holds N x N matrices (G, G^-1): 268 MB each at N = 4096
 MAX_SUBCARRIERS = 4096
-# a dense kernel (N < 512) holds N x S synth and mf: about 267 MB each
+# one frame holds N * oversample samples: 262144 at both caps
 MAX_OVERSAMPLE = 64
 # the PAPR array and its sorted copy: 800 MB each at 10^8 trials
 MAX_TRIALS = 10**8
-# xcorr's frequency grid and its (points x 1024) phase matrix grow with f_max
+# xcorr's frequency grid and CSV grow with f_max: 16385 points per n at the cap
 MAX_F_MAX = 128
 
 

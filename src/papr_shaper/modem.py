@@ -23,11 +23,11 @@ is read from a table built once per constellation. The 32-cross is the
 the nearer of the two cross points beside it, decided by |x| against |y|.
 
 A pulse shared by every subcarrier is sampled once. Its Gram matrix is
-built from its first column, the DFT of p^2, and from
-``FFT_MIN_SUBCARRIERS`` subcarriers up synthesis and matched filter are
-an inverse and a forward FFT of length S instead of a product with a
-dense N x S matrix. Below that size, and for per-subcarrier pulse sets,
-the dense matrices ``kern.synth`` and ``kern.mf`` are used.
+built from its first column, the DFT of p^2. At every N its synthesis
+and matched filter are in-place FFTs of length S, whose rows do not
+depend on the batch that holds them; a pulse of samples exactly 1.0
+(rect) skips the multiply by p. Per-subcarrier pulse sets use the
+dense N x S matrices ``kern.synth`` and ``kern.mf``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     IllConditionedGramError,
     UnsupportedOrderError,
 )
-from .pulses import PulseDescriptor, SamplingGrid, sample_pulse
+from .pulses import PulseDescriptor, SamplingGrid, sample_pulse, squared_transform
 
 __all__ = [
     "Constellation",
@@ -60,10 +60,6 @@ SUPPORTED_ORDERS = (4, 8, 16, 32)
 
 # Condition number beyond which the ZF solve is refused.
 GRAM_CONDITION_LIMIT = 1e8
-
-# A shared pulse synthesizes and matched-filters by FFT from this many
-# subcarriers up; below it the dense BLAS product is faster.
-FFT_MIN_SUBCARRIERS = 512
 
 
 def _gray(i: int) -> int:
@@ -266,12 +262,13 @@ class ModemKernel:
     gram_is_identity: gram equals the identity exactly, as every rect
               kernel's Toeplitz gram does; then the condition is 1, G^-1
               is gram itself and solve_zf returns its input
-    use_fft: synthesize and matched_filter by FFT (a shared pulse and
-             N >= FFT_MIN_SUBCARRIERS) instead of by synth and mf
+    use_fft: the pulse is shared; synthesize and matched_filter by FFT
+    fft_pulse: that pulse, or None if every sample is exactly 1.0 and
+             the FFT stages skip the multiply
 
     The matrices are built on first use, so PAPR and CCDF runs never
-    build ``gram``. A dense kernel builds ``synth`` and ``mf`` here; an
-    FFT kernel never reads them.
+    build ``gram``. A pulse set builds ``synth`` and ``mf`` here; an FFT
+    kernel never reads them.
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -280,19 +277,17 @@ class ModemKernel:
         N, S = cfg.n_subcarriers, cfg.samples_per_symbol
         self.dt = grid.dt
 
-        shared = isinstance(cfg.pulse_assignment, PulseDescriptor)
-        if shared:
+        self.use_fft = isinstance(cfg.pulse_assignment, PulseDescriptor)
+        if self.use_fft:
             p = sample_pulse(cfg.pulse_assignment, grid)
-            energies = np.full(N, np.sum(p**2) * self.dt)
-            pulses = np.broadcast_to(p, (N, S))
+            self.energies = np.full(N, np.sum(p**2) * self.dt)
+            self.pulses = np.broadcast_to(p, (N, S))
+            self.fft_pulse = None if np.all(p == 1.0) else p
         else:
-            pulses = np.stack([sample_pulse(d, grid) for d in cfg.pulse_assignment])
-            energies = np.sum(pulses**2, axis=1) * self.dt
-        if np.any(energies <= 0):
+            self.pulses = np.stack([sample_pulse(d, grid) for d in cfg.pulse_assignment])
+            self.energies = np.sum(self.pulses**2, axis=1) * self.dt
+        if np.any(self.energies <= 0):
             raise DegeneratePulseError("zero-energy pulse in assignment")
-        self.pulses = pulses
-        self.energies = energies
-        self.use_fft = shared and N >= FFT_MIN_SUBCARRIERS
         if not self.use_fft:
             self.mf  # built once here, never concurrently by worker threads
 
@@ -310,16 +305,18 @@ class ModemKernel:
         """(F, N) symbols -> (F, S) waveforms."""
         if not self.use_fft:
             return a @ self.synth
-        s = np.fft.ifft(a, n=self.cfg.samples_per_symbol, axis=-1, norm="forward")
-        s *= self.pulses[0]
-        return s
+        s = np.zeros((*a.shape[:-1], self.cfg.samples_per_symbol), dtype=complex)
+        s[..., : self.cfg.n_subcarriers] = a
+        np.fft.ifft(s, axis=-1, norm="forward", out=s)
+        return s if self.fft_pulse is None else np.multiply(s, self.fft_pulse, out=s)
 
     def matched_filter(self, r: np.ndarray) -> np.ndarray:
         """(F, S) received waveforms -> (F, N) matched-filter outputs."""
         if not self.use_fft:
             return r @ self.mf
-        y = np.fft.fft(r * self.pulses[0], axis=-1)[..., : self.cfg.n_subcarriers]
-        return y * (self.dt / self.energies)
+        x = r if self.fft_pulse is None else np.multiply(r, self.fft_pulse, dtype=complex)
+        x = np.fft.fft(x, axis=-1, out=None if x is r else x)  # in place, but never on r
+        return x[..., : self.cfg.n_subcarriers] * (self.dt / self.energies)
 
     @functools.cached_property
     def constellation(self) -> Constellation:
@@ -328,9 +325,9 @@ class ModemKernel:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         N, S = self.cfg.n_subcarriers, self.cfg.samples_per_symbol
-        if isinstance(self.cfg.pulse_assignment, PulseDescriptor):
+        if self.use_fft:
             # G[k, l] = c[(k - l) mod S], c the DFT of p^2 over the energy
-            c = np.fft.fft(self.pulses[0] ** 2) * (self.dt / self.energies[0])
+            c = squared_transform(self.pulses[0], self.dt)
             k = np.arange(N)
             g = c[(k[:, None] - k) % S]
         else:

@@ -22,6 +22,7 @@ __all__ = [
     "SamplingGrid",
     "sample_pulse",
     "pulse_energy",
+    "squared_transform",
 ]
 
 
@@ -126,3 +127,11 @@ def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
 def pulse_energy(samples: np.ndarray, dt: float) -> float:
     """Discrete energy sum(p_i^2) * dt."""
     return float(np.sum(np.square(samples)) * dt)
+
+
+def squared_transform(samples: np.ndarray, dt: float, q: int = 1, points=None) -> np.ndarray:
+    """Transform of p^2 over the pulse energy at f = i/q (units of 1/T), i < points
+    (default q*S): one FFT of p^2 zero-padded to q*S, read periodically."""
+    p2 = np.square(samples)
+    spectrum = np.fft.fft(p2, n=q * p2.size).take(np.arange(points or q * p2.size), mode="wrap")
+    return spectrum * (dt / (np.sum(p2) * dt))

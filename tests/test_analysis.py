@@ -21,7 +21,13 @@ from papr_shaper.analysis import (
 from papr_shaper.errors import SearchSpaceTooLargeError, UnsupportedOrderError
 from papr_shaper.harness import run_ber_point
 from papr_shaper.modem import OfdmConfig, get_kernel
-from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
+from papr_shaper.pulses import (
+    PulseDescriptor,
+    PulseFamily,
+    SamplingGrid,
+    pulse_energy,
+    sample_pulse,
+)
 
 from helpers import papr
 
@@ -74,9 +80,16 @@ class TestMaxPapr:
         cfg = cfg_for(N=N, M=M, pulse=pulse)
         default = max_papr(cfg, method="exhaustive")
         monkeypatch.setattr(seeding, "BATCH_SAMPLES", 1)  # one-frame batches
-        # the dense BLAS product can round a one-row batch differently in
-        # the last bit (sine1 at N=3, M=8 moves by 3e-16)
-        assert max_papr(cfg, method="exhaustive") == pytest.approx(default, rel=1e-14)
+        assert max_papr(cfg, method="exhaustive") == default
+
+    @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
+    @pytest.mark.parametrize("N", [3, 16, 64, 256])
+    def test_random_paprs_independent_of_batch_size(self, N, pulse, monkeypatch):
+        cfg = cfg_for(N=N, pulse=pulse)
+        default = _random_paprs(cfg, 200, seed=4)  # batches of 64 and 128 frames
+        for frames in (1, 3, 5, 7):
+            monkeypatch.setattr(seeding, "BATCH_SAMPLES", frames * cfg.samples_per_symbol)
+            assert np.array_equal(_random_paprs(cfg, 200, seed=4), default)
 
     def test_exhaustive_cap(self):
         with pytest.raises(SearchSpaceTooLargeError):
@@ -178,6 +191,64 @@ class TestXcorr:
         curve = sine_curve(1, f_max=f_max, S=8)
         ref = np.linspace(0.0, f_max, int(XCORR_POINTS_PER_T * f_max) + 1)
         assert np.array_equal(curve.freq, ref)
+
+
+def dense_xcorr(p, grid, freq):
+    """The product with a (points x S) phase matrix that xcorr_curve used
+    before its FFT."""
+    e = pulse_energy(p, grid.dt)
+    return (np.exp(-2j * np.pi * np.outer(freq, grid.times())) @ np.square(p)) * grid.dt / e
+
+
+def longdouble_xcorr(p, points, q=XCORR_POINTS_PER_T):
+    """The same discrete sum in long double: rho_i = sum_m p_m^2
+    exp(-2j pi i m / (q S)) / sum_m p_m^2, the phase index i m reduced
+    modulo q S exactly in integers."""
+    n = q * p.size
+    turns = np.arange(n, dtype=np.longdouble) / n
+    two_pi = 2 * np.arccos(np.longdouble(-1))
+    cos, sin = np.cos(two_pi * turns), np.sin(two_pi * turns)
+    p2 = np.square(p.astype(np.longdouble))
+    k = np.outer(np.arange(points), np.arange(p.size)) % n
+    return (cos[k] @ p2) / p2.sum(), -(sin[k] @ p2) / p2.sum()
+
+
+class TestXcorrOracle:
+    PULSES = {
+        "rect": RECT,
+        "sine1": SINE1,
+        "sine8": PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=8),
+        "tapered": PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5),
+        "tsinc": PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_fft_at_least_as_close_as_dense(self, name):
+        # the max over the grid: at single points either method can be
+        # the closer one by rounding noise
+        grid = SamplingGrid(samples_per_symbol=1024)
+        curve = xcorr_curve(self.PULSES[name], grid, 10.0)
+        p = sample_pulse(self.PULSES[name], grid)
+        re, im = longdouble_xcorr(p, curve.freq.size)
+
+        def max_error(rho):
+            return float(np.max(np.hypot(rho.real - re, rho.imag - im)))
+
+        fft_error = max_error(curve.rho)
+        assert fft_error <= 1e-14
+        assert fft_error <= max_error(dense_xcorr(p, grid, curve.freq))
+
+    def test_memory_independent_of_points(self):
+        # O(S) memory: a (points x S) phase matrix would take 512 MB here
+        grid = SamplingGrid(samples_per_symbol=1024)
+        tracemalloc.start()
+        try:
+            curve = xcorr_curve(SINE1, grid, 128.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.rho.size == 128 * XCORR_POINTS_PER_T + 1
+        assert peak < 8 * 2**20
 
 
 class TestPulseMetrics:

@@ -209,7 +209,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "f_max,band,note",
-        [("8.3", "2", ""), ("1.004", "nan", "  [partial: no null below f = 1.00781/T]")],
+        [("8.3", "2", ""), ("1.004", "nan", "  [partial: no null below f = 1.0078125/T]")],
         ids=["8.3", "1.004"],
     )
     def test_xcorr_f_max_off_the_grid(self, tmp_path, f_max, band, note):

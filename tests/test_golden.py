@@ -96,17 +96,17 @@ GOLDEN = {
     "xcorr-sine": {
         "metrics.csv": "8417666754d6df8814766b8bf21efcd90c406c375f419035c45f697d88b5a2ff",
         "summary.txt": "3d349cb71b754f42adbb9f6ef3f95479007b1f8bf1d3522ec99efcf075e38917",
-        "xcorr.csv": "dc191270d8469b9017d10e68ce2f484582c3045e2ee5311719685fcee4237502",
+        "xcorr.csv": "9717fb9ba7b4c1965d6192f11a74b6467f383131f50b5e97f2de18d5a972a560",
     },
     "xcorr-sine-partial": {
         "metrics.csv": "a5844f65564fd2073503c5e7bc1e82dbf6f56716a0035d7863630ab5817a1bab",
         "summary.txt": "501232174b4a61d947f7b8f44f985b03af38e661f64a137992b0462f91b294d9",
-        "xcorr.csv": "50ef13f53c343cb51a1db7123bc2bf71f3743388f3c05e2084c68e9aa019d006",
+        "xcorr.csv": "cb33ee178ced8862a9bfd33f98ac37d40e741773d806a6e095d533d2b0d762bd",
     },
     "xcorr-sinc": {
         "metrics.csv": "0d43b935ada2e9c57634361cf67b0d2363c18e29a7a4a4d81ae37e0d7894219a",
         "summary.txt": "1c53fee462342dec05f53d76947e88cb365a817f988156bdb45fc22aa6b5f87a",
-        "xcorr.csv": "25ac77f26a7c023b27c7f33febb99fac9b78237c5328c94134709074f06a88ee",
+        "xcorr.csv": "855d49613e83e52e79d785a1919ad9856103a1b3cf428e2c354b4c7ac425d9bc",
     },
 }
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import ModemKernel, OfdmConfig, get_kernel
+from papr_shaper.modem import OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -200,25 +201,19 @@ class TestBatchSchedule:
 class TestFftPath:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
-    def test_fft_and_dense_paths_give_the_same_point(self, pulse, workers, monkeypatch):
-        kernels = []
-
-        def fresh_kernel(cfg):  # uncached, so it reads the patched cut-over
-            kernels.append(ModemKernel(cfg))
-            return kernels[-1]
-
-        monkeypatch.setattr(harness, "get_kernel", fresh_kernel)
-
-        def point():
+    def test_fft_and_dense_paths_give_the_same_point(self, pulse, workers):
+        # N copies of the pulse form a per-subcarrier set, which keeps the
+        # dense synth/mf products and the dense Gram matrix as the oracle
+        def point(assignment):
             return run_ber_point(
-                cfg_for(N=64, pulse=pulse), 4.0, target_errors=300, max_frames=5_000,
+                cfg_for(N=64, pulse=assignment), 4.0, target_errors=300, max_frames=5_000,
                 seed=11, workers=workers,
             )
 
-        dense = point()
-        monkeypatch.setattr(modem, "FFT_MIN_SUBCARRIERS", 1)
-        assert point() == dense
-        assert [k.use_fft for k in kernels] == [False, True]
+        fft, dense = point(pulse), point((pulse,) * 64)
+        assert get_kernel(cfg_for(N=64, pulse=pulse)).use_fft
+        assert not get_kernel(cfg_for(N=64, pulse=(pulse,) * 64)).use_fft
+        assert replace(dense, pulse=fft.pulse, shape_n=fft.shape_n) == fft
 
     def test_fft_kernel_builds_no_dense_matrix(self):
         cfg = cfg_for(N=1024)

@@ -23,7 +23,7 @@ from papr_shaper.modem import (
     get_kernel,
     map_bits,
 )
-from papr_shaper.pulses import PulseDescriptor, PulseFamily
+from papr_shaper.pulses import PulseDescriptor, PulseFamily, squared_transform
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
@@ -283,7 +283,7 @@ class TestSharedPulseKernel:
     # Kernels are built directly, not through get_kernel's cache: the
     # dense N x S oracles of the large ones would stay alive otherwise.
 
-    @pytest.mark.parametrize("N", [512, 1024])
+    @pytest.mark.parametrize("N", [4, 16, 64, 256, 512, 1024])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fft_stages_match_dense(self, N, family):
         kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
@@ -301,6 +301,28 @@ class TestSharedPulseKernel:
         kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
         g = np.conj(kern.synth @ kern.synth.conj().T) * kern.dt / kern.energies[0]
         assert np.abs(kern.gram - 0.5 * (g + g.conj().T)).max() < 1e-12
+
+    @pytest.mark.parametrize("N", [3, 16, 64, 256])
+    @pytest.mark.parametrize("family", ["rect", "sine1"])
+    def test_fft_stages_independent_of_batch(self, N, family):
+        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
+        s = kern.synthesize(a)
+        y = kern.matched_filter(s)
+        for rows in (1, 3, 5, 7):
+            for lo in range(0, 64, rows):
+                assert np.array_equal(kern.synthesize(a[lo : lo + rows]), s[lo : lo + rows])
+                assert np.array_equal(kern.matched_filter(s[lo : lo + rows]), y[lo : lo + rows])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_gram_column_is_the_unpadded_dft_of_p2(self, family):
+        kern = ModemKernel(cfg_for(N=64, pulse=FAMILIES[family]))
+        p = kern.pulses[0]
+        c = np.fft.fft(p**2) * (kern.dt / kern.energies[0])
+        assert np.array_equal(squared_transform(p, kern.dt), c)
+        k = np.arange(64)  # G[k, 0] = c[k], G[0, k] = c[-k mod S], symmetrized
+        assert np.array_equal(kern.gram[:, 0], 0.5 * (c[k] + c[-k % c.size].conj()))
 
     def test_shared_pulse_is_one_read_only_row(self):
         kern = get_kernel(cfg_for(N=8, pulse=SINE1))
