@@ -260,8 +260,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         text = _read_config(args.config) if args.config else ""
-        flags = {"output_path": args.output, "seed": args.seed, "workers": args.workers}
-        overrides = args.overrides + [f"{k}={v}" for k, v in flags.items() if v is not None]
+        overrides = list(args.overrides)
+        if args.output is not None:
+            overrides.append(f"output_path={args.output}")
+        if args.seed is not None:
+            overrides.append(f"seed={args.seed}")
+        if args.workers is not None:
+            overrides.append(f"workers={args.workers}")
         cfg = parse_config(text, overrides)
         return dispatch(args.subcommand, cfg)
     except ConfigKeyError as exc:
