@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DegeneratePulseError, SearchSpaceTooLargeError, UnsupportedOrderError
 from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
@@ -182,13 +181,19 @@ def xcorr_curve(
 ) -> XcorrCurve:
     """rho(f) = transform of p^2 at separation f, over the pulse energy,
     at f = i/128 (units of 1/T) up to the first such point >= f_max: bin
-    i of one FFT of p^2 zero-padded to 128 S samples."""
+    i of one FFT of p^2 zero-padded to 128 S samples. The transform of
+    S samples is periodic in S/T, so the curve must end below S/2."""
     if f_max < 1.0:
         raise ValueError("f_max must be at least 1/T")
+    points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
+    S = grid.samples_per_symbol
+    if (points - 1) / XCORR_POINTS_PER_T >= S / 2:
+        raise ValueError(
+            f"f_max = {f_max:g}/T reaches the aliasing limit S/2 = {S / 2:g}/T of S = {S} samples"
+        )
     p = sample_pulse(desc, grid)
     if pulse_energy(p, grid.dt) <= 0.0:
         raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
-    points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
     freq = np.arange(points) / XCORR_POINTS_PER_T
     rho = squared_transform(p, grid.dt, XCORR_POINTS_PER_T, points)
     center = float(np.average(grid.times(), weights=np.square(p)))
@@ -264,6 +269,8 @@ def _orthogonality_band(mag: np.ndarray) -> int | None:
 
 def q_function(x) -> np.ndarray | float:
     """Standard normal tail probability via the complementary error function."""
+    from scipy.special import erfc  # scipy loads on first use: only the BER path needs it
+
     out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if np.isscalar(x) else out
 

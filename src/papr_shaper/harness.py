@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
@@ -39,8 +39,8 @@ __all__ = [
     "zf_noise_enhancement_db",
 ]
 
-# z of the 95% two-sided Wilson interval
-WILSON_Z = float(ndtri(0.5 + 0.95 / 2.0))
+# z of the 95% two-sided Wilson interval: float(scipy.special.ndtri(0.975))
+WILSON_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,8 @@ def run_ber_point(
         raise PlanError(f"workers must be >= 1, got {workers}")
     kern = get_kernel(cfg)
     kern.gram_inv  # checks the ZF limit; computed once, before any worker thread
+    # the noise normals' ndtri: scipy is imported here, not by a worker thread
+    import scipy.special  # noqa: F401
 
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame
@@ -165,9 +167,12 @@ def run_ber_point(
         lo, hi = batch
         return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # workers=1 computes on the calling thread: a pool thread gets a malloc
+    # arena of its own, which made the peak RSS differ from run to run
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
         while wave := list(itertools.islice(batches, workers)):
-            results = list(pool.map(errors, wave))  # a failed batch raises here
+            results = list(run(errors, wave))  # a failed batch raises here
             # any() stops at the stop frame; later batches are discarded
             if any(consume(per_frame, lo) for (lo, _), per_frame in zip(wave, results)):
                 break

@@ -10,7 +10,6 @@ its frames by the one schedule of :func:`frame_batches`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 
@@ -78,6 +77,9 @@ def uniforms_to_bits(u: np.ndarray) -> np.ndarray:
 
 
 def uniforms_to_normals(u: np.ndarray) -> np.ndarray:
+    # scipy loads on first use: only BER runs draw noise normals
+    from scipy.special import ndtri
+
     return ndtri(np.maximum(u, _U_FLOOR))
 
 

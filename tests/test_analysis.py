@@ -188,9 +188,20 @@ class TestXcorr:
     @pytest.mark.parametrize("f_max", [1.0, 1.5, 8.0, 10.0, 20.0, 128.0])
     def test_grid_is_linspace_at_whole_points(self, f_max):
         # the fixed grid reproduces the old linspace wherever 128 f_max is whole
-        curve = sine_curve(1, f_max=f_max, S=8)
+        curve = sine_curve(1, f_max=f_max)
         ref = np.linspace(0.0, f_max, int(XCORR_POINTS_PER_T * f_max) + 1)
         assert np.array_equal(curve.freq, ref)
+
+    @pytest.mark.parametrize("f_max", [20.0, 4.0, 3.999])
+    def test_curve_reaching_half_the_sample_rate_rejected(self, f_max):
+        # the transform of S samples is periodic in S/T: at S = 8 the
+        # curve would read |rho(8/T)| = 1; 3.999 ends on the grid point 4
+        with pytest.raises(ValueError, match=rf"f_max = {f_max:g}/T .* S/2 = 4/T .* S = 8 "):
+            sine_curve(1, f_max=f_max, S=8)
+
+    def test_curve_below_half_the_sample_rate_accepted(self):
+        curve = sine_curve(1, f_max=3.99, S=8)
+        assert curve.freq[-1] == 3.9921875
 
 
 def dense_xcorr(p, grid, freq):

@@ -1,12 +1,14 @@
-import os
-
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import papr_shaper
 from papr_shaper.cli import dispatch, main
 from papr_shaper.config import ConfigKeyError, RunConfig, parse_config
 from papr_shaper.errors import PaprShaperError
@@ -344,3 +346,42 @@ class TestMain:
             main(["ccdf", "--output", str(d), "--seed", s, "--set", "trials=300",
                   "--set", "n_subcarriers=8"])
         assert read(a / "ccdf.csv") == read(b / "ccdf.csv")
+
+
+COLD_START = """
+import os, sys, tempfile
+from papr_shaper.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(cmd, out, *sets):
+    argv = [cmd, "--output", out]
+    for s in sets:
+        argv += ["--set", s]
+    assert main(argv) == 0, argv
+
+with tempfile.TemporaryDirectory() as tmp:
+    run("papr", os.path.join(tmp, "papr"), "n_subcarriers=4", "trials=200")
+    run("ccdf", os.path.join(tmp, "ccdf"), "n_subcarriers=8", "trials=200")
+    run("xcorr", os.path.join(tmp, "xcorr"), "n_list=0,1", "f_max=2")
+    assert not scipy_modules(), scipy_modules()[:5]
+
+    # the first BER call of the process runs two worker threads at once
+    ber = ("n_subcarriers=16", "ebn0_db_list=2,5", "max_frames=2000", "seed=6")
+    run("ber", os.path.join(tmp, "w2"), *ber, "workers=2")
+    run("ber", os.path.join(tmp, "w1"), *ber, "workers=1")
+    csv = [open(os.path.join(tmp, w, "ber.csv"), "rb").read() for w in ("w2", "w1")]
+    assert csv[0] == csv[1]
+    assert "scipy.special" in sys.modules
+"""
+
+
+def test_cold_start_loads_scipy_only_for_ber():
+    # a fresh interpreter: papr, ccdf and xcorr must not import scipy,
+    # and a two-worker first BER call must match workers=1 byte for byte
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

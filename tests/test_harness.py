@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
@@ -46,6 +47,10 @@ class TestWilson:
         assert hi == 1.0
         assert lo < 1.0
 
+    def test_z_is_the_975_quantile(self):
+        # the literal must stay the value scipy computes, bit for bit
+        assert harness.WILSON_Z == float(ndtri(0.5 + 0.95 / 2.0))
+
     def test_bad_inputs(self):
         with pytest.raises(PlanError):
             wilson_interval(5, 0)
@@ -72,6 +77,15 @@ class TestBerPoint:
             cfg_for(), 2.0, target_errors=300, max_frames=10_000, seed=5, workers=workers
         )
         assert ref == par
+
+    def test_one_worker_starts_no_thread_pool(self, monkeypatch):
+        # a pool thread gets its own malloc arena; workers=1 stays on the caller
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        p = run_ber_point(cfg_for(), 2.0, target_errors=300, max_frames=10_000, seed=5)
+        assert p.bit_errors >= 300
 
     def test_matches_theory_within_ci(self):
         cfg = cfg_for(N=64)
