@@ -22,17 +22,17 @@ is read from a table built once per constellation. The 32-cross is the
 6x6 grid without its corners; a sample in an empty corner cell goes to
 the nearer of the two cross points beside it, decided by |x| against |y|.
 
-A pulse shared by every subcarrier is sampled once. Its Gram matrix is
-built from its first column, the DFT of p^2. At every N its synthesis
-and matched filter are in-place FFTs of length S, whose rows do not
-depend on the batch that holds them; a pulse of samples exactly 1.0
-(rect) skips the multiply by p. Per-subcarrier pulse sets use the
-dense N x S matrices ``kern.synth`` and ``kern.mf``.
+The kernel splits the subcarriers into pulse groups, one per distinct
+pulse (a shared pulse is one group). Each is sampled once; synthesis and
+matched filter run one in-place FFT of length S per group, so no row depends
+on the batch that holds it, and a pulse of samples exactly 1.0 (rect) skips
+the multiply by p. The Gram block of two groups is the DFT of their product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -226,6 +226,9 @@ class OfdmConfig:
                     f"per-subcarrier assignment has {len(self.pulse_assignment)} "
                     f"pulses for N={self.n_subcarriers}"
                 )
+            for k, desc in enumerate(self.pulse_assignment):
+                if not isinstance(desc, PulseDescriptor):
+                    raise ConfigError(f"pulse_assignment[{k}] is {desc!r}, not a descriptor")
         elif not isinstance(self.pulse_assignment, PulseDescriptor):
             raise ConfigError("pulse_assignment must be a descriptor or tuple")
 
@@ -249,26 +252,23 @@ def _condition(g: np.ndarray) -> float:
 
 
 class ModemKernel:
-    """Precomputed matrices for one configuration.
+    """Precomputed pulses and matrices for one configuration.
 
     pulses: (N, S) samples p_k(t); a read-only broadcast of one row when
-            the pulse is shared
-    synth: (N, S) rows a_k -> contribution p_k(t) exp(+j2pi k t/T)
-    mf:    (S, N) so that y = r @ mf is the normalized matched filter bank
-    gram:  Hermitian N x N with unit diagonal; noiseless y = gram @ a
+            one pulse serves every subcarrier
+    energies: (N,) pulse energies e_k
+    groups: (carriers, samples) per distinct pulse, in order of first use;
+            carriers a slice or an index array, samples None if all 1.0
+    gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
+           outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
-    gram_inv: G^-1, shared by every ZF solve; raises
-              IllConditionedGramError beyond GRAM_CONDITION_LIMIT
+    gram_inv: the inverse of that response, shared by every ZF solve;
+              raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
     gram_is_identity: gram equals the identity exactly, as every rect
-              kernel's Toeplitz gram does; then the condition is 1, G^-1
+              kernel's gram does; then the condition is 1, the inverse
               is gram itself and solve_zf returns its input
-    use_fft: the pulse is shared; synthesize and matched_filter by FFT
-    fft_pulse: that pulse, or None if every sample is exactly 1.0 and
-             the FFT stages skip the multiply
 
-    The matrices are built on first use, so PAPR and CCDF runs never
-    build ``gram``. A pulse set builds ``synth`` and ``mf`` here; an FFT
-    kernel never reads them.
+    The Gram matrix and its inverse are built on first use, never by PAPR or CCDF runs.
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -277,46 +277,43 @@ class ModemKernel:
         N, S = cfg.n_subcarriers, cfg.samples_per_symbol
         self.dt = grid.dt
 
-        self.use_fft = isinstance(cfg.pulse_assignment, PulseDescriptor)
-        if self.use_fft:
-            p = sample_pulse(cfg.pulse_assignment, grid)
-            self.energies = np.full(N, np.sum(p**2) * self.dt)
-            self.pulses = np.broadcast_to(p, (N, S))
-            self.fft_pulse = None if np.all(p == 1.0) else p
-        else:
-            self.pulses = np.stack([sample_pulse(d, grid) for d in cfg.pulse_assignment])
-            self.energies = np.sum(self.pulses**2, axis=1) * self.dt
+        assignment = cfg.pulse_assignment
+        if isinstance(assignment, PulseDescriptor):
+            assignment = (assignment,) * N
+        group_of: dict[PulseDescriptor, int] = {}  # groups numbered by first use
+        group = np.array([group_of.setdefault(desc, len(group_of)) for desc in assignment])
+        samples = np.stack([sample_pulse(desc, grid) for desc in group_of])
+        self.energies = (np.sum(samples**2, axis=1) * self.dt)[group]
         if np.any(self.energies <= 0):
             raise DegeneratePulseError("zero-energy pulse in assignment")
-        if not self.use_fft:
-            self.mf  # built once here, never concurrently by worker threads
-
-    @functools.cached_property
-    def synth(self) -> np.ndarray:
-        N = self.cfg.n_subcarriers
-        phases = np.exp(2j * np.pi * np.outer(np.arange(N), self.cfg.grid.times()))
-        return self.pulses * phases
-
-    @functools.cached_property
-    def mf(self) -> np.ndarray:
-        return self.synth.conj().T * (self.dt / self.energies)
+        self.pulses = np.broadcast_to(samples[0], (N, S)) if len(group_of) == 1 else samples[group]
+        self.groups = []
+        for i, p in enumerate(samples):
+            # evenly spaced subcarriers (a shared pulse, one pulse of a cyclic set) as a slice
+            ks = np.flatnonzero(group == i)
+            cut = slice(ks[0], ks[-1] + 1, ks[1] - ks[0] if ks.size > 1 else 1)
+            carriers = cut if np.array_equal(ks, np.arange(N)[cut]) else ks
+            self.groups.append((carriers, None if np.all(p == 1.0) else p))
 
     def synthesize(self, a: np.ndarray) -> np.ndarray:
-        """(F, N) symbols -> (F, S) waveforms."""
-        if not self.use_fft:
-            return a @ self.synth
-        s = np.zeros((*a.shape[:-1], self.cfg.samples_per_symbol), dtype=complex)
-        s[..., : self.cfg.n_subcarriers] = a
-        np.fft.ifft(s, axis=-1, norm="forward", out=s)
-        return s if self.fft_pulse is None else np.multiply(s, self.fft_pulse, out=s)
+        """(F, N) symbols -> (F, S) waveforms, summed over the groups."""
+        s = None
+        for carriers, p in self.groups:
+            x = np.zeros((*a.shape[:-1], self.cfg.samples_per_symbol), dtype=complex)
+            x[..., carriers] = a[..., carriers]
+            np.fft.ifft(x, axis=-1, norm="forward", out=x)
+            x = x if p is None else np.multiply(x, p, out=x)
+            s = x if s is None else np.add(s, x, out=s)
+        return s
 
     def matched_filter(self, r: np.ndarray) -> np.ndarray:
         """(F, S) received waveforms -> (F, N) matched-filter outputs."""
-        if not self.use_fft:
-            return r @ self.mf
-        x = r if self.fft_pulse is None else np.multiply(r, self.fft_pulse, dtype=complex)
-        x = np.fft.fft(x, axis=-1, out=None if x is r else x)  # in place, but never on r
-        return x[..., : self.cfg.n_subcarriers] * (self.dt / self.energies)
+        y = np.empty((*r.shape[:-1], self.cfg.n_subcarriers), dtype=complex)
+        for carriers, p in self.groups:
+            x = r if p is None else np.multiply(r, p, dtype=complex)
+            x = np.fft.fft(x, axis=-1, out=None if x is r else x)  # in place, but never on r
+            y[..., carriers] = x[..., carriers]
+        return np.multiply(y, self.dt / self.energies, out=y)
 
     @functools.cached_property
     def constellation(self) -> Constellation:
@@ -324,16 +321,16 @@ class ModemKernel:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        N, S = self.cfg.n_subcarriers, self.cfg.samples_per_symbol
-        if self.use_fft:
-            # G[k, l] = c[(k - l) mod S], c the DFT of p^2 over the energy
-            c = squared_transform(self.pulses[0], self.dt)
-            k = np.arange(N)
-            g = c[(k[:, None] - k) % S]
-        else:
-            corr = (self.synth @ self.synth.conj().T) * self.dt
-            g = np.conj(corr) / np.sqrt(np.outer(self.energies, self.energies))
-        return 0.5 * (g + g.conj().T)
+        N = self.cfg.n_subcarriers
+        ks = [np.arange(N)[carriers] for carriers, _ in self.groups]
+        g = np.empty((N, N), dtype=complex)
+        for ki, kj in itertools.product(ks, repeat=2):
+            # G[k, l] = c[(k - l) mod S], c the DFT of p_k p_l over sqrt(e_k e_l)
+            c = squared_transform(self.pulses[ki[0]], self.dt, other=self.pulses[kj[0]])
+            g[np.ix_(ki, kj)] = c.take(ki[:, None] - kj, mode="wrap")
+        g += g.conj().T  # symmetrized in place, without a third N x N array
+        g *= 0.5
+        return g
 
     @functools.cached_property
     def gram_is_identity(self) -> bool:
@@ -347,13 +344,16 @@ class ModemKernel:
     def gram_inv(self) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
             raise IllConditionedGramError(self.gram_condition)
-        return self.gram if self.gram_is_identity else np.linalg.inv(self.gram)
+        if self.gram_is_identity:
+            return self.gram
+        inv = np.linalg.inv(self.gram)
+        # the noiseless response E^-1/2 G E^1/2 has inverse sqrt(e_l / e_k) G^-1
+        inv *= np.sqrt(self.energies / self.energies[:, None])
+        return inv
 
     def solve_zf(self, y: np.ndarray) -> np.ndarray:
-        """Exact zero-forcing of (F, N) matched-filter outputs: G a_hat = y."""
-        if self.gram_is_identity:
-            return y
-        return y @ self.gram_inv.T
+        """Exact zero-forcing of (F, N) matched-filter outputs: a_hat = gram_inv @ y."""
+        return y if self.gram_is_identity else y @ self.gram_inv.T
 
 
 @functools.lru_cache(maxsize=64)

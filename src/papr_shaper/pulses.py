@@ -129,9 +129,9 @@ def pulse_energy(samples: np.ndarray, dt: float) -> float:
     return float(np.sum(np.square(samples)) * dt)
 
 
-def squared_transform(samples: np.ndarray, dt: float, q: int = 1, points=None) -> np.ndarray:
-    """Transform of p^2 over the pulse energy at f = i/q (units of 1/T), i < points
-    (default q*S): one FFT of p^2 zero-padded to q*S, read periodically."""
-    p2 = np.square(samples)
-    spectrum = np.fft.fft(p2, n=q * p2.size).take(np.arange(points or q * p2.size), mode="wrap")
-    return spectrum * (dt / (np.sum(p2) * dt))
+def squared_transform(p: np.ndarray, dt: float, q: int = 1, points=None, other=None) -> np.ndarray:
+    """Transform of p * other (default p * p) over sqrt(e_p e_other) at f = i/q (units of
+    1/T), i < points (default q*S): one FFT of the product zero-padded to q*S, read periodically."""
+    other, n = p if other is None else other, q * p.size
+    spectrum = np.fft.fft(p * other, n=n).take(np.arange(points or n), mode="wrap")
+    return spectrum * (dt / math.sqrt(pulse_energy(p, dt) * pulse_energy(other, dt)))

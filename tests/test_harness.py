@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,11 +71,13 @@ class TestBerPoint:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_invariance(self, workers):
-        ref = run_ber_point(cfg_for(), 2.0, target_errors=300, max_frames=10_000, seed=5)
-        par = run_ber_point(
-            cfg_for(), 2.0, target_errors=300, max_frames=10_000, seed=5, workers=workers
-        )
-        assert ref == par
+        pulse_set = tuple((RECT, SINE1)[k % 2] for k in range(16))
+        for cfg in (cfg_for(), cfg_for(pulse=pulse_set)):
+            ref = run_ber_point(cfg, 2.0, target_errors=300, max_frames=10_000, seed=5)
+            par = run_ber_point(
+                cfg, 2.0, target_errors=300, max_frames=10_000, seed=5, workers=workers
+            )
+            assert ref == par
 
     def test_one_worker_starts_no_thread_pool(self, monkeypatch):
         # a pool thread gets its own malloc arena; workers=1 stays on the caller
@@ -210,32 +211,6 @@ class TestBatchSchedule:
             tracemalloc.stop()
         assert p.bits_sent > 400 * cfg.bits_per_frame
         assert peak < 64 * 2**20
-
-
-class TestFftPath:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
-    def test_fft_and_dense_paths_give_the_same_point(self, pulse, workers):
-        # N copies of the pulse form a per-subcarrier set, which keeps the
-        # dense synth/mf products and the dense Gram matrix as the oracle
-        def point(assignment):
-            return run_ber_point(
-                cfg_for(N=64, pulse=assignment), 4.0, target_errors=300, max_frames=5_000,
-                seed=11, workers=workers,
-            )
-
-        fft, dense = point(pulse), point((pulse,) * 64)
-        assert get_kernel(cfg_for(N=64, pulse=pulse)).use_fft
-        assert not get_kernel(cfg_for(N=64, pulse=(pulse,) * 64)).use_fft
-        assert replace(dense, pulse=fft.pulse, shape_n=fft.shape_n) == fft
-
-    def test_fft_kernel_builds_no_dense_matrix(self):
-        cfg = cfg_for(N=1024)
-        run_ber_point(cfg, 4.0, target_errors=10, max_frames=64, seed=1)
-        kern = get_kernel(cfg)
-        assert kern.use_fft
-        assert "synth" not in kern.__dict__
-        assert "mf" not in kern.__dict__
 
 
 class TestBerSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import demap_argmin
+from helpers import demap_argmin, dense_gram, dense_mf, dense_synth
 from papr_shaper import harness, seeding
 from papr_shaper.errors import (
     ConfigError,
@@ -27,12 +27,26 @@ from papr_shaper.pulses import PulseDescriptor, PulseFamily, squared_transform
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
+SINE2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
+TAPERED = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5)
 FAMILIES = {
     "rect": RECT,
     "sine1": SINE1,
-    "tapered": PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5),
+    "tapered": TAPERED,
     "tsinc": PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
 }
+# per-subcarrier pulse sets of N entries: cyclic of period 2 and 3, and one
+# whose groups are not evenly spaced (Thue-Morse: rect where k has an even
+# number of one bits), so index-array groups run too
+SETS = {
+    "alternating": lambda N: tuple((RECT, SINE1)[k % 2] for k in range(N)),
+    "cyclic3": lambda N: tuple((RECT, SINE1, TAPERED)[k % 3] for k in range(N)),
+    "irregular": lambda N: tuple((RECT, SINE1)[bin(k).count("1") % 2] for k in range(N)),
+}
+
+
+def assignment(name, N):
+    return FAMILIES[name] if name in FAMILIES else SETS[name](N)
 
 
 def cfg_for(N=4, M=4, pulse=RECT, L=4):
@@ -195,23 +209,27 @@ class TestMapDemap:
 
 class TestSynthesize:
     def test_single_dc_carrier(self):
-        s = np.array([[1.0 + 0j]]) @ get_kernel(cfg_for(N=1)).synth
+        s = np.array([[1.0 + 0j]]) @ dense_synth(get_kernel(cfg_for(N=1)))
         assert np.allclose(s, 1.0)
 
     def test_coherent_sum_at_origin(self):
-        s = np.array([[1.0 + 0j, 1.0 + 0j]]) @ get_kernel(cfg_for(N=2)).synth
+        s = np.array([[1.0 + 0j, 1.0 + 0j]]) @ dense_synth(get_kernel(cfg_for(N=2)))
         assert abs(s[0, 0]) == pytest.approx(2.0)
 
     def test_rect_parseval(self):
         cfg = cfg_for(N=4)
         kern = get_kernel(cfg)
         _, a = random_frames(cfg, seed=3)
-        energy = np.sum(np.abs(a @ kern.synth) ** 2, axis=1) * kern.dt
+        energy = np.sum(np.abs(a @ dense_synth(kern)) ** 2, axis=1) * kern.dt
         assert np.allclose(energy, np.sum(np.abs(a) ** 2, axis=1), atol=1e-9)
 
     def test_per_subcarrier_assignment_length_checked(self):
         with pytest.raises(ConfigError):
             OfdmConfig(n_subcarriers=4, m_order=4, pulse_assignment=(RECT, SINE1))
+
+    def test_per_subcarrier_assignment_entries_checked(self):
+        with pytest.raises(ConfigError, match=r"pulse_assignment\[3\] is 'sine'"):
+            OfdmConfig(n_subcarriers=4, m_order=4, pulse_assignment=(RECT, RECT, RECT, "sine"))
 
 
 class TestGram:
@@ -280,32 +298,32 @@ class TestGram:
 
 
 class TestSharedPulseKernel:
-    # Kernels are built directly, not through get_kernel's cache: the
-    # dense N x S oracles of the large ones would stay alive otherwise.
+    # Kernels are built directly, not through get_kernel's cache, so that
+    # the large ones do not stay alive.
 
     @pytest.mark.parametrize("N", [4, 16, 64, 256, 512, 1024])
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SETS))
     def test_fft_stages_match_dense(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
-        assert kern.use_fft
+        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
         rng = np.random.default_rng(N)
         a = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
         S = kern.cfg.samples_per_symbol
         r = rng.standard_normal((4, S)) + 1j * rng.standard_normal((4, S))
-        for fast, dense in ((kern.synthesize(a), a @ kern.synth), (kern.matched_filter(r), r @ kern.mf)):
+        synth = (kern.synthesize(a), a @ dense_synth(kern))
+        mf = (kern.matched_filter(r), r @ dense_mf(kern))
+        for fast, dense in (synth, mf):
             assert np.abs(fast - dense).max() <= 1e-11 * np.abs(dense).max()
 
     @pytest.mark.parametrize("N", [8, 64, 512])
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SETS))
     def test_toeplitz_gram_matches_dense(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
-        g = np.conj(kern.synth @ kern.synth.conj().T) * kern.dt / kern.energies[0]
-        assert np.abs(kern.gram - 0.5 * (g + g.conj().T)).max() < 1e-12
+        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
+        assert np.abs(kern.gram - dense_gram(kern)).max() < 1e-12
 
     @pytest.mark.parametrize("N", [3, 16, 64, 256])
-    @pytest.mark.parametrize("family", ["rect", "sine1"])
+    @pytest.mark.parametrize("family", ["rect", "sine1"] + sorted(SETS))
     def test_fft_stages_independent_of_batch(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=FAMILIES[family]))
+        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
         rng = np.random.default_rng(N)
         a = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
         s = kern.synthesize(a)
@@ -331,14 +349,10 @@ class TestSharedPulseKernel:
         assert not kern.pulses.flags.writeable
 
     def test_pulse_set_keeps_dense_path(self):
-        sine2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
-        pulses = tuple(sine2 if k % 2 else RECT for k in range(512))
+        # the FFT Gram matrix of a set matches the dense oracle
+        pulses = tuple(SINE2 if k % 2 else RECT for k in range(512))
         kern = ModemKernel(cfg_for(N=512, pulse=pulses))
-        assert not kern.use_fft
-        assert "mf" in kern.__dict__
-        corr = (kern.synth @ kern.synth.conj().T) * kern.dt
-        g = np.conj(corr) / np.sqrt(np.outer(kern.energies, kern.energies))
-        assert np.array_equal(kern.gram, 0.5 * (g + g.conj().T))
+        assert np.allclose(kern.gram, dense_gram(kern), rtol=0, atol=1e-12)
         # rect-rect and sine2-sine2 at separation 2 differ: not Toeplitz
         assert abs(kern.gram[0, 2] - kern.gram[1, 3]) > 0.1
 
@@ -347,14 +361,14 @@ class TestAwgn:
     def test_noiseless_bypass(self):
         cfg = cfg_for(N=4)
         kern = get_kernel(cfg)
-        s = random_frames(cfg)[1] @ kern.synth
+        s = random_frames(cfg)[1] @ dense_synth(kern)
         assert add_awgn(s, None, math.inf, cfg.bits_per_frame, kern.dt) is s
 
     def test_seed_determinism(self):
         # the noise is a pure function of the frame's seeded substream
         cfg = cfg_for(N=4)
         kern = get_kernel(cfg)
-        s = random_frames(cfg)[1] @ kern.synth
+        s = random_frames(cfg)[1] @ dense_synth(kern)
         S = cfg.samples_per_symbol
 
         def received(key):
@@ -384,23 +398,24 @@ class TestReceiver:
         cfg = cfg_for(N=8)
         kern = get_kernel(cfg)
         _, a = random_frames(cfg, seed=5)
-        assert np.allclose(a @ kern.synth @ kern.mf, a, atol=1e-9)
+        assert np.allclose(a @ dense_synth(kern) @ dense_mf(kern), a, atol=1e-9)
 
     def test_shaped_matched_filter_is_gram_times_symbols(self):
         cfg = cfg_for(N=8, pulse=SINE1)
         kern = get_kernel(cfg)
         _, a = random_frames(cfg, seed=6)
-        y = a @ kern.synth @ kern.mf
+        y = a @ dense_synth(kern) @ dense_mf(kern)
         oracle = (gram(cfg) @ a.T).T
         assert np.allclose(y, oracle, atol=1e-9)
 
     def test_linearity(self):
         cfg = cfg_for(N=8, pulse=SINE1)
         kern = get_kernel(cfg)
-        s1 = random_frames(cfg, seed=7)[1] @ kern.synth
-        s2 = random_frames(cfg, seed=8)[1] @ kern.synth
-        lhs = (s1 + s2) @ kern.mf
-        rhs = s1 @ kern.mf + s2 @ kern.mf
+        synth, mf = dense_synth(kern), dense_mf(kern)
+        s1 = random_frames(cfg, seed=7)[1] @ synth
+        s2 = random_frames(cfg, seed=8)[1] @ synth
+        lhs = (s1 + s2) @ mf
+        rhs = s1 @ mf + s2 @ mf
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_zf_identity(self):
@@ -413,6 +428,17 @@ class TestReceiver:
         a = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         a_hat = get_kernel(cfg).solve_zf((gram(cfg) @ a.T).T)
         assert np.allclose(a_hat, a, atol=1e-8)
+
+    @pytest.mark.parametrize("N,other", [(8, SINE1), (16, SINE2)])
+    def test_noiseless_roundtrip_with_unequal_energies(self, N, other):
+        # rect alternating with a sine pulse of lower energy: ZF must undo
+        # the matched filter's per-subcarrier 1/e_k, not just G
+        kern = get_kernel(cfg_for(N=N, pulse=tuple((RECT, other)[k % 2] for k in range(N))))
+        assert np.ptp(kern.energies) > 0.1
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+        a_hat = kern.solve_zf(kern.matched_filter(kern.synthesize(a)))
+        assert np.abs(a_hat - a).max() < 1e-10
 
     def test_rect_gram_is_exactly_identity(self, monkeypatch):
         def forbidden(*args):
@@ -443,6 +469,6 @@ class TestEndToEnd:
         cfg = cfg_for(N=16, M=M, pulse=pulse)
         kern = get_kernel(cfg)
         bits, a = random_frames(cfg, seed=M)
-        r = add_awgn(a @ kern.synth, None, math.inf, cfg.bits_per_frame, kern.dt)
-        a_hat = kern.solve_zf(r @ kern.mf)
+        r = add_awgn(a @ dense_synth(kern), None, math.inf, cfg.bits_per_frame, kern.dt)
+        a_hat = kern.solve_zf(r @ dense_mf(kern))
         assert np.array_equal(demap_symbols(a_hat, kern.constellation), bits)
