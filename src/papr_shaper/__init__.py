@@ -28,7 +28,6 @@ from .harness import (
 from .modem import (
     Constellation,
     OfdmConfig,
-    add_awgn,
     build_constellation,
     demap_symbols,
     map_bits,

@@ -156,7 +156,7 @@ def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
 
     lines = [
         f"# PAPR CCDF (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-        f"trials={curve.trials}, seed={cfg.seed})"
+        f"n={cfg.shape_n}, trials={curve.trials}, seed={cfg.seed})"
     ]
     crossing = _ccdf_crossing(curve, 1e-2)
     if crossing is not None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import PlanError
-from .modem import MAX_ABS_EBN0_DB, OfdmConfig, add_awgn, demap_symbols, get_kernel, map_bits
+from .modem import MAX_ABS_EBN0_DB, OfdmConfig, demap_symbols, get_kernel, map_bits
 from .pulses import PulseDescriptor, SamplingGrid
 
 __all__ = [
@@ -102,19 +102,30 @@ def _pulse_tag(cfg: OfdmConfig) -> tuple[str, int]:
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     """Bit errors per frame for frames [first_frame, first_frame + n_frames).
 
-    Frame i reads nbits uniforms for its bits, then 2S for its noise
-    normals, from its own slice of the substream.
+    BER frame i reads nbits + 2N draws: its bits, then the 2N normals of
+    its ZF-output noise, in (real, imaginary) pairs, from its own slice of
+    the substream. The matched filter and ZF are linear, so the receiver's
+    output is a + w without any waveform: w = sqrt(N0 / 2) (z_re + j z_im)
+    L^T, L = kern.noise_colour. Eb is measured per frame, from the energy
+    of the waveform the frame's symbols would synthesize, so shaped and
+    unshaped systems are compared at equal energy per bit. Eb/N0 = +inf
+    is the noiseless channel: a_hat = a, and no normal is read.
     """
-    S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
-    words = seeding.words_per_trial(nbits + 2 * S)
+    N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
+    words = seeding.words_per_trial(nbits + 2 * N)
     u = seeding.trial_uniforms(key, first_frame, n_frames, words)
 
     bits = seeding.uniforms_to_bits(u[:, :nbits])
-    s = kern.synthesize(map_bits(bits, kern.constellation))
-    noiseless = ebn0_db == math.inf
-    z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
-    r = add_awgn(s, z, ebn0_db, nbits, kern.dt)
-    bits_hat = demap_symbols(kern.solve_zf(kern.matched_filter(r)), kern.constellation)
+    a = map_bits(bits, kern.constellation)
+    if ebn0_db != math.inf:
+        # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
+        w = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N]).view(complex)
+        colour = kern.noise_colour
+        w = np.multiply(w, colour, out=w) if colour.ndim == 1 else w @ colour.T
+        n0 = kern.frame_energy(a) * (10.0 ** (-ebn0_db / 10.0) / nbits)
+        w *= np.sqrt(n0 / 2.0)[:, None]
+        a = np.add(w, a, out=w)
+    bits_hat = demap_symbols(a, kern.constellation)
     return (bits_hat != bits).sum(axis=1)
 
 
@@ -139,7 +150,7 @@ def run_ber_point(
     if workers < 1:
         raise PlanError(f"workers must be >= 1, got {workers}")
     kern = get_kernel(cfg)
-    kern.gram_inv  # checks the ZF limit; computed once, before any worker thread
+    kern.noise_colour  # checks the ZF limit; computed once, before any worker thread
     # the noise normals' ndtri: scipy is imported here, not by a worker thread
     import scipy.special  # noqa: F401
 

@@ -1,19 +1,23 @@
-"""The frame pipeline: Gray M-QAM, pulse-shaped OFDM, AWGN and the receiver.
+"""The frame pipeline: Gray M-QAM, pulse-shaped OFDM and the BER frame.
 
-Every stage works on a batch of frames, one frame per row:
+Every stage works on a batch of frames, one frame per row. A BER frame
+never builds its waveform. BER frame i reads nbits + 2N draws: its bits,
+then the 2N normals of its ZF-output noise, in (re, im) pairs z:
 
     a = map_bits(bits, kern.constellation)       # (F, N*k) -> (F, N)
-    s = kern.synthesize(a)                       # (F, S) waveforms
-    r = add_awgn(s, z, ebn0_db, frame_bits, kern.dt)
-    a_hat = kern.solve_zf(kern.matched_filter(r))  # matched filter, then ZF
+    n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
+    a_hat = a + sqrt(n0 / 2) * (z_re + j z_im) @ kern.noise_colour.T
     bits_hat = demap_symbols(a_hat, kern.constellation)
 
-The receiver is a matched-filter bank followed by an exact zero-forcing
-solve against the subcarrier Gram matrix. With identical shaped pulses
-on every subcarrier the Gram matrix is a banded Toeplitz matrix and the
-ZF solve removes the resulting intercarrier interference exactly. A rect
-kernel's Toeplitz Gram matrix is exactly the identity; such a kernel
-skips the condition number, the inverse and the per-frame ZF product.
+The receiver it stands for is a matched-filter bank followed by an exact
+zero-forcing solve against the subcarrier Gram matrix G. Both are linear,
+so with white noise of density N0 on the waveform the ZF output is a + w,
+w circular Gaussian of covariance N0 E^-1/2 G^-1 E^-1/2 (E = diag of the
+pulse energies), and the frame energy sum |s|^2 dt is the quadratic form
+a^H (G o sqrt(e e^T)) a. ``noise_colour`` is a factor L of that
+covariance over N0. A rect kernel's Toeplitz Gram matrix is exactly the
+identity; such a kernel skips the condition number and the inverse, and
+its L is the diagonal 1/sqrt(e), applied without a matrix product.
 
 The demapper never measures the distance to every point. Minimum-distance
 detection on a rectangular QAM grid separates per axis, so each axis is
@@ -23,10 +27,10 @@ is read from a table built once per constellation. The 32-cross is the
 the nearer of the two cross points beside it, decided by |x| against |y|.
 
 The kernel splits the subcarriers into pulse groups, one per distinct
-pulse (a shared pulse is one group). Each is sampled once; synthesis and
-matched filter run one in-place FFT of length S per group, so no row depends
-on the batch that holds it, and a pulse of samples exactly 1.0 (rect) skips
-the multiply by p. The Gram block of two groups is the DFT of their product.
+pulse (a shared pulse is one group). Each is sampled once; synthesis runs
+one in-place inverse FFT of length S per group, so no row depends on the
+batch that holds it, and a pulse of samples exactly 1.0 (rect) skips the
+multiply by p. The Gram block of two groups is the DFT of their product.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ __all__ = [
     "OfdmConfig",
     "build_constellation",
     "map_bits",
-    "add_awgn",
     "demap_symbols",
 ]
 
@@ -262,13 +265,17 @@ class ModemKernel:
     gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
            outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
-    gram_inv: the inverse of that response, shared by every ZF solve;
+    gram_inv: the ZF inverse of that response, E^-1/2 gram^-1 E^1/2;
               raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
     gram_is_identity: gram equals the identity exactly, as every rect
-              kernel's gram does; then the condition is 1, the inverse
-              is gram itself and solve_zf returns its input
+              kernel's gram does; then the condition is 1 and the inverse
+              is gram itself
+    noise_colour: L with L L^H = E^-1/2 gram^-1 E^-1/2, the ZF-output
+              noise covariance over N0; the vector 1/sqrt(energies)
+              when gram is the identity
 
-    The Gram matrix and its inverse are built on first use, never by PAPR or CCDF runs.
+    The Gram matrix and what derives from it are built on first use,
+    never by PAPR or CCDF runs.
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -306,14 +313,13 @@ class ModemKernel:
             s = x if s is None else np.add(s, x, out=s)
         return s
 
-    def matched_filter(self, r: np.ndarray) -> np.ndarray:
-        """(F, S) received waveforms -> (F, N) matched-filter outputs."""
-        y = np.empty((*r.shape[:-1], self.cfg.n_subcarriers), dtype=complex)
-        for carriers, p in self.groups:
-            x = r if p is None else np.multiply(r, p, dtype=complex)
-            x = np.fft.fft(x, axis=-1, out=None if x is r else x)  # in place, but never on r
-            y[..., carriers] = x[..., carriers]
-        return np.multiply(y, self.dt / self.energies, out=y)
+    def frame_energy(self, a: np.ndarray) -> np.ndarray:
+        """(F, N) symbols -> (F,) energies sum |s|^2 dt of their waveforms,
+        by the quadratic form a^H (G o sqrt(e e^T)) a."""
+        b = a * np.sqrt(self.energies)
+        gb = b if self.gram_is_identity else b @ self.gram.T
+        # Re(conj(b) gb) summed over k, as one real dot product per frame
+        return np.einsum("fk,fk->f", b.view(float), gb.view(float))
 
     @functools.cached_property
     def constellation(self) -> Constellation:
@@ -351,9 +357,13 @@ class ModemKernel:
         inv *= np.sqrt(self.energies / self.energies[:, None])
         return inv
 
-    def solve_zf(self, y: np.ndarray) -> np.ndarray:
-        """Exact zero-forcing of (F, N) matched-filter outputs: a_hat = gram_inv @ y."""
-        return y if self.gram_is_identity else y @ self.gram_inv.T
+    @functools.cached_property
+    def noise_colour(self) -> np.ndarray:
+        inv = self.gram_inv  # checks the ZF limit
+        if self.gram_is_identity:
+            return 1.0 / np.sqrt(self.energies)
+        # gram_inv / e_l = gram^-1 / sqrt(e_k e_l); its lower Cholesky factor
+        return np.linalg.cholesky(inv / self.energies)
 
 
 @functools.lru_cache(maxsize=64)
@@ -364,26 +374,3 @@ def get_kernel(cfg: OfdmConfig) -> ModemKernel:
 # Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
 # aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
 MAX_ABS_EBN0_DB = 100.0
-
-
-def add_awgn(
-    s: np.ndarray,
-    z: np.ndarray | None,
-    ebn0_db: float,
-    frame_bits: int,
-    dt: float,
-) -> np.ndarray:
-    """Add circular complex white Gaussian noise to (F, S) waveforms.
-
-    ``z`` holds (F, 2S) standard normals, real parts first. Eb is
-    measured per frame from the waveform itself, so shaped and unshaped
-    systems are compared at equal energy per bit. ``ebn0_db = +inf``
-    bypasses the channel and reads no ``z``.
-    """
-    if ebn0_db == math.inf:
-        return s
-    S = s.shape[1]
-    energy = (np.abs(s) ** 2).sum(axis=1) * dt
-    n0 = (energy / frame_bits) * 10.0 ** (-ebn0_db / 10.0)
-    sigma = np.sqrt(n0 / (2.0 * dt))  # per real dimension
-    return s + sigma[:, None] * (z[:, :S] + 1j * z[:, S:])

@@ -3,8 +3,10 @@
 Every trial (an OFDM frame) consumes a fixed number of 64-bit draws, so
 trial i always reads the same slice of a Philox stream no matter how
 trials are batched or spread over workers. That is what makes harness
-output byte-identical for any worker count. Every frame loop batches
-its frames by the one schedule of :func:`frame_batches`.
+output byte-identical for any worker count. BER frame i reads nbits + 2N
+draws: its bits, then the 2N normals of its ZF-output noise, in (real,
+imaginary) pairs. Every frame loop batches its frames by the one
+schedule of :func:`frame_batches`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,27 @@
 """Oracles shared by the test modules."""
 
+import math
+
 import numpy as np
+
+from papr_shaper import seeding
+from papr_shaper.modem import demap_symbols, map_bits
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
+
+RECT = PulseDescriptor(family=PulseFamily.RECT)
+SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
+SINE2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
+TAPERED = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5)
+
+# Assignments of N subcarriers the symbol-domain BER frame is checked on:
+# three shared pulses and a set whose pulses differ in energy (1 and 3/8),
+# the case where a wrong E^-1/2 scaling of the noise shows.
+ENGINE_PULSES = {
+    "rect": lambda N: RECT,
+    "sine1": lambda N: SINE1,
+    "tapered": lambda N: TAPERED,
+    "rect-sine2": lambda N: tuple((RECT, SINE2)[k % 2] for k in range(N)),
+}
 
 
 def papr(samples) -> float:
@@ -37,3 +58,57 @@ def dense_gram(kern) -> np.ndarray:
     corr = (synth @ synth.conj().T) * kern.dt
     g = np.conj(corr) / np.sqrt(np.outer(kern.energies, kern.energies))
     return 0.5 * (g + g.conj().T)
+
+
+# The waveform BER frame: bits -> M-QAM -> synthesis -> AWGN -> matched
+# filter -> ZF -> demap, the oracle of harness._frame_errors_batch.
+
+
+def add_awgn(s, z, ebn0_db, frame_bits, dt):
+    """Add circular complex white Gaussian noise to (F, S) waveforms.
+
+    ``z`` holds (F, 2S) standard normals, real parts first. Eb is
+    measured per frame from the waveform itself. ``ebn0_db = +inf``
+    bypasses the channel and reads no ``z``.
+    """
+    if ebn0_db == math.inf:
+        return s
+    S = s.shape[1]
+    energy = (np.abs(s) ** 2).sum(axis=1) * dt
+    n0 = (energy / frame_bits) * 10.0 ** (-ebn0_db / 10.0)
+    sigma = np.sqrt(n0 / (2.0 * dt))  # per real dimension
+    return s + sigma[:, None] * (z[:, :S] + 1j * z[:, S:])
+
+
+def matched_filter(kern, r):
+    """(F, S) received waveforms -> (F, N) matched-filter outputs, one FFT per pulse group."""
+    y = np.empty((*r.shape[:-1], kern.cfg.n_subcarriers), dtype=complex)
+    for carriers, p in kern.groups:
+        x = r if p is None else np.multiply(r, p, dtype=complex)
+        x = np.fft.fft(x, axis=-1, out=None if x is r else x)  # in place, but never on r
+        y[..., carriers] = x[..., carriers]
+    return np.multiply(y, kern.dt / kern.energies, out=y)
+
+
+def solve_zf(kern, y):
+    """Exact zero-forcing of (F, N) matched-filter outputs: a_hat = gram_inv @ y."""
+    return y if kern.gram_is_identity else y @ kern.gram_inv.T
+
+
+def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
+    """Bit errors per frame through the waveform chain.
+
+    Frame i reads nbits uniforms for its bits, then 2S for its noise
+    normals, from its own slice of the substream.
+    """
+    S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
+    words = seeding.words_per_trial(nbits + 2 * S)
+    u = seeding.trial_uniforms(key, first_frame, n_frames, words)
+
+    bits = seeding.uniforms_to_bits(u[:, :nbits])
+    s = kern.synthesize(map_bits(bits, kern.constellation))
+    noiseless = ebn0_db == math.inf
+    z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
+    r = add_awgn(s, z, ebn0_db, nbits, kern.dt)
+    bits_hat = demap_symbols(solve_zf(kern, matched_filter(kern, r)), kern.constellation)
+    return (bits_hat != bits).sum(axis=1)

@@ -6,12 +6,21 @@ performance work touched the pipeline. A change that alters one output
 byte (a flipped decision, a reordered draw, a changed float format)
 fails here. Regenerate the table only for a change that is meant to
 alter outputs, and say so where the change is recorded.
+
+The BER digests of ``GOLDEN`` were recorded through the waveform frame
+(synthesis, AWGN, matched filter, ZF), which reads nbits + 2S draws per
+frame. They are checked with that frame, ``helpers.waveform_frame_errors``,
+put in place of the symbol-domain one, so the oracle is the recorded
+pipeline bit for bit. ``SYMBOL_GOLDEN`` holds what the CLI writes for the
+same cases today, with nbits + 2N draws per frame.
 """
 
 import hashlib
 
 import pytest
 
+from helpers import waveform_frame_errors
+from papr_shaper import harness
 from papr_shaper.cli import main
 
 BER_N16 = ("n_subcarriers=16", "target_errors=200")
@@ -75,15 +84,15 @@ GOLDEN = {
     },
     "ccdf-rect-n4-no-crossing": {
         "ccdf.csv": "4953af8a99fa5ed5e36850da70f59d09effda08a4cf7fe640c31cc2ec3f0bb30",
-        "summary.txt": "1b67fd290b7edc3ddb662407ec7e4821d17d73866a9c3aa2074212f7c6f0014c",
+        "summary.txt": "576dfa1f6768c18245b0c14e269515db0e489b08d0538c4fa4761d6e649a533b",
     },
     "ccdf-rect-n16": {
         "ccdf.csv": "b5509eeb761b27bb17009a882dd82bdc5178e567a726a7860122b4518ddbdb67",
-        "summary.txt": "5b3ff0392eb962b6372509ed1fa54783f37c8d0cda32b20a48cc1b2b7a094911",
+        "summary.txt": "4570ecccefbeeded6db29c3a331590fd9e6050b79b3e1f26ad0100b8650faa00",
     },
     "ccdf-sine1-n16": {
         "ccdf.csv": "8903541d6ed69916b3be5679513f2d144b09c48e2519e0acd965257478e0053b",
-        "summary.txt": "b4a93d3948bf82db21e0d7b0a9634fac8ce734a52757559d316e477e43800335",
+        "summary.txt": "6e5acd76bc7d58a697c6a9964141d7d0d53618bb37e1b502fa36753336fd229b",
     },
     "papr-rect-n16": {
         "papr.csv": "9adb397eb87593709da0f8ffadefce05a096fbb34b5470f8f0fb5f23649b26d3",
@@ -111,6 +120,30 @@ GOLDEN = {
 }
 
 
+SYMBOL_GOLDEN = {
+    "ber-rect-m8-inf": {
+        "ber.csv": "4ad6bedc111b66942a6680b33e084a5446b23bfffd78d60dda0a7823545033e2",
+        "summary.txt": "a0b75a96039c886ecb4ace035f5b1f4fd58f16d956c3fd3a1a7c0553aa0f43be",
+    },
+    "ber-rect-m32": {
+        "ber.csv": "845c167fb6caf2ee66f0987bc047fedd0d43eb0b8631fae1fa3ead5305708a64",
+        "summary.txt": "d0858653f87a5baab412522656108373586b04e41e4146a8aa0e5bf6c2541f1b",
+    },
+    "ber-rect-m4": {
+        "ber.csv": "d837be1473bfcba3799c68f55c68752d1224e2cea23bb5d8b1ced37f0ed6a25b",
+        "summary.txt": "6784b8812100bc9d13990d86f27c73ef4f41a0ee2edbd01d0623c8ce80f0b2d3",
+    },
+    "ber-rect-m4-workers2": {
+        "ber.csv": "f8aa9659330df9f403a4762bc52f53cda18534298c0fb8ba4dce059c2776036e",
+        "summary.txt": "ef9a4484ab666a7b4375f1f59ad39e83bed79f0a3f2b5d48553613e8c7a3b958",
+    },
+    "ber-sine1-m16": {
+        "ber.csv": "484aff7b7de17d6ade2e7ccc94ec4c5d1c88d8197499ff200bdac1cd71415ae1",
+        "summary.txt": "97b1005ad00d00740370bd3e3ce62387f9510c371e32bc52996a181c41d14f5c",
+    },
+}
+
+
 def _argv(case, outdir):
     subcommand, *settings = case
     return [subcommand, "--output", str(outdir)] + [
@@ -127,5 +160,12 @@ def _digests(outdir):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden(name, tmp_path):
+    assert main(_argv(CASES[name], tmp_path)) == 0
+    assert _digests(tmp_path) == SYMBOL_GOLDEN.get(name, GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOL_GOLDEN))
+def test_waveform_oracle_matches_recorded_ber(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_frame_errors_batch", waveform_frame_errors)
     assert main(_argv(CASES[name], tmp_path)) == 0
     assert _digests(tmp_path) == GOLDEN[name]

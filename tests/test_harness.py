@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from helpers import ENGINE_PULSES, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import IllConditionedGramError, PlanError
@@ -153,7 +154,8 @@ class TestBerPoint:
 
 
 class TestBatchSchedule:
-    # (Eb/N0, target_errors, max_frames, frame range the stop must fall in)
+    # (Eb/N0, target_errors, max_frames, frame range the stop must fall in);
+    # at seed 9 the stops fall on frames 43, 490 and 3000
     CASES = {
         "first-batch": (0.0, 100, 10_000, (1, 64)),
         "mid-ramp": (4.0, 200, 10_000, (449, 960)),
@@ -199,8 +201,8 @@ class TestBatchSchedule:
         assert peak < 4 * 2**20
 
     def test_batch_memory_bounded_at_large_n(self):
-        # S = 4096 caps batches at 128 frames; the 512-frame batch a
-        # frame-count cap reaches for this 494-frame point peaks at 208 MB
+        # S = 4096 caps batches at 128 frames; this 551-frame point peaks
+        # at 14 MB, and the 512-frame batch a frame-count cap reaches at 56 MB
         cfg = cfg_for(N=1024)
         get_kernel(cfg).gram_inv  # kernel allocations are not the point's
         tracemalloc.start()
@@ -324,3 +326,47 @@ class TestNoiseEnhancement:
 
     def test_shaped_is_positive(self):
         assert zf_noise_enhancement_db(cfg_for(pulse=SINE1)) > 0.0
+
+
+class TestEngineEquivalence:
+    """The symbol-domain frame against the waveform oracle, by error counts.
+
+    Each cell runs the same number of frames through both frames at their
+    own seeds and compares the two bit error rates by a two-sample test.
+    The bits of one frame share its noise level (N0 follows its energy)
+    and, for a shaped pulse, correlated noise, so the test takes frames as
+    the independent trials: each rate's variance is that of its per-frame
+    error counts, which for rect QPSK is the plain binomial variance.
+    """
+
+    # (N, M, pulse, Eb/N0 values, frames): 2000 errors or more per rate,
+    # the Eb/N0 values raised by each cell's ZF penalty
+    CELLS = [
+        (4, 4, "rect", (0.0, 4.0), 30_000),
+        (64, 32, "rect", (8.0, 12.0), 5_000),
+        (16, 16, "sine1", (14.0, 18.0), 20_000),
+        (64, 4, "sine1", (14.0, 18.0), 3_000),
+        (4, 16, "tapered", (8.0, 12.0), 50_000),
+        (16, 32, "tapered", (18.0, 22.0), 5_000),
+        (16, 4, "rect-sine2", (2.0, 6.0), 5_000),
+        (64, 16, "rect-sine2", (8.0, 12.0), 2_000),
+    ]
+
+    @pytest.mark.parametrize("N,M,name,ebn0_list,frames", CELLS)
+    def test_error_rates_agree_with_waveform_oracle(self, N, M, name, ebn0_list, frames):
+        kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name](N)))
+        batches = list(seeding.frame_batches(frames, kern.cfg.samples_per_symbol))
+
+        def per_frame(frame_errors, ebn0_db, key):
+            return np.concatenate(
+                [frame_errors(kern, ebn0_db, lo, hi - lo, key) for lo, hi in batches]
+            )
+
+        for i, ebn0_db in enumerate(ebn0_list):
+            engine = per_frame(harness._frame_errors_batch, ebn0_db, seeding.mix64(N, M, i, 0))
+            oracle = per_frame(waveform_frame_errors, ebn0_db, seeding.mix64(N, M, i, 1))
+            z = (engine.mean() - oracle.mean()) / math.sqrt(
+                (engine.var() + oracle.var()) / frames
+            )
+            assert min(engine.sum(), oracle.sum()) >= 2000, ebn0_db
+            assert abs(z) < 4.5, (ebn0_db, engine.sum(), oracle.sum(), z)

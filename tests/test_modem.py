@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import demap_argmin, dense_gram, dense_mf, dense_synth
+from helpers import (
+    ENGINE_PULSES,
+    add_awgn,
+    demap_argmin,
+    dense_gram,
+    dense_mf,
+    dense_synth,
+    matched_filter,
+    solve_zf,
+)
 from papr_shaper import harness, seeding
 from papr_shaper.errors import (
     ConfigError,
@@ -17,7 +26,6 @@ from papr_shaper.modem import (
     ModemKernel,
     OfdmConfig,
     _condition,
-    add_awgn,
     build_constellation,
     demap_symbols,
     get_kernel,
@@ -310,7 +318,7 @@ class TestSharedPulseKernel:
         S = kern.cfg.samples_per_symbol
         r = rng.standard_normal((4, S)) + 1j * rng.standard_normal((4, S))
         synth = (kern.synthesize(a), a @ dense_synth(kern))
-        mf = (kern.matched_filter(r), r @ dense_mf(kern))
+        mf = (matched_filter(kern, r), r @ dense_mf(kern))
         for fast, dense in (synth, mf):
             assert np.abs(fast - dense).max() <= 1e-11 * np.abs(dense).max()
 
@@ -327,11 +335,11 @@ class TestSharedPulseKernel:
         rng = np.random.default_rng(N)
         a = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
         s = kern.synthesize(a)
-        y = kern.matched_filter(s)
+        y = matched_filter(kern, s)
         for rows in (1, 3, 5, 7):
             for lo in range(0, 64, rows):
                 assert np.array_equal(kern.synthesize(a[lo : lo + rows]), s[lo : lo + rows])
-                assert np.array_equal(kern.matched_filter(s[lo : lo + rows]), y[lo : lo + rows])
+                assert np.array_equal(matched_filter(kern, s[lo : lo + rows]), y[lo : lo + rows])
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_gram_column_is_the_unpadded_dft_of_p2(self, family):
@@ -420,13 +428,13 @@ class TestReceiver:
 
     def test_zf_identity(self):
         y = np.arange(8, dtype=complex).reshape(2, 4)
-        assert np.allclose(get_kernel(cfg_for(N=4)).solve_zf(y), y)
+        assert np.allclose(solve_zf(get_kernel(cfg_for(N=4)), y), y)
 
     def test_zf_roundtrip(self):
         cfg = cfg_for(N=8, pulse=SINE1)
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        a_hat = get_kernel(cfg).solve_zf((gram(cfg) @ a.T).T)
+        a_hat = solve_zf(get_kernel(cfg), (gram(cfg) @ a.T).T)
         assert np.allclose(a_hat, a, atol=1e-8)
 
     @pytest.mark.parametrize("N,other", [(8, SINE1), (16, SINE2)])
@@ -437,7 +445,7 @@ class TestReceiver:
         assert np.ptp(kern.energies) > 0.1
         rng = np.random.default_rng(N)
         a = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
-        a_hat = kern.solve_zf(kern.matched_filter(kern.synthesize(a)))
+        a_hat = solve_zf(kern, matched_filter(kern, kern.synthesize(a)))
         assert np.abs(a_hat - a).max() < 1e-10
 
     def test_rect_gram_is_exactly_identity(self, monkeypatch):
@@ -446,20 +454,74 @@ class TestReceiver:
 
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         cfg = cfg_for(N=48, M=8)  # a kernel no other test builds
         kern = get_kernel(cfg)
         assert "gram_inv" not in kern.__dict__
         harness.run_ber_point(cfg, 6.0, target_errors=5, max_frames=100, seed=1)
         assert kern.gram_condition == 1.0
+        assert np.array_equal(kern.noise_colour, 1.0 / np.sqrt(kern.energies))
         y = np.arange(96, dtype=complex).reshape(2, 48)
-        assert kern.solve_zf(y) is y
+        assert solve_zf(kern, y) is y
 
     def test_singular_gram_rejected(self):
         # nearly time-disjoint narrow pulses: a numerically singular Gram matrix
         narrow = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=400)
         kern = get_kernel(cfg_for(N=16, pulse=narrow))
         with pytest.raises(IllConditionedGramError):
-            kern.solve_zf(np.ones((1, 16), complex))
+            solve_zf(kern, np.ones((1, 16), complex))
+        with pytest.raises(IllConditionedGramError):
+            kern.noise_colour
+
+
+class TestSymbolDomain:
+    """The two facts the symbol-domain BER frame rests on, checked on the
+    waveform: the frame energy is a quadratic form in the symbols, and the
+    ZF output noise has covariance N0 E^-1/2 G^-1 E^-1/2 = N0 L L^H."""
+
+    @staticmethod
+    def zf_covariance(kern):
+        e = kern.energies
+        return np.linalg.inv(kern.gram) / np.sqrt(np.outer(e, e))
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
+    def test_frame_energy_is_the_waveform_energy(self, N, name):
+        kern = ModemKernel(cfg_for(N=N, M=32, pulse=ENGINE_PULSES[name](N)))
+        _, a = random_frames(kern.cfg, seed=N, frames=16)
+        energy = np.sum(np.abs(kern.synthesize(a)) ** 2, axis=1) * kern.dt
+        assert np.allclose(kern.frame_energy(a), energy, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
+    def test_noise_colour_factors_the_zf_covariance(self, N, name):
+        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name](N)))
+        L = kern.noise_colour
+        llh = np.diag(L**2) if L.ndim == 1 else L @ L.conj().T
+        target = self.zf_covariance(kern)
+        assert np.abs(llh - target).max() <= 1e-12 * np.abs(target).max()
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
+    def test_waveform_zf_noise_has_that_covariance(self, name):
+        N, frames, ebn0_db = 8, 200_000, 10.0
+        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name](N)))
+        _, a = random_frames(kern.cfg, seed=3, frames=1)
+        s = np.repeat(kern.synthesize(a), frames // 10, axis=0)  # in ten chunks
+        S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
+        rng = np.random.default_rng(7)
+        w = np.concatenate([
+            solve_zf(kern, matched_filter(kern, add_awgn(
+                s, rng.standard_normal((len(s), 2 * S)), ebn0_db, nbits, kern.dt
+            ))) - a
+            for _ in range(10)
+        ])
+        n0 = np.sum(np.abs(s[0]) ** 2) * kern.dt / nbits * 10 ** (-ebn0_db / 10)
+        target = n0 * self.zf_covariance(kern)
+        scale = np.sqrt(np.outer(np.diag(target), np.diag(target))).real
+        cov = w.T @ w.conj() / frames  # E[w_k conj(w_l)]
+        pseudo = w.T @ w / frames  # E[w_k w_l], zero for circular noise
+        assert (np.abs(cov - target) / scale).max() < 0.02
+        assert (np.abs(pseudo) / scale).max() < 0.01
 
 
 class TestEndToEnd:
@@ -470,5 +532,5 @@ class TestEndToEnd:
         kern = get_kernel(cfg)
         bits, a = random_frames(cfg, seed=M)
         r = add_awgn(a @ dense_synth(kern), None, math.inf, cfg.bits_per_frame, kern.dt)
-        a_hat = kern.solve_zf(r @ dense_mf(kern))
+        a_hat = solve_zf(kern, r @ dense_mf(kern))
         assert np.array_equal(demap_symbols(a_hat, kern.constellation), bits)
