@@ -5,7 +5,6 @@ M-QAM bit-error rate over AWGN for a family of subcarrier pulse shapes.
 """
 
 from .analysis import (
-    CcdfCurve,
     PulseMetrics,
     XcorrCurve,
     ccdf_empirical,
@@ -19,7 +18,6 @@ from .analysis import (
 from .errors import PaprShaperError
 from .harness import (
     BerPoint,
-    SweepPlan,
     run_ber_point,
     run_ber_sweep,
     run_xcorr_report,

@@ -19,7 +19,6 @@ from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse, s
 from . import seeding
 
 __all__ = [
-    "CcdfCurve",
     "XcorrCurve",
     "PulseMetrics",
     "max_papr",
@@ -42,15 +41,6 @@ NULL_THRESHOLD = 1e-6
 # xcorr_curve's frequency step is 1/128 of 1/T, so integer separation k
 # is always at index 128 k.
 XCORR_POINTS_PER_T = 128
-
-
-@dataclass(frozen=True)
-class CcdfCurve:
-    """P(PAPR > gamma) on an ascending dB threshold grid."""
-
-    gamma_db: np.ndarray
-    prob: np.ndarray
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -154,13 +144,13 @@ def ccdf_empirical(
     trials: int,
     seed: int,
     gamma_db: np.ndarray,
-) -> CcdfCurve:
-    """Empirical exceedance probability of PAPR over random frames."""
-    gamma_db = np.asarray(gamma_db, dtype=float)
+) -> np.ndarray:
+    """Empirical P(PAPR > gamma) over random frames, one per threshold
+    of the ascending dB grid ``gamma_db``."""
     papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed)))
     # strict inequality: count of samples > gamma
     exceed = trials - np.searchsorted(papr_db, gamma_db, side="right")
-    return CcdfCurve(gamma_db=gamma_db, prob=exceed / trials, trials=trials)
+    return exceed / trials
 
 
 def reference_ccdf(N: int, gamma_linear) -> np.ndarray | float:

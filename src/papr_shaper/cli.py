@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import (
     EXHAUSTIVE_FRAME_CAP,
+    _interp_crossing,
     ccdf_empirical,
     max_papr,
     reference_ccdf,
@@ -24,12 +25,7 @@ from .analysis import (
 )
 from .config import ConfigKeyError, RunConfig, parse_config
 from .errors import PaprShaperError
-from .harness import (
-    SweepPlan,
-    run_ber_sweep,
-    run_xcorr_report,
-    zf_noise_enhancement_db,
-)
+from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
 from .pulses import PulseFamily, SamplingGrid
 
 XCORR_GRID_SAMPLES = 1024
@@ -56,17 +52,18 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.gamma_min_db, cfg.gamma_max_db, count)
 
 
-def _ccdf_crossing(curve, level: float):
+def _labels(cfg: RunConfig) -> str:
+    """The N, M and pulse labels of a summary header."""
+    return f"N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, n={cfg.shape_n}"
+
+
+def _ccdf_crossing(gamma_db, prob, level: float):
     """Threshold (dB) where the empirical CCDF falls to ``level``."""
-    below = np.flatnonzero(curve.prob <= level)
+    below = np.flatnonzero(prob <= level)
     if not below.size or below[0] == 0:
         return None
     i = int(below[0])
-    g0, g1 = curve.gamma_db[i - 1], curve.gamma_db[i]
-    p0, p1 = curve.prob[i - 1], curve.prob[i]
-    if p1 == p0:
-        return float(g1)
-    return float(g0 + (level - p0) * (g1 - g0) / (p1 - p0))
+    return float(_interp_crossing(gamma_db[i - 1], gamma_db[i], prob[i - 1], prob[i], level))
 
 
 def _reference_crossing(N: int, level: float) -> float:
@@ -85,17 +82,17 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
     f_max = cfg.resolved_f_max()
     grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
 
-    rows = run_xcorr_report(desc, n_list, grid, f_max)
+    pairs = run_xcorr_report(desc, n_list, grid, f_max)
     _write_csv(
         os.path.join(outdir, "xcorr.csv"),
         "n,f_over_invT,rho_re,rho_im,rho_abs",
         [
-            (r.shape_n, f, rho.real, rho.imag, abs(rho))
-            for r in rows
-            for f, rho in zip(r.curve.freq, r.curve.rho)
+            (n, f, rho.real, rho.imag, abs(rho))
+            for n, (curve, _) in zip(n_list, pairs)
+            for f, rho in zip(curve.freq, curve.rho)
         ],
     )
-    metrics = [(r.shape_n, *astuple(r.metrics)) for r in rows]
+    metrics = [(n, *astuple(m)) for n, (_, m) in zip(n_list, pairs)]
     _write_csv(
         os.path.join(outdir, "metrics.csv"),
         "n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band",
@@ -106,19 +103,16 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
         f"# Crosscorrelation metrics ({cfg.pulse_family}, f up to {_fmt(f_max)}/T)",
         "n cutoff_3db cutoff_null sidelobe_db ortho_band",
     ]
-    for r, values in zip(rows, metrics):
-        m = r.metrics
+    for (curve, m), values in zip(pairs, metrics):
         missing = (
             "-3 dB point" if m.cutoff_3db is None else "null" if m.cutoff_first_null is None else None
         )
-        mark = f"  [partial: no {missing} below f = {_fmt(r.curve.freq[-1])}/T]" if missing else ""
+        mark = f"  [partial: no {missing} below f = {_fmt(curve.freq[-1])}/T]" if missing else ""
         lines.append(" ".join(_fmt(v) for v in values) + mark)
-    usable = [r for r in rows if r.metrics.cutoff_3db is not None]
-    for a, b in zip(usable, usable[1:]):
-        lines.append(
-            f"cutoff_3db ratio n={b.shape_n}/n={a.shape_n}: "
-            f"{_fmt(b.metrics.cutoff_3db / a.metrics.cutoff_3db)}"
-        )
+    if desc.family is PulseFamily.SINE_POWER:  # the only family that reads shape_n
+        usable = [(n, cutoff) for n, cutoff, *_ in metrics if cutoff is not None]
+        for (na, ca), (nb, cb) in zip(usable, usable[1:]):
+            lines.append(f"cutoff_3db ratio n={nb}/n={na}: {_fmt(cb / ca)}")
     return lines
 
 
@@ -135,10 +129,7 @@ def _run_papr(cfg: RunConfig, outdir: str) -> list[str]:
         [(method, v, 10.0 * np.log10(v)) for method, v in values.items()],
     )
 
-    lines = [
-        f"# Max PAPR (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-        f"n={cfg.shape_n}, trials={cfg.trials}, seed={cfg.seed})"
-    ]
+    lines = [f"# Max PAPR ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]
     for method, v in values.items():
         lines.append(f"{method}: {_fmt(v)} ({_fmt(10.0 * np.log10(v))} dB)")
     return lines
@@ -147,18 +138,15 @@ def _run_papr(cfg: RunConfig, outdir: str) -> list[str]:
 def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
     ofdm = cfg.ofdm_config()
     gamma = _gamma_grid(cfg)
-    curve = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
+    prob = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
     _write_csv(
         os.path.join(outdir, "ccdf.csv"),
         "gamma_db,prob,trials",
-        [(g, p, curve.trials) for g, p in zip(curve.gamma_db, curve.prob)],
+        [(g, p, cfg.trials) for g, p in zip(gamma, prob)],
     )
 
-    lines = [
-        f"# PAPR CCDF (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-        f"n={cfg.shape_n}, trials={curve.trials}, seed={cfg.seed})"
-    ]
-    crossing = _ccdf_crossing(curve, 1e-2)
+    lines = [f"# PAPR CCDF ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]
+    crossing = _ccdf_crossing(gamma, prob, 1e-2)
     if crossing is not None:
         lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
         if cfg.pulse_family == "rect":
@@ -169,19 +157,15 @@ def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
 
 
 def _run_ber(cfg: RunConfig, outdir: str) -> list[str]:
-    plan = SweepPlan(
-        cfg=cfg.ofdm_config(),
-        ebn0_db_list=tuple(cfg.ebn0_db_list),
-        target_errors=cfg.target_errors,
-        max_frames=cfg.max_frames,
-        master_seed=cfg.seed,
+    ofdm = cfg.ofdm_config()
+    points = run_ber_sweep(
+        ofdm, cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames, cfg.seed, cfg.workers
     )
-    points = run_ber_sweep(plan, workers=cfg.workers)
     _write_csv(
         os.path.join(outdir, "ber.csv"),
         "ebn0_db,m,pulse,shape_n,bits,errors,ber,ci_lo,ci_hi,seed",
         [
-            (p.ebn0_db, p.m_order, p.pulse, p.shape_n, p.bits_sent, p.bit_errors,
+            (p.ebn0_db, cfg.m, cfg.pulse_family, cfg.shape_n, p.bits_sent, p.bit_errors,
              p.ber, p.ci_lo, p.ci_hi, p.seed)
             for p in points
         ],
@@ -189,13 +173,12 @@ def _run_ber(cfg: RunConfig, outdir: str) -> list[str]:
 
     # the sweep has already raised if the kernel is beyond the ZF limit
     lines = [
-        f"# BER sweep (N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, "
-        f"n={cfg.shape_n}, seed={cfg.seed})",
-        f"ZF noise enhancement: {_fmt(zf_noise_enhancement_db(plan.cfg))} dB",
+        f"# BER sweep ({_labels(cfg)}, seed={cfg.seed})",
+        f"ZF noise enhancement: {_fmt(zf_noise_enhancement_db(ofdm))} dB",
         "ebn0_db ber ci_lo ci_hi theory delta",
     ]
     for p in points:
-        th = theoretical_ber(p.m_order, p.ebn0_db)
+        th = theoretical_ber(cfg.m, p.ebn0_db)
         lines.append(
             f"{_fmt(p.ebn0_db)} {_fmt(p.ber)} {_fmt(p.ci_lo)} {_fmt(p.ci_hi)} "
             f"{_fmt(th)} {_fmt(p.ber - th)}"

@@ -28,8 +28,8 @@ class UnsupportedOrderError(PaprShaperError):
 class IllConditionedGramError(PaprShaperError):
     """Gram matrix condition estimate exceeds the zero-forcing limit."""
 
-    def __init__(self, condition):
-        super().__init__(f"gram matrix condition {condition:.3e} exceeds 1e8")
+    def __init__(self, condition, limit):
+        super().__init__(f"gram matrix condition {condition:.3e} exceeds {limit:g}")
         self.condition = condition
 
 

@@ -1,15 +1,15 @@
-"""Seeded Monte-Carlo campaigns: BER sweeps, PAPR/CCDF runs, pulse reports.
+"""Seeded Monte-Carlo campaigns: BER points and sweeps, xcorr reports.
 
-Every campaign output is a pure function of its plan and master seed.
-Frames are independent single OFDM symbols; frame i always consumes the
-same random substream slice, and stopping decisions are made at frame
-granularity in index order. A BER point computes its frames in the
-batches of ``seeding.frame_batches``: 64 frames, doubling up to
-``seeding.BATCH_SAMPLES`` waveform samples, so a point that stops early
-wastes little work and a batch's memory does not grow with N; with
-several workers each wave runs the next batches of the same schedule.
-The worker count never changes the batches, so outputs are
-byte-identical for any worker count.
+Each campaign takes plain arguments and returns only what it measured;
+outputs are a pure function of those and the master seed. Frames are
+independent single OFDM symbols; frame i always consumes the same random
+substream slice, and stopping decisions are made at frame granularity in
+index order. A BER frame builds no waveform, but its batches follow
+``seeding.frame_batches``, which sizes them in waveform samples: 64
+frames, doubling up to ``seeding.BATCH_SAMPLES`` samples, so a point that
+stops early wastes little work; with several workers each wave runs the
+next batches of the same schedule. The worker count never changes the
+batches, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .pulses import PulseDescriptor, SamplingGrid
 
 __all__ = [
     "BerPoint",
-    "SweepPlan",
-    "XcorrRow",
     "run_ber_point",
     "run_ber_sweep",
     "run_xcorr_report",
@@ -46,34 +44,12 @@ WILSON_Z = 1.959963984540054
 @dataclass(frozen=True)
 class BerPoint:
     ebn0_db: float
-    m_order: int
-    pulse: str
-    shape_n: int
     bits_sent: int
     bit_errors: int
     ber: float
     ci_lo: float
     ci_hi: float
     seed: int
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    cfg: OfdmConfig
-    ebn0_db_list: tuple[float, ...]
-    target_errors: int = 200
-    max_frames: int = 1_000_000
-    master_seed: int = 1
-
-    def __post_init__(self):
-        if not self.ebn0_db_list:
-            raise PlanError("ebn0_db_list must be nonempty")
-        if any(b < a for a, b in zip(self.ebn0_db_list, self.ebn0_db_list[1:])):
-            raise PlanError("ebn0_db_list must be ascending")
-        if self.target_errors < 1:
-            raise PlanError("target_errors must be >= 1")
-        if self.max_frames < 1:
-            raise PlanError("max_frames must be >= 1")
 
 
 def wilson_interval(errors: int, trials_bits: int):
@@ -91,12 +67,6 @@ def wilson_interval(errors: int, trials_bits: int):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials_bits else min(1.0, center + half)
     return lo, hi
-
-
-def _pulse_tag(cfg: OfdmConfig) -> tuple[str, int]:
-    if isinstance(cfg.pulse_assignment, PulseDescriptor):
-        return cfg.pulse_assignment.tag(), cfg.pulse_assignment.shape_n
-    return "mixed", -1
 
 
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
@@ -192,12 +162,8 @@ def run_ber_point(
         raise PlanError("plan produced zero frames")
     bits_sent = frames_used * nbits
     lo_ci, hi_ci = wilson_interval(total_errors, bits_sent)
-    tag, shape_n = _pulse_tag(cfg)
     return BerPoint(
         ebn0_db=ebn0_db,
-        m_order=cfg.m_order,
-        pulse=tag,
-        shape_n=shape_n,
         bits_sent=bits_sent,
         bit_errors=total_errors,
         ber=total_errors / bits_sent,
@@ -207,19 +173,30 @@ def run_ber_point(
     )
 
 
-def run_ber_sweep(plan: SweepPlan, workers: int = 1) -> list[BerPoint]:
-    """One BerPoint per Eb/N0 value, each with its own derived seed."""
+def run_ber_sweep(
+    cfg: OfdmConfig,
+    ebn0_db_list,
+    target_errors: int = 200,
+    max_frames: int = 1_000_000,
+    seed: int = 1,
+    workers: int = 1,
+) -> list[BerPoint]:
+    """One BerPoint per Eb/N0 value of an ascending list; point i runs
+    ``run_ber_point`` with the seed ``seeding.mix64(seed, i)``."""
+    if not len(ebn0_db_list):
+        raise PlanError("ebn0_db_list must be nonempty")
+    if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
+        raise PlanError("ebn0_db_list must be ascending")
     points = []
-    for index, ebn0_db in enumerate(plan.ebn0_db_list):
-        point_seed = seeding.mix64(plan.master_seed, index)
+    for index, ebn0_db in enumerate(ebn0_db_list):
         try:
             points.append(
                 run_ber_point(
-                    plan.cfg,
+                    cfg,
                     ebn0_db,
-                    target_errors=plan.target_errors,
-                    max_frames=plan.max_frames,
-                    seed=point_seed,
+                    target_errors=target_errors,
+                    max_frames=max_frames,
+                    seed=seeding.mix64(seed, index),
                     workers=workers,
                 )
             )
@@ -229,32 +206,26 @@ def run_ber_sweep(plan: SweepPlan, workers: int = 1) -> list[BerPoint]:
     return points
 
 
-@dataclass(frozen=True)
-class XcorrRow:
-    shape_n: int
-    curve: XcorrCurve = field(compare=False, repr=False)
-    metrics: PulseMetrics
-
-
 def run_xcorr_report(
     desc: PulseDescriptor,
     n_list,
     grid: SamplingGrid,
     f_max: float,
-) -> list[XcorrRow]:
+) -> list[tuple[XcorrCurve, PulseMetrics]]:
     """Crosscorrelation curve and metrics of ``desc`` with each shape_n of
-    ``n_list``, one row per n, on the grid of ``xcorr_curve``.
+    ``n_list``: one (curve, metrics) pair per n, in order, on the grid of
+    ``xcorr_curve``.
 
-    Only ``shape_n`` varies between rows; a metric that does not occur
+    Only ``shape_n`` varies between pairs; a metric that does not occur
     below the curve's last frequency is None.
     """
     if not len(n_list):
         raise PlanError("n_list must be nonempty")
-    rows = []
+    pairs = []
     for n in n_list:
         curve = xcorr_curve(replace(desc, shape_n=int(n)), grid, f_max)
-        rows.append(XcorrRow(shape_n=int(n), curve=curve, metrics=pulse_metrics(curve)))
-    return rows
+        pairs.append((curve, pulse_metrics(curve)))
+    return pairs
 
 
 def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:

@@ -349,7 +349,7 @@ class ModemKernel:
     @functools.cached_property
     def gram_inv(self) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
-            raise IllConditionedGramError(self.gram_condition)
+            raise IllConditionedGramError(self.gram_condition, GRAM_CONDITION_LIMIT)
         if self.gram_is_identity:
             return self.gram
         inv = np.linalg.inv(self.gram)

@@ -48,10 +48,6 @@ class PulseDescriptor:
     taper_alpha: float = 0.0
     bandwidth_factor: float = 1.0
 
-    def tag(self) -> str:
-        """Short text identifier used in CSV output."""
-        return self.family.value
-
 
 @dataclass(frozen=True)
 class SamplingGrid:

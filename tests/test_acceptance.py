@@ -26,7 +26,7 @@ from papr_shaper.analysis import (
 )
 from papr_shaper.cli import dispatch
 from papr_shaper.config import parse_config
-from papr_shaper.harness import SweepPlan, run_ber_point, run_ber_sweep
+from papr_shaper.harness import run_ber_point, run_ber_sweep
 from papr_shaper.modem import OfdmConfig, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 from papr_shaper.seeding import mix64
@@ -146,14 +146,13 @@ def test_02_ber_matches_theory(report):
     """Rectangular-pulse QPSK Monte-Carlo BER agrees with the closed-form
     AWGN expression: theory lies inside every Wilson 95% interval."""
     t0 = time.perf_counter()
-    plan = SweepPlan(
-        cfg=cfg_for(64),
-        ebn0_db_list=(0.0, 2.0, 4.0, 6.0, 8.0),
+    points = run_ber_sweep(
+        cfg_for(64),
+        [0.0, 2.0, 4.0, 6.0, 8.0],
         target_errors=200,
         max_frames=200_000,
-        master_seed=2,
+        seed=2,
     )
-    points = run_ber_sweep(plan)
     misses = []
     for p in points:
         theory = theoretical_ber(4, p.ebn0_db)
@@ -176,6 +175,7 @@ def test_03_ber_ordering_in_m(report):
     """At a fixed Eb/N0, BER increases strictly with constellation order,
     with non-overlapping confidence intervals."""
     t0 = time.perf_counter()
+    orders = (4, 8, 16, 32)
     points = [
         run_ber_point(
             cfg_for(64, M),
@@ -184,7 +184,7 @@ def test_03_ber_ordering_in_m(report):
             max_frames=2_000_000,
             seed=mix64(2, M),
         )
-        for M in (4, 8, 16, 32)
+        for M in orders
     ]
     bers = [p.ber for p in points]
     ordered = all(b > a for a, b in zip(bers, bers[1:]))
@@ -196,7 +196,7 @@ def test_03_ber_ordering_in_m(report):
         "03 m-ordering",
         ok,
         "ber(M) at 10 dB: "
-        + ", ".join(f"M={p.m_order}: {p.ber:.3e}" for p in points)
+        + ", ".join(f"M={M}: {p.ber:.3e}" for M, p in zip(orders, points))
         + f"; ordered={ordered}, disjoint CIs={disjoint}, {elapsed:.1f}s",
     )
 
@@ -284,10 +284,10 @@ def test_06_ccdf_close_to_reference(report):
     t0 = time.perf_counter()
     cfg = cfg_for(64)
     gamma = np.linspace(0.0, 13.0, 1301)
-    curve = ccdf_empirical(cfg, 100_000, seed=1, gamma_db=gamma)
-    i = int(np.flatnonzero(curve.prob <= 1e-2)[0])
-    g0, g1 = curve.gamma_db[i - 1], curve.gamma_db[i]
-    p0, p1 = curve.prob[i - 1], curve.prob[i]
+    prob = ccdf_empirical(cfg, 100_000, seed=1, gamma_db=gamma)
+    i = int(np.flatnonzero(prob <= 1e-2)[0])
+    g0, g1 = gamma[i - 1], gamma[i]
+    p0, p1 = prob[i - 1], prob[i]
     emp = g0 + (1e-2 - p0) * (g1 - g0) / (p1 - p0)
     ref = db(-math.log(1.0 - 0.99 ** (1.0 / 64)))
     assert reference_ccdf(64, 10 ** (ref / 10)) == pytest.approx(1e-2, rel=1e-9)

@@ -106,26 +106,27 @@ class TestMaxPapr:
 
 class TestCcdf:
     def test_low_threshold_probability_one(self):
-        curve = ccdf_empirical(cfg_for(N=8), 200, seed=1, gamma_db=np.array([-30.0]))
-        assert curve.prob[0] == 1.0
+        prob = ccdf_empirical(cfg_for(N=8), 200, seed=1, gamma_db=np.array([-30.0]))
+        assert prob[0] == 1.0
 
     def test_above_bound_probability_zero(self):
         cfg = cfg_for(N=8)
         bound_db = 10 * math.log10(max_papr(cfg, method="bound"))
-        curve = ccdf_empirical(cfg, 200, seed=1, gamma_db=np.array([bound_db + 0.1]))
-        assert curve.prob[0] == 0.0
+        prob = ccdf_empirical(cfg, 200, seed=1, gamma_db=np.array([bound_db + 0.1]))
+        assert prob[0] == 0.0
 
     def test_monotone_and_bounded(self):
         gamma = np.linspace(0, 12, 121)
-        curve = ccdf_empirical(cfg_for(N=16), 2000, seed=3, gamma_db=gamma)
-        assert np.all(np.diff(curve.prob) <= 0)
-        assert np.all((curve.prob >= 0) & (curve.prob <= 1))
+        prob = ccdf_empirical(cfg_for(N=16), 2000, seed=3, gamma_db=gamma)
+        assert prob.shape == gamma.shape
+        assert np.all(np.diff(prob) <= 0)
+        assert np.all((prob >= 0) & (prob <= 1))
 
     def test_seed_determinism(self):
         gamma = np.linspace(0, 12, 25)
         a = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
         b = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
-        assert np.array_equal(a.prob, b.prob)
+        assert np.array_equal(a, b)
 
     def test_batches_capped_by_samples(self, monkeypatch):
         # S = 4096 caps batches at 128 frames; one uncapped 1024-frame

@@ -160,6 +160,17 @@ class TestDispatch:
         assert lines[0] == "ebn0_db,m,pulse,shape_n,bits,errors,ber,ci_lo,ci_hi,seed"
         assert lines[1].split(",")[5] == "0"
 
+    @pytest.mark.parametrize("family", sorted(f.value for f in PulseFamily))
+    def test_ber_csv_labels_come_from_the_config(self, tmp_path, family):
+        cfg = parse_config(
+            f"pulse_family = {family}\nshape_n = 2\nn_subcarriers = 8\n"
+            "ebn0_db_list = inf\nmax_frames = 1\n",
+            [f"output_path={tmp_path}"],
+        )
+        assert dispatch("ber", cfg) == 0
+        (row,) = read(tmp_path / "ber.csv").decode().splitlines()[1:]
+        assert row.split(",")[2:4] == [family, "2"]
+
     def test_byte_identical_rerun(self, tmp_path):
         for d in ("a", "b"):
             cfg = parse_config(

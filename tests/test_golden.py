@@ -114,7 +114,7 @@ GOLDEN = {
     },
     "xcorr-sinc": {
         "metrics.csv": "0d43b935ada2e9c57634361cf67b0d2363c18e29a7a4a4d81ae37e0d7894219a",
-        "summary.txt": "1c53fee462342dec05f53d76947e88cb365a817f988156bdb45fc22aa6b5f87a",
+        "summary.txt": "1d63aee5cbc2efa925462770a9e208c62d71a36710e322b39174f8471336ec33",
         "xcorr.csv": "855d49613e83e52e79d785a1919ad9856103a1b3cf428e2c354b4c7ac425d9bc",
     },
 }

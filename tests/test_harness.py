@@ -12,7 +12,6 @@ from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import IllConditionedGramError, PlanError
 from papr_shaper.harness import (
-    SweepPlan,
     run_ber_point,
     run_ber_sweep,
     run_xcorr_report,
@@ -116,13 +115,6 @@ class TestBerPoint:
             with pytest.raises(PlanError):
                 run_ber_point(cfg_for(), ebn0_db, max_frames=10, seed=1, **kwargs)
 
-    def test_shaped_pulse_tag(self):
-        p = run_ber_point(
-            cfg_for(pulse=SINE1), math.inf, target_errors=1, max_frames=5, seed=1
-        )
-        assert p.pulse == "sine_power"
-        assert p.shape_n == 1
-
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         N=st.integers(1, 32),
@@ -216,42 +208,38 @@ class TestBatchSchedule:
 
 
 class TestBerSweep:
-    def plan(self, ebn0, **kw):
-        return SweepPlan(cfg=cfg_for(N=64), ebn0_db_list=tuple(ebn0), **kw)
-
     def test_singleton(self):
-        pts = run_ber_sweep(self.plan([2.0], target_errors=50, max_frames=2_000))
+        pts = run_ber_sweep(cfg_for(N=64), [2.0], target_errors=50, max_frames=2_000)
         assert len(pts) == 1
         assert pts[0].ebn0_db == 2.0
 
     def test_one_point_per_ebn0(self):
-        pts = run_ber_sweep(self.plan([0.0, 2.0, 4.0], target_errors=50, max_frames=2_000))
+        pts = run_ber_sweep(cfg_for(N=64), [0.0, 2.0, 4.0], target_errors=50, max_frames=2_000)
         assert [p.ebn0_db for p in pts] == [0.0, 2.0, 4.0]
 
     def test_ber_strictly_decreasing(self):
         pts = run_ber_sweep(
-            self.plan([0.0, 2.0, 4.0, 6.0, 8.0], target_errors=500, max_frames=200_000)
+            cfg_for(N=64), [0.0, 2.0, 4.0, 6.0, 8.0], target_errors=500, max_frames=200_000
         )
         bers = [p.ber for p in pts]
         assert all(b < a for a, b in zip(bers, bers[1:]))
 
     def test_invalid_plans(self):
         with pytest.raises(PlanError):
-            SweepPlan(cfg=cfg_for(), ebn0_db_list=())
+            run_ber_sweep(cfg_for(), [])
         with pytest.raises(PlanError):
-            SweepPlan(cfg=cfg_for(), ebn0_db_list=(4.0, 2.0))
+            run_ber_sweep(cfg_for(), [4.0, 2.0])
 
     def test_minus_inf_point_rejected(self):
-        plan = SweepPlan(cfg=cfg_for(), ebn0_db_list=(-math.inf, 0.0), max_frames=10)
         with pytest.raises(PlanError, match=r"sweep point 0 .*-inf"):
-            run_ber_sweep(plan)
+            run_ber_sweep(cfg_for(), [-math.inf, 0.0], max_frames=10)
 
 
 class TestPaprExperiment:
     def test_single_trial(self):
-        curve = ccdf_empirical(cfg_for(N=4), 1, seed=3, gamma_db=np.array([0.0]))
+        prob = ccdf_empirical(cfg_for(N=4), 1, seed=3, gamma_db=np.array([0.0]))
         mx = max_papr(cfg_for(N=4), method="random", trials=1, seed=3)
-        assert curve.trials == 1
+        assert prob[0] == 1.0  # one frame, its PAPR above 0 dB
         assert mx > 1.0
 
     def test_max_below_bound(self):
@@ -270,50 +258,52 @@ class TestXcorrReport:
         return SamplingGrid(samples_per_symbol=1024)
 
     def test_rect_row(self):
-        rows = run_xcorr_report(SINE, [0], self.grid(), 8.0)
-        assert rows[0].metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
+        ((_, metrics),) = run_xcorr_report(SINE, [0], self.grid(), 8.0)
+        assert metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
 
     def test_rows_carry_their_curves(self):
         grid = self.grid()
-        rows = run_xcorr_report(SINE, [0, 3], grid, 8.0)
-        for row in rows:
-            desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=row.shape_n)
+        pairs = run_xcorr_report(SINE, [0, 3], grid, 8.0)
+        for n, (curve, _) in zip([0, 3], pairs, strict=True):
+            desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
             ref = xcorr_curve(desc, grid, 8.0)
-            assert np.array_equal(row.curve.freq, ref.freq)
-            assert np.array_equal(row.curve.rho, ref.rho)
+            assert np.array_equal(curve.freq, ref.freq)
+            assert np.array_equal(curve.rho, ref.rho)
 
     def test_rows_ordered_as_n_list(self):
-        rows = run_xcorr_report(SINE, [4, 0, 2], self.grid(), 8.0)
-        assert [r.shape_n for r in rows] == [4, 0, 2]
+        grid = self.grid()
+        pairs = run_xcorr_report(SINE, [4, 0, 2], grid, 8.0)
+        for n, (curve, _) in zip([4, 0, 2], pairs, strict=True):
+            ref = xcorr_curve(PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n), grid, 8.0)
+            assert np.array_equal(curve.rho, ref.rho)
 
     def test_cutoff_increasing(self):
-        rows = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
-        cutoffs = [r.metrics.cutoff_3db for r in rows]
+        pairs = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
+        cutoffs = [metrics.cutoff_3db for _, metrics in pairs]
         assert all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_partial_row_marked_others_computed(self):
-        rows = run_xcorr_report(SINE, [0, 16], self.grid(), 8.0)
-        assert rows[0].metrics.cutoff_first_null is not None
-        assert rows[1].metrics.cutoff_first_null is None  # no null below 8/T
-        assert rows[1].metrics.cutoff_3db is not None  # partial result kept
+        (_, m0), (_, m16) = run_xcorr_report(SINE, [0, 16], self.grid(), 8.0)
+        assert m0.cutoff_first_null is not None
+        assert m16.cutoff_first_null is None  # no null below 8/T
+        assert m16.cutoff_3db is not None  # partial result kept
 
     def test_rows_keep_the_other_parameters(self):
-        # only shape_n varies; a tapered row keeps its taper
+        # only shape_n varies; a tapered curve keeps its taper
         tapered = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.0)
-        (row,) = run_xcorr_report(tapered, [5], self.grid(), 8.0)
+        ((curve, _),) = run_xcorr_report(tapered, [5], self.grid(), 8.0)
         ref = xcorr_curve(tapered, self.grid(), 8.0)
-        assert row.shape_n == 5
-        assert np.array_equal(row.curve.rho, ref.rho)
+        assert np.array_equal(curve.rho, ref.rho)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(f_max=st.floats(1.0, 16.0))
     def test_any_f_max_gives_metrics(self, f_max):
-        (row,) = run_xcorr_report(SINE, [1], self.grid(), f_max)
-        f = row.curve.freq
+        ((curve, metrics),) = run_xcorr_report(SINE, [1], self.grid(), f_max)
+        f = curve.freq
         assert f[-2] < f_max <= f[-1]  # the grid ends at the first point past f_max
-        assert row.metrics.cutoff_3db == pytest.approx(0.72, abs=0.01)
+        assert metrics.cutoff_3db == pytest.approx(0.72, abs=0.01)
         # sin^2 has harmonics 0 and 1 only: every k >= 2 on the grid is a null
-        assert row.metrics.orthogonality_band == (2 if f[-1] >= 2 else None)
+        assert metrics.orthogonality_band == (2 if f[-1] >= 2 else None)
 
     def test_empty_n_list(self):
         with pytest.raises(PlanError):

@@ -15,7 +15,7 @@ from helpers import (
     matched_filter,
     solve_zf,
 )
-from papr_shaper import harness, seeding
+from papr_shaper import harness, modem, seeding
 from papr_shaper.errors import (
     ConfigError,
     FramingError,
@@ -472,6 +472,12 @@ class TestReceiver:
             solve_zf(kern, np.ones((1, 16), complex))
         with pytest.raises(IllConditionedGramError):
             kern.noise_colour
+
+    def test_error_names_the_limit_in_force(self, monkeypatch):
+        monkeypatch.setattr(modem, "GRAM_CONDITION_LIMIT", 50.0)
+        kern = ModemKernel(cfg_for(N=16, pulse=SINE1))  # condition 116, under the shipped limit
+        with pytest.raises(IllConditionedGramError, match=r"condition 1\.16\de\+02 exceeds 50$"):
+            kern.gram_inv
 
 
 class TestSymbolDomain:
