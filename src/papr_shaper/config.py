@@ -79,14 +79,17 @@ class RunConfig:
     def serialize(self) -> str:
         """Config-file text that parses back to an equal RunConfig.
 
-        The format has no escapes, so an ``output_path`` holding ``#``, a
-        line break or leading or trailing spaces does not round-trip.
+        The format has no escapes, so a string holding ``#``, a line break
+        or leading or trailing whitespace raises ConfigKeyError.
         """
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
             if v is None:
                 continue
+            if isinstance(v, str) and ("#" in v or v != v.strip() or len(f"{v}.".splitlines()) > 1):
+                raise ConfigKeyError(f.name, f"{v!r} cannot be written back: the format has no "
+                                     "escape for '#', line breaks or edge whitespace")
             if isinstance(v, list):
                 v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
             elif isinstance(v, float):
@@ -119,7 +122,7 @@ class RunConfig:
         return OfdmConfig(
             n_subcarriers=self.n_subcarriers,
             m_order=self.m,
-            pulse_assignment=self.pulse_descriptor(),
+            pulse_set=(self.pulse_descriptor(),),
             oversample=self.oversample,
         )
 

@@ -26,11 +26,13 @@ is read from a table built once per constellation. The 32-cross is the
 6x6 grid without its corners; a sample in an empty corner cell goes to
 the nearer of the two cross points beside it, decided by |x| against |y|.
 
-The kernel splits the subcarriers into pulse groups, one per distinct
-pulse (a shared pulse is one group). Each is sampled once; synthesis runs
-one in-place inverse FFT of length S per group, so no row depends on the
-batch that holds it, and a pulse of samples exactly 1.0 (rect) skips the
-multiply by p. The Gram block of two groups is the DFT of their product.
+The pulses form a cyclic set of period P: subcarrier k carries
+``pulse_set[k % P]``, and a shared pulse is a set of one. The kernel splits
+the subcarriers into P pulse groups, group g the slice g:N:P, and samples
+each group's pulse once. Synthesis runs one in-place inverse FFT of
+length S per group, so no row depends on the batch that holds it, and a
+pulse of samples exactly 1.0 (rect) skips the multiply by p. The Gram
+block of two groups is the DFT of their product.
 """
 
 from __future__ import annotations
@@ -207,13 +209,13 @@ def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
 class OfdmConfig:
     """N subcarriers at spacing 1/T, M-QAM, oversampling L (S = N*L).
 
-    ``pulse_assignment`` is either one descriptor shared by every
-    subcarrier or a tuple of exactly N descriptors.
+    ``pulse_set`` holds 1 <= P <= N descriptors used cyclically:
+    subcarrier k carries ``pulse_set[k % P]``.
     """
 
     n_subcarriers: int
     m_order: int
-    pulse_assignment: PulseDescriptor | tuple[PulseDescriptor, ...]
+    pulse_set: tuple[PulseDescriptor, ...]
     oversample: int = 4
 
     def __post_init__(self):
@@ -223,17 +225,10 @@ class OfdmConfig:
             raise UnsupportedOrderError(f"unsupported constellation order M={self.m_order}")
         if self.oversample < 4:
             raise ConfigError("oversample must be >= 4 for peak capture")
-        if isinstance(self.pulse_assignment, tuple):
-            if len(self.pulse_assignment) != self.n_subcarriers:
-                raise ConfigError(
-                    f"per-subcarrier assignment has {len(self.pulse_assignment)} "
-                    f"pulses for N={self.n_subcarriers}"
-                )
-            for k, desc in enumerate(self.pulse_assignment):
-                if not isinstance(desc, PulseDescriptor):
-                    raise ConfigError(f"pulse_assignment[{k}] is {desc!r}, not a descriptor")
-        elif not isinstance(self.pulse_assignment, PulseDescriptor):
-            raise ConfigError("pulse_assignment must be a descriptor or tuple")
+        ps = self.pulse_set
+        if not (isinstance(ps, tuple) and 1 <= len(ps) <= self.n_subcarriers
+                and all(isinstance(desc, PulseDescriptor) for desc in ps)):
+            raise ConfigError(f"pulse_set must be a tuple of 1 to {self.n_subcarriers} descriptors")
 
     @property
     def samples_per_symbol(self) -> int:
@@ -260,8 +255,8 @@ class ModemKernel:
     pulses: (N, S) samples p_k(t); a read-only broadcast of one row when
             one pulse serves every subcarrier
     energies: (N,) pulse energies e_k
-    groups: (carriers, samples) per distinct pulse, in order of first use;
-            carriers a slice or an index array, samples None if all 1.0
+    groups: (carriers, samples) per entry g of the pulse set of period P;
+            carriers the slice g:N:P, samples None if all 1.0
     gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
            outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
@@ -284,23 +279,18 @@ class ModemKernel:
         N, S = cfg.n_subcarriers, cfg.samples_per_symbol
         self.dt = grid.dt
 
-        assignment = cfg.pulse_assignment
-        if isinstance(assignment, PulseDescriptor):
-            assignment = (assignment,) * N
-        group_of: dict[PulseDescriptor, int] = {}  # groups numbered by first use
-        group = np.array([group_of.setdefault(desc, len(group_of)) for desc in assignment])
-        samples = np.stack([sample_pulse(desc, grid) for desc in group_of])
-        self.energies = (np.sum(samples**2, axis=1) * self.dt)[group]
-        if np.any(self.energies <= 0):
-            raise DegeneratePulseError("zero-energy pulse in assignment")
-        self.pulses = np.broadcast_to(samples[0], (N, S)) if len(group_of) == 1 else samples[group]
-        self.groups = []
-        for i, p in enumerate(samples):
-            # evenly spaced subcarriers (a shared pulse, one pulse of a cyclic set) as a slice
-            ks = np.flatnonzero(group == i)
-            cut = slice(ks[0], ks[-1] + 1, ks[1] - ks[0] if ks.size > 1 else 1)
-            carriers = cut if np.array_equal(ks, np.arange(N)[cut]) else ks
-            self.groups.append((carriers, None if np.all(p == 1.0) else p))
+        samples = np.stack([sample_pulse(desc, grid) for desc in cfg.pulse_set])
+        energies = np.sum(samples**2, axis=1) * self.dt
+        for g, e in enumerate(energies):
+            if e <= 0:
+                raise DegeneratePulseError(f"pulse_set[{g}] is a zero-energy pulse")
+        P = len(samples)
+        entry = np.arange(N) % P  # subcarrier k carries pulse_set[k % P]
+        self.energies = energies[entry]
+        self.pulses = np.broadcast_to(samples[0], (N, S)) if P == 1 else samples[entry]
+        self.groups = [
+            (slice(g, N, P), None if np.all(p == 1.0) else p) for g, p in enumerate(samples)
+        ]
 
     def synthesize(self, a: np.ndarray) -> np.ndarray:
         """(F, N) symbols -> (F, S) waveforms, summed over the groups."""
@@ -328,12 +318,12 @@ class ModemKernel:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         N = self.cfg.n_subcarriers
-        ks = [np.arange(N)[carriers] for carriers, _ in self.groups]
+        k = np.arange(N)
         g = np.empty((N, N), dtype=complex)
-        for ki, kj in itertools.product(ks, repeat=2):
+        for (ci, _), (cj, _) in itertools.product(self.groups, repeat=2):
             # G[k, l] = c[(k - l) mod S], c the DFT of p_k p_l over sqrt(e_k e_l)
-            c = squared_transform(self.pulses[ki[0]], self.dt, other=self.pulses[kj[0]])
-            g[np.ix_(ki, kj)] = c.take(ki[:, None] - kj, mode="wrap")
+            c = squared_transform(self.pulses[ci.start], self.dt, other=self.pulses[cj.start])
+            g[ci, cj] = c.take(k[ci, None] - k[cj], mode="wrap")
         g += g.conj().T  # symmetrized in place, without a third N x N array
         g *= 0.5
         return g

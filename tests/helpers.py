@@ -5,23 +5,30 @@ import math
 import numpy as np
 
 from papr_shaper import seeding
-from papr_shaper.modem import demap_symbols, map_bits
+from papr_shaper.modem import OfdmConfig, demap_symbols, map_bits
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
 SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
 SINE2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
 TAPERED = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5)
+TSINC = PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0)
 
-# Assignments of N subcarriers the symbol-domain BER frame is checked on:
-# three shared pulses and a set whose pulses differ in energy (1 and 3/8),
-# the case where a wrong E^-1/2 scaling of the noise shows.
+# Pulse sets the symbol-domain BER frame is checked on: three shared
+# pulses and a set whose pulses differ in energy (1 and 3/8), the case
+# where a wrong E^-1/2 scaling of the noise shows.
 ENGINE_PULSES = {
-    "rect": lambda N: RECT,
-    "sine1": lambda N: SINE1,
-    "tapered": lambda N: TAPERED,
-    "rect-sine2": lambda N: tuple((RECT, SINE2)[k % 2] for k in range(N)),
+    "rect": (RECT,),
+    "sine1": (SINE1,),
+    "tapered": (TAPERED,),
+    "rect-sine2": (RECT, SINE2),
 }
+
+
+def cfg_for(N=4, M=4, pulse=RECT, L=4):
+    """OfdmConfig of N subcarriers; ``pulse`` is a pulse set or one shared descriptor."""
+    pulse_set = pulse if isinstance(pulse, tuple) else (pulse,)
+    return OfdmConfig(n_subcarriers=N, m_order=M, pulse_set=pulse_set, oversample=L)
 
 
 def papr(samples) -> float:

@@ -27,23 +27,15 @@ from papr_shaper.analysis import (
 from papr_shaper.cli import dispatch
 from papr_shaper.config import parse_config
 from papr_shaper.harness import run_ber_point, run_ber_sweep
-from papr_shaper.modem import OfdmConfig, get_kernel
+from papr_shaper.modem import get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 from papr_shaper.seeding import mix64
 
-from helpers import dense_synth, papr, waveform_frame_errors
-
-RECT = PulseDescriptor(family=PulseFamily.RECT)
-TAPERED = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5)
-TSINC = PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0)
+from helpers import RECT, TAPERED, TSINC, cfg_for, dense_synth, papr, waveform_frame_errors
 
 
 def sine(n):
     return PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
-
-
-def cfg_for(N, M=4, pulse=RECT, L=4):
-    return OfdmConfig(n_subcarriers=N, m_order=M, pulse_assignment=pulse, oversample=L)
 
 
 def db(x):

@@ -20,7 +20,7 @@ from papr_shaper.analysis import (
 )
 from papr_shaper.errors import SearchSpaceTooLargeError, UnsupportedOrderError
 from papr_shaper.harness import run_ber_point
-from papr_shaper.modem import OfdmConfig, get_kernel
+from papr_shaper.modem import get_kernel
 from papr_shaper.pulses import (
     PulseDescriptor,
     PulseFamily,
@@ -29,14 +29,7 @@ from papr_shaper.pulses import (
     sample_pulse,
 )
 
-from helpers import dense_synth, papr
-
-RECT = PulseDescriptor(family=PulseFamily.RECT)
-SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
-
-
-def cfg_for(N=4, M=4, pulse=RECT, L=4):
-    return OfdmConfig(n_subcarriers=N, m_order=M, pulse_assignment=pulse, oversample=L)
+from helpers import RECT, SINE1, TAPERED, TSINC, cfg_for, dense_synth, papr
 
 
 def sine_curve(n, f_max=8.0, S=1024):
@@ -230,8 +223,8 @@ class TestXcorrOracle:
         "rect": RECT,
         "sine1": SINE1,
         "sine8": PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=8),
-        "tapered": PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5),
-        "tsinc": PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
+        "tapered": TAPERED,
+        "tsinc": TSINC,
     }
 
     @pytest.mark.parametrize("name", sorted(PULSES))

@@ -114,6 +114,12 @@ class TestParseConfig:
         assert again == cfg
         assert parse_config(again.serialize()) == again
 
+    @pytest.mark.parametrize("path", ["out#1", " out", "out\nx"])
+    def test_serialize_refuses_path_it_cannot_write_back(self, path):
+        with pytest.raises(ConfigKeyError) as exc:
+            RunConfig(output_path=path).serialize()
+        assert exc.value.key == "output_path"
+
     # The config format has no escapes: '#' starts a comment, a line ends
     # a value and values are stripped, so paths are drawn without those.
     @settings(derandomize=True, max_examples=60, deadline=None)

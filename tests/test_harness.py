@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from helpers import ENGINE_PULSES, waveform_frame_errors
+from helpers import ENGINE_PULSES, RECT, SINE1, cfg_for, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import IllConditionedGramError, PlanError
@@ -18,16 +18,10 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import OfdmConfig, get_kernel
+from papr_shaper.modem import get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
 
-RECT = PulseDescriptor(family=PulseFamily.RECT)
-SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
-
-
-def cfg_for(N=16, M=4, pulse=RECT):
-    return OfdmConfig(n_subcarriers=N, m_order=M, pulse_assignment=pulse)
 
 
 class TestWilson:
@@ -59,20 +53,19 @@ class TestWilson:
 
 class TestBerPoint:
     def test_noiseless_zero_errors(self):
-        p = run_ber_point(cfg_for(), math.inf, target_errors=10, max_frames=50, seed=1)
+        p = run_ber_point(cfg_for(N=16), math.inf, target_errors=10, max_frames=50, seed=1)
         assert p.bit_errors == 0
         assert p.ber == 0.0
         assert p.bits_sent == 50 * 32
 
     def test_determinism(self):
-        a = run_ber_point(cfg_for(), 3.0, target_errors=50, max_frames=10_000, seed=7)
-        b = run_ber_point(cfg_for(), 3.0, target_errors=50, max_frames=10_000, seed=7)
+        a = run_ber_point(cfg_for(N=16), 3.0, target_errors=50, max_frames=10_000, seed=7)
+        b = run_ber_point(cfg_for(N=16), 3.0, target_errors=50, max_frames=10_000, seed=7)
         assert a == b
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_invariance(self, workers):
-        pulse_set = tuple((RECT, SINE1)[k % 2] for k in range(16))
-        for cfg in (cfg_for(), cfg_for(pulse=pulse_set)):
+        for cfg in (cfg_for(N=16), cfg_for(N=16, pulse=(RECT, SINE1))):
             ref = run_ber_point(cfg, 2.0, target_errors=300, max_frames=10_000, seed=5)
             par = run_ber_point(
                 cfg, 2.0, target_errors=300, max_frames=10_000, seed=5, workers=workers
@@ -85,7 +78,7 @@ class TestBerPoint:
             raise AssertionError("workers=1 started a thread pool")
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-        p = run_ber_point(cfg_for(), 2.0, target_errors=300, max_frames=10_000, seed=5)
+        p = run_ber_point(cfg_for(N=16), 2.0, target_errors=300, max_frames=10_000, seed=5)
         assert p.bit_errors >= 300
 
     def test_matches_theory_within_ci(self):
@@ -94,14 +87,14 @@ class TestBerPoint:
         assert p.ci_lo <= theoretical_ber(4, 4.0) <= p.ci_hi
 
     def test_ci_brackets_estimate(self):
-        p = run_ber_point(cfg_for(), 0.0, target_errors=100, max_frames=5_000, seed=2)
+        p = run_ber_point(cfg_for(N=16), 0.0, target_errors=100, max_frames=5_000, seed=2)
         assert p.ci_lo <= p.ber <= p.ci_hi
 
     def test_stopping_at_target(self):
-        p = run_ber_point(cfg_for(), 0.0, target_errors=25, max_frames=100_000, seed=4)
+        p = run_ber_point(cfg_for(N=16), 0.0, target_errors=25, max_frames=100_000, seed=4)
         # stopped at the first frame reaching the target, not a batch edge
         assert p.bit_errors >= 25
-        assert p.bit_errors < 25 + cfg_for().bits_per_frame
+        assert p.bit_errors < 25 + cfg_for(N=16).bits_per_frame
 
     def test_bad_plan(self):
         bad = [
@@ -113,23 +106,27 @@ class TestBerPoint:
         ]
         for ebn0_db, kwargs in bad:
             with pytest.raises(PlanError):
-                run_ber_point(cfg_for(), ebn0_db, max_frames=10, seed=1, **kwargs)
+                run_ber_point(cfg_for(N=16), ebn0_db, max_frames=10, seed=1, **kwargs)
+
+    DESCRIPTORS = st.one_of(
+        st.builds(PulseDescriptor, family=st.just(PulseFamily.SINE_POWER),
+                  shape_n=st.integers(0, 2)),
+        st.builds(PulseDescriptor, family=st.just(PulseFamily.TAPERED_FLAT_TOP),
+                  taper_alpha=st.floats(0.0, 1.0)),
+        st.builds(PulseDescriptor, family=st.just(PulseFamily.TRUNCATED_SINC),
+                  bandwidth_factor=st.floats(0.01, 16.0)),
+    )
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         N=st.integers(1, 32),
         M=st.sampled_from([4, 8, 16, 32]),
-        pulse=st.one_of(
-            st.builds(PulseDescriptor, family=st.just(PulseFamily.SINE_POWER),
-                      shape_n=st.integers(0, 2)),
-            st.builds(PulseDescriptor, family=st.just(PulseFamily.TAPERED_FLAT_TOP),
-                      taper_alpha=st.floats(0.0, 1.0)),
-            st.builds(PulseDescriptor, family=st.just(PulseFamily.TRUNCATED_SINC),
-                      bandwidth_factor=st.floats(0.01, 16.0)),
-        ),
+        # one shared pulse, or a cyclic set of 1 to 3 pulses
+        pulse=DESCRIPTORS | st.lists(DESCRIPTORS, min_size=1, max_size=3).map(tuple),
         seed=st.integers(0, 2**63 - 1),
     )
     def test_noiseless_zero_errors_property(self, N, M, pulse, seed):
+        assume(isinstance(pulse, PulseDescriptor) or len(pulse) <= N)
         cfg = cfg_for(N=N, M=M, pulse=pulse)
         # a sinc whose samples all fall on its zeros but one is a delta; its G is singular
         assume(get_kernel(cfg).gram_condition <= modem.GRAM_CONDITION_LIMIT)
@@ -140,7 +137,7 @@ class TestBerPoint:
     def test_ill_conditioned_gram_propagates(self):
         # nearly time-disjoint narrow pulses: strongly non-orthogonal set
         narrow = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=400)
-        cfg = OfdmConfig(n_subcarriers=16, m_order=4, pulse_assignment=narrow)
+        cfg = cfg_for(N=16, pulse=narrow)
         with pytest.raises(IllConditionedGramError):
             run_ber_point(cfg, 10.0, target_errors=5, max_frames=10, seed=1)
 
@@ -165,7 +162,7 @@ class TestBatchSchedule:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_point_independent_of_batch_size_and_workers(self, case, monkeypatch):
         ebn0_db, target, max_frames, (first, last) = self.CASES[case]
-        cfg = cfg_for()
+        cfg = cfg_for(N=16)
 
         def point(workers):
             return run_ber_point(
@@ -181,7 +178,7 @@ class TestBatchSchedule:
                 assert point(workers) == ref, (batch_frames, workers)
 
     def test_huge_max_frames_allocates_only_what_it_computes(self):
-        cfg = cfg_for()
+        cfg = cfg_for(N=16)
         get_kernel(cfg).gram_inv  # kernel allocations are not the point's
         tracemalloc.start()
         try:
@@ -226,13 +223,13 @@ class TestBerSweep:
 
     def test_invalid_plans(self):
         with pytest.raises(PlanError):
-            run_ber_sweep(cfg_for(), [])
+            run_ber_sweep(cfg_for(N=16), [])
         with pytest.raises(PlanError):
-            run_ber_sweep(cfg_for(), [4.0, 2.0])
+            run_ber_sweep(cfg_for(N=16), [4.0, 2.0])
 
     def test_minus_inf_point_rejected(self):
         with pytest.raises(PlanError, match=r"sweep point 0 .*-inf"):
-            run_ber_sweep(cfg_for(), [-math.inf, 0.0], max_frames=10)
+            run_ber_sweep(cfg_for(N=16), [-math.inf, 0.0], max_frames=10)
 
 
 class TestPaprExperiment:
@@ -312,10 +309,10 @@ class TestXcorrReport:
 
 class TestNoiseEnhancement:
     def test_rect_is_zero(self):
-        assert zf_noise_enhancement_db(cfg_for()) == pytest.approx(0.0, abs=1e-9)
+        assert zf_noise_enhancement_db(cfg_for(N=16)) == pytest.approx(0.0, abs=1e-9)
 
     def test_shaped_is_positive(self):
-        assert zf_noise_enhancement_db(cfg_for(pulse=SINE1)) > 0.0
+        assert zf_noise_enhancement_db(cfg_for(N=16, pulse=SINE1)) > 0.0
 
 
 class TestEngineEquivalence:
@@ -344,7 +341,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("N,M,name,ebn0_list,frames", CELLS)
     def test_error_rates_agree_with_waveform_oracle(self, N, M, name, ebn0_list, frames):
-        kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name](N)))
+        kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name]))
         batches = list(seeding.frame_batches(frames, kern.cfg.samples_per_symbol))
 
         def per_frame(frame_errors, ebn0_db, key):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     ENGINE_PULSES,
+    RECT,
+    SINE1,
+    SINE2,
+    TAPERED,
+    TSINC,
     add_awgn,
+    cfg_for,
     demap_argmin,
     dense_gram,
     dense_mf,
@@ -18,6 +24,7 @@ from helpers import (
 from papr_shaper import harness, modem, seeding
 from papr_shaper.errors import (
     ConfigError,
+    DegeneratePulseError,
     FramingError,
     IllConditionedGramError,
     UnsupportedOrderError,
@@ -33,32 +40,15 @@ from papr_shaper.modem import (
 )
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, squared_transform
 
-RECT = PulseDescriptor(family=PulseFamily.RECT)
-SINE1 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=1)
-SINE2 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=2)
-TAPERED = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5)
-FAMILIES = {
-    "rect": RECT,
-    "sine1": SINE1,
-    "tapered": TAPERED,
-    "tsinc": PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
-}
-# per-subcarrier pulse sets of N entries: cyclic of period 2 and 3, and one
-# whose groups are not evenly spaced (Thue-Morse: rect where k has an even
-# number of one bits), so index-array groups run too
+FAMILIES = {"rect": RECT, "sine1": SINE1, "tapered": TAPERED, "tsinc": TSINC}
+# cyclic pulse sets of period 2 and 3, and one whose repeated entry gives
+# two groups of the same pulse
 SETS = {
-    "alternating": lambda N: tuple((RECT, SINE1)[k % 2] for k in range(N)),
-    "cyclic3": lambda N: tuple((RECT, SINE1, TAPERED)[k % 3] for k in range(N)),
-    "irregular": lambda N: tuple((RECT, SINE1)[bin(k).count("1") % 2] for k in range(N)),
+    "alternating": (RECT, SINE1),
+    "cyclic3": (RECT, SINE1, TAPERED),
+    "repeated": (RECT, SINE1, RECT),
 }
-
-
-def assignment(name, N):
-    return FAMILIES[name] if name in FAMILIES else SETS[name](N)
-
-
-def cfg_for(N=4, M=4, pulse=RECT, L=4):
-    return OfdmConfig(n_subcarriers=N, m_order=M, pulse_assignment=pulse, oversample=L)
+PULSES = FAMILIES | SETS
 
 
 def random_frames(cfg, seed=0, frames=3):
@@ -231,13 +221,20 @@ class TestSynthesize:
         energy = np.sum(np.abs(a @ dense_synth(kern)) ** 2, axis=1) * kern.dt
         assert np.allclose(energy, np.sum(np.abs(a) ** 2, axis=1), atol=1e-9)
 
-    def test_per_subcarrier_assignment_length_checked(self):
-        with pytest.raises(ConfigError):
-            OfdmConfig(n_subcarriers=4, m_order=4, pulse_assignment=(RECT, SINE1))
+    @pytest.mark.parametrize(
+        "pulse_set",
+        [(RECT,) * 5, (), RECT, [RECT], (RECT, "sine")],
+        ids=["longer-than-N", "empty", "bare-descriptor", "list", "non-descriptor"],
+    )
+    def test_pulse_set_checked(self, pulse_set):
+        with pytest.raises(ConfigError, match="pulse_set"):
+            OfdmConfig(n_subcarriers=4, m_order=4, pulse_set=pulse_set)
 
-    def test_per_subcarrier_assignment_entries_checked(self):
-        with pytest.raises(ConfigError, match=r"pulse_assignment\[3\] is 'sine'"):
-            OfdmConfig(n_subcarriers=4, m_order=4, pulse_assignment=(RECT, RECT, RECT, "sine"))
+    def test_zero_energy_pulse_named(self):
+        # S = 15 is odd, so no sample of sin^100000 lands at t = T/2: all underflow to 0
+        cfg = cfg_for(N=3, pulse=(RECT, PulseDescriptor(PulseFamily.SINE_POWER, 100_000)), L=5)
+        with pytest.raises(DegeneratePulseError, match=r"pulse_set\[1\]"):
+            ModemKernel(cfg)
 
 
 class TestGram:
@@ -265,8 +262,9 @@ class TestGram:
         [
             RECT,
             SINE1,
-            PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5),
-            PulseDescriptor(family=PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0),
+            TAPERED,
+            TSINC,
+            (RECT, SINE1),
         ],
     )
     def test_hermitian_unit_diagonal_psd(self, pulse):
@@ -296,14 +294,6 @@ class TestGram:
         assert np.allclose(kern.gram_inv @ kern.gram, np.eye(8), atol=1e-9)
         assert kern.gram_inv is kern.gram_inv
 
-    def test_mixed_assignment(self):
-        pulses = tuple(
-            SINE1 if k % 2 else RECT for k in range(8)
-        )
-        G = gram(cfg_for(N=8, pulse=pulses))
-        assert np.allclose(np.diag(G).real, 1.0, atol=1e-9)
-        assert np.allclose(G, G.conj().T, atol=1e-12)
-
 
 class TestSharedPulseKernel:
     # Kernels are built directly, not through get_kernel's cache, so that
@@ -312,7 +302,9 @@ class TestSharedPulseKernel:
     @pytest.mark.parametrize("N", [4, 16, 64, 256, 512, 1024])
     @pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SETS))
     def test_fft_stages_match_dense(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
+        kern = ModemKernel(cfg_for(N=N, pulse=PULSES[family]))
+        P = len(kern.cfg.pulse_set)
+        assert [carriers for carriers, _ in kern.groups] == [slice(g, N, P) for g in range(P)]
         rng = np.random.default_rng(N)
         a = rng.standard_normal((4, N)) + 1j * rng.standard_normal((4, N))
         S = kern.cfg.samples_per_symbol
@@ -325,13 +317,13 @@ class TestSharedPulseKernel:
     @pytest.mark.parametrize("N", [8, 64, 512])
     @pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SETS))
     def test_toeplitz_gram_matches_dense(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
+        kern = ModemKernel(cfg_for(N=N, pulse=PULSES[family]))
         assert np.abs(kern.gram - dense_gram(kern)).max() < 1e-12
 
     @pytest.mark.parametrize("N", [3, 16, 64, 256])
     @pytest.mark.parametrize("family", ["rect", "sine1"] + sorted(SETS))
     def test_fft_stages_independent_of_batch(self, N, family):
-        kern = ModemKernel(cfg_for(N=N, pulse=assignment(family, N)))
+        kern = ModemKernel(cfg_for(N=N, pulse=PULSES[family]))
         rng = np.random.default_rng(N)
         a = rng.standard_normal((64, N)) + 1j * rng.standard_normal((64, N))
         s = kern.synthesize(a)
@@ -356,12 +348,9 @@ class TestSharedPulseKernel:
         assert kern.pulses.strides[0] == 0
         assert not kern.pulses.flags.writeable
 
-    def test_pulse_set_keeps_dense_path(self):
-        # the FFT Gram matrix of a set matches the dense oracle
-        pulses = tuple(SINE2 if k % 2 else RECT for k in range(512))
-        kern = ModemKernel(cfg_for(N=512, pulse=pulses))
-        assert np.allclose(kern.gram, dense_gram(kern), rtol=0, atol=1e-12)
-        # rect-rect and sine2-sine2 at separation 2 differ: not Toeplitz
+    def test_pulse_set_gram_is_not_toeplitz(self):
+        # rect-rect and sine2-sine2 at separation 2 differ
+        kern = ModemKernel(cfg_for(N=8, pulse=(RECT, SINE2)))
         assert abs(kern.gram[0, 2] - kern.gram[1, 3]) > 0.1
 
 
@@ -441,7 +430,7 @@ class TestReceiver:
     def test_noiseless_roundtrip_with_unequal_energies(self, N, other):
         # rect alternating with a sine pulse of lower energy: ZF must undo
         # the matched filter's per-subcarrier 1/e_k, not just G
-        kern = get_kernel(cfg_for(N=N, pulse=tuple((RECT, other)[k % 2] for k in range(N))))
+        kern = get_kernel(cfg_for(N=N, pulse=(RECT, other)))
         assert np.ptp(kern.energies) > 0.1
         rng = np.random.default_rng(N)
         a = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
@@ -493,7 +482,7 @@ class TestSymbolDomain:
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
     def test_frame_energy_is_the_waveform_energy(self, N, name):
-        kern = ModemKernel(cfg_for(N=N, M=32, pulse=ENGINE_PULSES[name](N)))
+        kern = ModemKernel(cfg_for(N=N, M=32, pulse=ENGINE_PULSES[name]))
         _, a = random_frames(kern.cfg, seed=N, frames=16)
         energy = np.sum(np.abs(kern.synthesize(a)) ** 2, axis=1) * kern.dt
         assert np.allclose(kern.frame_energy(a), energy, rtol=1e-12, atol=0)
@@ -501,7 +490,7 @@ class TestSymbolDomain:
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
     def test_noise_colour_factors_the_zf_covariance(self, N, name):
-        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name](N)))
+        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name]))
         L = kern.noise_colour
         llh = np.diag(L**2) if L.ndim == 1 else L @ L.conj().T
         target = self.zf_covariance(kern)
@@ -510,7 +499,7 @@ class TestSymbolDomain:
     @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
     def test_waveform_zf_noise_has_that_covariance(self, name):
         N, frames, ebn0_db = 8, 200_000, 10.0
-        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name](N)))
+        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name]))
         _, a = random_frames(kern.cfg, seed=3, frames=1)
         s = np.repeat(kern.synthesize(a), frames // 10, axis=0)  # in ten chunks
         S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
