@@ -87,11 +87,10 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int) -> np.ndarray:
     kern = get_kernel(cfg)
     points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
-    words = seeding.words_per_trial(N)
     key = seeding.mix64(seed)
     out = np.empty(trials)
     for lo, hi in seeding.frame_batches(trials, cfg.samples_per_symbol):
-        u = seeding.trial_uniforms(key, lo, hi - lo, words)[:, :N]
+        u = seeding.trial_uniforms(key, lo, hi - lo, N)
         out[lo:hi] = _batch_papr(points[seeding.uniforms_to_indices(u, M)], kern)
     return out
 
@@ -132,7 +131,8 @@ def max_papr(
 
     if method == "bound":
         a_max = float(np.abs(points).max())
-        peak = float(((a_max * np.abs(kern.pulses)).sum(axis=0) ** 2).max())
+        carriers = [len(range(N)[c]) for c, _ in kern.groups]  # subcarriers per pulse row
+        peak = float(((carriers @ (a_max * np.abs(kern.samples))) ** 2).max())
         mean_power = float(kern.energies.sum())  # T = 1
         return peak / mean_power
 

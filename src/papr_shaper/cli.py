@@ -23,8 +23,9 @@ from .analysis import (
     reference_ccdf,
     theoretical_ber,
 )
+from . import modem
 from .config import ConfigKeyError, RunConfig, parse_config
-from .errors import PaprShaperError
+from .errors import DegeneratePulseError, PaprShaperError
 from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
 from .pulses import PulseFamily, SamplingGrid
 
@@ -194,6 +195,12 @@ def dispatch(subcommand: str, cfg: RunConfig) -> int:
     """Run one subcommand, writing its CSVs and a summary file."""
     if subcommand not in RUNNERS:
         raise PaprShaperError(f"unknown subcommand {subcommand!r}")
+    if subcommand != "xcorr":  # xcorr samples the pulse on its own grid, not the frame's
+        try:
+            modem.get_kernel(cfg.ofdm_config())
+        except DegeneratePulseError:  # sin^n, the one family that can underflow to zero
+            S = cfg.n_subcarriers * cfg.oversample
+            raise ConfigKeyError("shape_n", f"sin^{cfg.shape_n} is zero at all {S} samples") from None
     os.makedirs(cfg.output_path, exist_ok=True)
     lines = RUNNERS[subcommand](cfg, cfg.output_path)
     path = os.path.join(cfg.output_path, "summary.txt")

@@ -25,7 +25,7 @@ MAX_WORKERS = 64
 MAX_FRAMES = 10**9  # frames per BER point
 # a BER kernel holds N x N matrices G, G^-1 and noise colour L: 268 MB each at N = 4096
 MAX_SUBCARRIERS = 4096
-# one frame holds N * oversample samples: 262144 at both caps
+# a frame and each of the kernel's P pulse rows hold N * oversample samples: 262144 at both caps
 MAX_OVERSAMPLE = 64
 # the PAPR array and its sorted copy: 800 MB each at 10^8 trials
 MAX_TRIALS = 10**8

@@ -82,8 +82,7 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     is the noiseless channel: a_hat = a, and no normal is read.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-    words = seeding.words_per_trial(nbits + 2 * N)
-    u = seeding.trial_uniforms(key, first_frame, n_frames, words)
+    u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N)
 
     bits = seeding.uniforms_to_bits(u[:, :nbits])
     a = map_bits(bits, kern.constellation)

@@ -28,11 +28,12 @@ the nearer of the two cross points beside it, decided by |x| against |y|.
 
 The pulses form a cyclic set of period P: subcarrier k carries
 ``pulse_set[k % P]``, and a shared pulse is a set of one. The kernel splits
-the subcarriers into P pulse groups, group g the slice g:N:P, and samples
-each group's pulse once. Synthesis runs one in-place inverse FFT of
-length S per group, so no row depends on the batch that holds it, and a
-pulse of samples exactly 1.0 (rect) skips the multiply by p. The Gram
-block of two groups is the DFT of their product.
+the subcarriers into P pulse groups, group g the slice g:N:P, and holds
+each group's pulse once, as row g of its (P, S) ``samples``. Synthesis
+runs one in-place inverse FFT of length S per group, so no row depends
+on the batch that holds it, and a pulse of samples exactly 1.0 (rect)
+skips the multiply by p. The Gram block of two groups is the DFT of
+their product.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def _condition(g: np.ndarray) -> float:
 class ModemKernel:
     """Precomputed pulses and matrices for one configuration.
 
-    pulses: (N, S) samples p_k(t); a read-only broadcast of one row when
-            one pulse serves every subcarrier
+    samples: read-only (P, S); row g is the pulse p(t) of pulse_set[g],
+            held once however many subcarriers carry it
     energies: (N,) pulse energies e_k
     groups: (carriers, samples) per entry g of the pulse set of period P;
             carriers the slice g:N:P, samples None if all 1.0
@@ -275,21 +276,19 @@ class ModemKernel:
 
     def __init__(self, cfg: OfdmConfig):
         self.cfg = cfg
-        grid = cfg.grid
-        N, S = cfg.n_subcarriers, cfg.samples_per_symbol
+        grid, N = cfg.grid, cfg.n_subcarriers
         self.dt = grid.dt
 
-        samples = np.stack([sample_pulse(desc, grid) for desc in cfg.pulse_set])
-        energies = np.sum(samples**2, axis=1) * self.dt
+        self.samples = np.stack([sample_pulse(desc, grid) for desc in cfg.pulse_set])
+        self.samples.setflags(write=False)
+        energies = np.sum(self.samples**2, axis=1) * self.dt
         for g, e in enumerate(energies):
             if e <= 0:
                 raise DegeneratePulseError(f"pulse_set[{g}] is a zero-energy pulse")
-        P = len(samples)
-        entry = np.arange(N) % P  # subcarrier k carries pulse_set[k % P]
-        self.energies = energies[entry]
-        self.pulses = np.broadcast_to(samples[0], (N, S)) if P == 1 else samples[entry]
+        P = len(energies)
+        self.energies = energies[np.arange(N) % P]  # subcarrier k carries pulse_set[k % P]
         self.groups = [
-            (slice(g, N, P), None if np.all(p == 1.0) else p) for g, p in enumerate(samples)
+            (slice(g, N, P), None if np.all(p == 1.0) else p) for g, p in enumerate(self.samples)
         ]
 
     def synthesize(self, a: np.ndarray) -> np.ndarray:
@@ -322,7 +321,7 @@ class ModemKernel:
         g = np.empty((N, N), dtype=complex)
         for (ci, _), (cj, _) in itertools.product(self.groups, repeat=2):
             # G[k, l] = c[(k - l) mod S], c the DFT of p_k p_l over sqrt(e_k e_l)
-            c = squared_transform(self.pulses[ci.start], self.dt, other=self.pulses[cj.start])
+            c = squared_transform(self.samples[ci.start], self.dt, other=self.samples[cj.start])
             g[ci, cj] = c.take(k[ci, None] - k[cj], mode="wrap")
         g += g.conj().T  # symmetrized in place, without a third N x N array
         g *= 0.5

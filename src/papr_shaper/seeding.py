@@ -3,8 +3,9 @@
 Every trial (an OFDM frame) consumes a fixed number of 64-bit draws, so
 trial i always reads the same slice of a Philox stream no matter how
 trials are batched or spread over workers. That is what makes harness
-output byte-identical for any worker count. BER frame i reads nbits + 2N
-draws: its bits, then the 2N normals of its ZF-output noise, in (real,
+output byte-identical for any worker count; the slice is the draw count
+rounded up to whole Philox blocks. BER frame i reads nbits + 2N draws:
+its bits, then the 2N normals of its ZF-output noise, in (real,
 imaginary) pairs. Every frame loop batches its frames by the one
 schedule of :func:`frame_batches`.
 """
@@ -42,11 +43,6 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def words_per_trial(n_draws: int) -> int:
-    """Round a per-trial draw count up to a whole Philox block."""
-    return -(-n_draws // 4) * 4
-
-
 def frame_batches(n_frames: int, samples_per_frame: int):
     """Lazy (first, end) frame ranges that tile [0, n_frames).
 
@@ -61,17 +57,15 @@ def frame_batches(n_frames: int, samples_per_frame: int):
         lo, size = hi, min(2 * size, cap)
 
 
-def trial_uniforms(key: int, first_trial: int, n_trials: int, n_words: int) -> np.ndarray:
-    """(n_trials, n_words) uniforms from the fixed-offset substream.
-
-    ``n_words`` must come from :func:`words_per_trial` so consecutive
-    calls tile the stream exactly.
-    """
+def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int) -> np.ndarray:
+    """(n_trials, n_draws) uniforms from the fixed-offset substream; each
+    trial owns ``n_draws`` words rounded up to whole Philox blocks, so
+    consecutive calls tile the stream exactly."""
+    blocks = -(-n_draws // 4)  # Philox.advance steps in blocks of four 64-bit words
     bitgen = np.random.Philox(key=key)
-    # Philox.advance steps the counter in blocks of four 64-bit words.
-    bitgen.advance(first_trial * n_words // 4)
+    bitgen.advance(first_trial * blocks)
     gen = np.random.Generator(bitgen)
-    return gen.random((n_trials, n_words))
+    return gen.random((n_trials, 4 * blocks))[:, :n_draws]
 
 
 def uniforms_to_bits(u: np.ndarray) -> np.ndarray:

@@ -48,10 +48,13 @@ def demap_argmin(y, c) -> np.ndarray:
 
 
 def dense_synth(kern) -> np.ndarray:
-    """(N, S) rows p_k(t) exp(+j2pi k t/T): the synthesis oracle ``a @ dense_synth(kern)``."""
-    N = kern.cfg.n_subcarriers
-    phases = np.exp(2j * np.pi * np.outer(np.arange(N), kern.cfg.grid.times()))
-    return kern.pulses * phases
+    """(N, S) rows p_k(t) exp(+j2pi k t/T): the synthesis oracle ``a @ dense_synth(kern)``.
+
+    Row k takes its pulse from the set's entry k % P, independently of the kernel's groups.
+    """
+    k = np.arange(kern.cfg.n_subcarriers)
+    phases = np.exp(2j * np.pi * np.outer(k, kern.cfg.grid.times()))
+    return kern.samples[k % len(kern.cfg.pulse_set)] * phases
 
 
 def dense_mf(kern) -> np.ndarray:
@@ -109,8 +112,7 @@ def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
     normals, from its own slice of the substream.
     """
     S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
-    words = seeding.words_per_trial(nbits + 2 * S)
-    u = seeding.trial_uniforms(key, first_frame, n_frames, words)
+    u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * S)
 
     bits = seeding.uniforms_to_bits(u[:, :nbits])
     s = kern.synthesize(map_bits(bits, kern.constellation))

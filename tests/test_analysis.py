@@ -20,7 +20,7 @@ from papr_shaper.analysis import (
 )
 from papr_shaper.errors import SearchSpaceTooLargeError, UnsupportedOrderError
 from papr_shaper.harness import run_ber_point
-from papr_shaper.modem import get_kernel
+from papr_shaper.modem import ModemKernel, get_kernel
 from papr_shaper.pulses import (
     PulseDescriptor,
     PulseFamily,
@@ -66,6 +66,28 @@ class TestMaxPapr:
         assert max_papr(cfg, method="bound") == pytest.approx(
             max_papr(cfg, method="exhaustive"), rel=1e-9
         )
+
+    def test_pulse_set_bound_equals_brute_force(self):
+        # peak of a_max sum_k |p_k(t)| over the mean power, from one dense row per subcarrier
+        cfg = cfg_for(N=8, pulse=(RECT, SINE1, TAPERED))
+        kern = get_kernel(cfg)
+        rows = np.abs(dense_synth(kern))
+        a_max = np.abs(kern.constellation.points).max()
+        brute = (a_max * rows.sum(axis=0)).max() ** 2 / ((rows**2).sum() * kern.dt)
+        assert max_papr(cfg, method="bound") == pytest.approx(brute, rel=1e-12)
+
+    def test_bound_and_set_kernel_build_no_n_by_s_array(self):
+        # an (N, S) float array at N = 1024, L = 64 is 512 MB
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: max_papr(cfg_for(N=1024, L=64), "bound")) < 16 * 2**20
+        assert peak(lambda: ModemKernel(cfg_for(N=1024, pulse=(RECT, SINE1), L=64))) < 16 * 2**20
 
     @pytest.mark.parametrize("pulse", [RECT, SINE1], ids=["rect", "sine1"])
     @pytest.mark.parametrize("N,M", [(4, 4), (3, 8)])

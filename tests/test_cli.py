@@ -338,6 +338,27 @@ class TestMain:
                    "--set", "trials=10"])
         assert rc == 0
 
+    # sin^100000 underflows to zero at every sample of a 5-sample frame
+    ZERO_ENERGY = ("n_subcarriers=1", "oversample=5", "pulse_family=sine_power", "shape_n=100000")
+
+    @pytest.mark.parametrize("subcommand", ["papr", "ccdf", "ber"])
+    def test_zero_energy_pulse_names_shape_n(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "out"
+        argv = [subcommand, "--output", str(out)]
+        for item in self.ZERO_ENERGY:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shape_n: sin^100000 is zero at all 5 samples\n"
+        assert not out.exists()
+
+    def test_zero_energy_frame_pulse_still_runs_xcorr(self, tmp_path):
+        # xcorr's 1024-point grid samples t = T/2, where sin^n is 1
+        argv = ["xcorr", "--output", str(tmp_path), "--set", "f_max=8"]
+        for item in self.ZERO_ENERGY:
+            argv += ["--set", item]
+        assert main(argv) == 0
+
     def test_ill_conditioned_ber_writes_nothing(self, tmp_path, capsys):
         # sine n=4 at N=64 is beyond the ZF limit; the sweep fails before
         # any CSV or summary line is written

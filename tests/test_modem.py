@@ -38,7 +38,7 @@ from papr_shaper.modem import (
     get_kernel,
     map_bits,
 )
-from papr_shaper.pulses import PulseDescriptor, PulseFamily, squared_transform
+from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse, squared_transform
 
 FAMILIES = {"rect": RECT, "sine1": SINE1, "tapered": TAPERED, "tsinc": TSINC}
 # cyclic pulse sets of period 2 and 3, and one whose repeated entry gives
@@ -336,17 +336,20 @@ class TestSharedPulseKernel:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_gram_column_is_the_unpadded_dft_of_p2(self, family):
         kern = ModemKernel(cfg_for(N=64, pulse=FAMILIES[family]))
-        p = kern.pulses[0]
+        p = kern.samples[0]
         c = np.fft.fft(p**2) * (kern.dt / kern.energies[0])
         assert np.array_equal(squared_transform(p, kern.dt), c)
         k = np.arange(64)  # G[k, 0] = c[k], G[0, k] = c[-k mod S], symmetrized
         assert np.array_equal(kern.gram[:, 0], 0.5 * (c[k] + c[-k % c.size].conj()))
 
-    def test_shared_pulse_is_one_read_only_row(self):
-        kern = get_kernel(cfg_for(N=8, pulse=SINE1))
-        assert kern.pulses.shape == (8, 32)
-        assert kern.pulses.strides[0] == 0
-        assert not kern.pulses.flags.writeable
+    @pytest.mark.parametrize("pulse_set", [(SINE1,), (RECT, SINE1, TAPERED)], ids=["P1", "P3"])
+    def test_kernel_holds_each_pulse_once_read_only(self, pulse_set):
+        cfg = cfg_for(N=8, pulse=pulse_set)
+        kern = get_kernel(cfg)
+        assert kern.samples.shape == (len(pulse_set), 32)
+        assert not kern.samples.flags.writeable
+        for row, desc in zip(kern.samples, pulse_set):
+            assert np.array_equal(row, sample_pulse(desc, cfg.grid))
 
     def test_pulse_set_gram_is_not_toeplitz(self):
         # rect-rect and sine2-sine2 at separation 2 differ
@@ -369,8 +372,7 @@ class TestAwgn:
         S = cfg.samples_per_symbol
 
         def received(key):
-            u = seeding.trial_uniforms(key, 0, len(s), seeding.words_per_trial(2 * S))
-            z = seeding.uniforms_to_normals(u[:, : 2 * S])
+            z = seeding.uniforms_to_normals(seeding.trial_uniforms(key, 0, len(s), 2 * S))
             return add_awgn(s, z, 5.0, cfg.bits_per_frame, kern.dt)
 
         assert np.array_equal(received(42), received(42))
