@@ -33,7 +33,6 @@ from .modem import (
 from .pulses import (
     PulseDescriptor,
     PulseFamily,
-    SamplingGrid,
     pulse_energy,
     sample_pulse,
 )

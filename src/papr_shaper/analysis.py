@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePulseError, SearchSpaceTooLargeError, UnsupportedOrderError
+from .errors import ConfigError, DegeneratePulseError
 from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
-from .pulses import PulseDescriptor, SamplingGrid, pulse_energy, sample_pulse, squared_transform
+from .pulses import PulseDescriptor, pulse_energy, sample_pulse, squared_transform
 from . import seeding
 
 __all__ = [
@@ -83,7 +83,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int) -> np.ndarray:
     in change none of its draws.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     kern = get_kernel(cfg)
     points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
@@ -116,9 +116,7 @@ def max_papr(
     if method == "exhaustive":
         n_frames = M**N
         if n_frames > EXHAUSTIVE_FRAME_CAP:
-            raise SearchSpaceTooLargeError(
-                f"M^N = {n_frames} exceeds the exhaustive cap {EXHAUSTIVE_FRAME_CAP}"
-            )
+            raise ConfigError(f"M^N = {n_frames} exceeds the exhaustive cap {EXHAUSTIVE_FRAME_CAP}")
         best = 0.0
         for lo, hi in seeding.frame_batches(n_frames, cfg.samples_per_symbol):
             # frame i carries the N base-M digits of i, most significant first
@@ -136,7 +134,7 @@ def max_papr(
         mean_power = float(kern.energies.sum())  # T = 1
         return peak / mean_power
 
-    raise ValueError(f"unknown max_papr method: {method!r}")
+    raise ConfigError(f"unknown max_papr method: {method!r}")
 
 
 def ccdf_empirical(
@@ -157,36 +155,33 @@ def reference_ccdf(N: int, gamma_linear) -> np.ndarray | float:
     """Classic Nyquist-sampled approximation 1 - (1 - e^-gamma)^N for
     rectangular OFDM; a sanity oracle, not a fit."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ConfigError("N must be >= 1")
     g = np.asarray(gamma_linear, dtype=float)
     out = -np.expm1(N * np.log1p(-np.exp(-g), where=g > 0, out=np.zeros_like(g)))
     out = np.where(g > 0, out, 1.0)
     return float(out) if np.isscalar(gamma_linear) else out
 
 
-def xcorr_curve(
-    desc: PulseDescriptor,
-    grid: SamplingGrid,
-    f_max: float,
-) -> XcorrCurve:
+def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
     """rho(f) = transform of p^2 at separation f, over the pulse energy,
     at f = i/128 (units of 1/T) up to the first such point >= f_max: bin
-    i of one FFT of p^2 zero-padded to 128 S samples. The transform of
-    S samples is periodic in S/T, so the curve must end below S/2."""
-    if f_max < 1.0:
-        raise ValueError("f_max must be at least 1/T")
+    i of one FFT of p^2, sampled at S points, zero-padded to 128 S. The
+    transform of S samples is periodic in S/T, so the curve must end
+    below S/2."""
+    if not 1.0 <= f_max < math.inf:  # NaN fails too
+        raise ConfigError(f"f_max must be finite and at least 1/T, got {f_max}")
     points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
-    S = grid.samples_per_symbol
     if (points - 1) / XCORR_POINTS_PER_T >= S / 2:
-        raise ValueError(
+        raise ConfigError(
             f"f_max = {f_max:g}/T reaches the aliasing limit S/2 = {S / 2:g}/T of S = {S} samples"
         )
-    p = sample_pulse(desc, grid)
-    if pulse_energy(p, grid.dt) <= 0.0:
+    p = sample_pulse(desc, S)
+    dt = 1.0 / S
+    if pulse_energy(p, dt) <= 0.0:
         raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
     freq = np.arange(points) / XCORR_POINTS_PER_T
-    rho = squared_transform(p, grid.dt, XCORR_POINTS_PER_T, points)
-    center = float(np.average(grid.times(), weights=np.square(p)))
+    rho = squared_transform(p, dt, XCORR_POINTS_PER_T, points)
+    center = float(np.average(np.arange(S) * dt, weights=np.square(p)))
     return XcorrCurve(freq=freq, rho=rho, phase_center=center)
 
 
@@ -273,7 +268,7 @@ def theoretical_ber(M: int, ebn0_db) -> np.ndarray | float:
     approximate for the non-square orders 8 and 32.
     """
     if M not in SUPPORTED_ORDERS:
-        raise UnsupportedOrderError(f"unsupported constellation order M={M}")
+        raise ConfigError(f"unsupported constellation order M={M}")
     k = math.log2(M)
     gamma_b = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
     arg = np.sqrt(3.0 * k / (M - 1) * gamma_b)

@@ -27,7 +27,7 @@ from . import modem
 from .config import ConfigKeyError, RunConfig, parse_config
 from .errors import DegeneratePulseError, PaprShaperError
 from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
-from .pulses import PulseFamily, SamplingGrid
+from .pulses import PulseFamily
 
 XCORR_GRID_SAMPLES = 1024
 
@@ -81,9 +81,8 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
         desc = replace(desc, family=PulseFamily.SINE_POWER)
     n_list = cfg.resolved_n_list()
     f_max = cfg.resolved_f_max()
-    grid = SamplingGrid(samples_per_symbol=XCORR_GRID_SAMPLES)
 
-    pairs = run_xcorr_report(desc, n_list, grid, f_max)
+    pairs = run_xcorr_report(desc, n_list, XCORR_GRID_SAMPLES, f_max)
     _write_csv(
         os.path.join(outdir, "xcorr.csv"),
         "n,f_over_invT,rho_re,rho_im,rho_abs",

@@ -23,7 +23,7 @@ __all__ = ["RunConfig", "ConfigKeyError", "parse_config"]
 MAX_GAMMA_POINTS = 100_001
 MAX_WORKERS = 64
 MAX_FRAMES = 10**9  # frames per BER point
-# a BER kernel holds N x N matrices G, G^-1 and noise colour L: 268 MB each at N = 4096
+# a BER kernel holds N x N matrices G and noise colour L: 268 MB each at N = 4096
 MAX_SUBCARRIERS = 4096
 # a frame and each of the kernel's P pulse rows hold N * oversample samples: 262144 at both caps
 MAX_OVERSAMPLE = 64

@@ -1,28 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = ["PaprShaperError", "ConfigError", "DegeneratePulseError", "IllConditionedGramError"]
+
 
 class PaprShaperError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidDescriptorError(PaprShaperError):
-    """Pulse descriptor has a non-finite or out-of-range parameter."""
+class ConfigError(PaprShaperError, ValueError):
+    """An argument, descriptor or configuration out of range or inconsistent."""
 
 
 class DegeneratePulseError(PaprShaperError):
     """Operation requires a pulse with nonzero energy."""
-
-
-class ConfigError(PaprShaperError):
-    """Inconsistent OFDM configuration or mismatched operands."""
-
-
-class FramingError(PaprShaperError):
-    """Bit sequence length is not a whole number of symbols."""
-
-
-class UnsupportedOrderError(PaprShaperError):
-    """Constellation order outside the supported set {4, 8, 16, 32}."""
 
 
 class IllConditionedGramError(PaprShaperError):
@@ -31,11 +21,3 @@ class IllConditionedGramError(PaprShaperError):
     def __init__(self, condition, limit):
         super().__init__(f"gram matrix condition {condition:.3e} exceeds {limit:g}")
         self.condition = condition
-
-
-class SearchSpaceTooLargeError(PaprShaperError):
-    """Exhaustive frame enumeration requested beyond the M**N cap."""
-
-
-class PlanError(PaprShaperError):
-    """Monte-Carlo plan is empty or internally inconsistent."""

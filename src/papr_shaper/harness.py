@@ -24,9 +24,9 @@ import numpy as np
 
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
-from .errors import PlanError
+from .errors import ConfigError
 from .modem import MAX_ABS_EBN0_DB, OfdmConfig, demap_symbols, get_kernel, map_bits
-from .pulses import PulseDescriptor, SamplingGrid
+from .pulses import PulseDescriptor
 
 __all__ = [
     "BerPoint",
@@ -55,9 +55,9 @@ class BerPoint:
 def wilson_interval(errors: int, trials_bits: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials_bits < 1:
-        raise PlanError("trials_bits must be >= 1")
+        raise ConfigError("trials_bits must be >= 1")
     if not 0 <= errors <= trials_bits:
-        raise PlanError("errors must lie in [0, trials_bits]")
+        raise ConfigError("errors must lie in [0, trials_bits]")
     z = WILSON_Z
     n = trials_bits
     p = errors / n
@@ -112,12 +112,12 @@ def run_ber_point(
     ``target_errors``, or at ``max_frames``, whichever comes first.
     """
     if target_errors < 1 or max_frames < 1:
-        raise PlanError("target_errors and max_frames must be >= 1")
+        raise ConfigError("target_errors and max_frames must be >= 1")
     if not (abs(ebn0_db) <= MAX_ABS_EBN0_DB or ebn0_db == math.inf):
         # +inf is the noiseless channel; NaN and -inf fail the test
-        raise PlanError(f"|ebn0_db| must be <= {MAX_ABS_EBN0_DB:g} or +inf, got {ebn0_db}")
+        raise ConfigError(f"|ebn0_db| must be <= {MAX_ABS_EBN0_DB:g} or +inf, got {ebn0_db}")
     if workers < 1:
-        raise PlanError(f"workers must be >= 1, got {workers}")
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     kern = get_kernel(cfg)
     kern.noise_colour  # checks the ZF limit; computed once, before any worker thread
     # the noise normals' ndtri: scipy is imported here, not by a worker thread
@@ -158,7 +158,7 @@ def run_ber_point(
                 break
 
     if frames_used == 0:
-        raise PlanError("plan produced zero frames")
+        raise ConfigError("plan produced zero frames")
     bits_sent = frames_used * nbits
     lo_ci, hi_ci = wilson_interval(total_errors, bits_sent)
     return BerPoint(
@@ -183,9 +183,9 @@ def run_ber_sweep(
     """One BerPoint per Eb/N0 value of an ascending list; point i runs
     ``run_ber_point`` with the seed ``seeding.mix64(seed, i)``."""
     if not len(ebn0_db_list):
-        raise PlanError("ebn0_db_list must be nonempty")
+        raise ConfigError("ebn0_db_list must be nonempty")
     if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
-        raise PlanError("ebn0_db_list must be ascending")
+        raise ConfigError("ebn0_db_list must be ascending")
     points = []
     for index, ebn0_db in enumerate(ebn0_db_list):
         try:
@@ -208,21 +208,21 @@ def run_ber_sweep(
 def run_xcorr_report(
     desc: PulseDescriptor,
     n_list,
-    grid: SamplingGrid,
+    S: int,
     f_max: float,
 ) -> list[tuple[XcorrCurve, PulseMetrics]]:
-    """Crosscorrelation curve and metrics of ``desc`` with each shape_n of
-    ``n_list``: one (curve, metrics) pair per n, in order, on the grid of
-    ``xcorr_curve``.
+    """Crosscorrelation curve and metrics of ``desc``, sampled at S points,
+    with each shape_n of ``n_list``: one (curve, metrics) pair per n, in
+    order, on the grid of ``xcorr_curve``.
 
     Only ``shape_n`` varies between pairs; a metric that does not occur
     below the curve's last frequency is None.
     """
     if not len(n_list):
-        raise PlanError("n_list must be nonempty")
+        raise ConfigError("n_list must be nonempty")
     pairs = []
     for n in n_list:
-        curve = xcorr_curve(replace(desc, shape_n=int(n)), grid, f_max)
+        curve = xcorr_curve(replace(desc, shape_n=int(n)), S, f_max)
         pairs.append((curve, pulse_metrics(curve)))
     return pairs
 
@@ -231,5 +231,10 @@ def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
     """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
     orthogonal (rectangular-pulse) system. Raises IllConditionedGramError
     beyond the ZF limit."""
-    inv = get_kernel(cfg).gram_inv
-    return float(10.0 * np.log10(np.real(np.trace(inv)) / cfg.n_subcarriers))
+    kern = get_kernel(cfg)
+    L = kern.noise_colour  # checks the ZF limit
+    if kern.gram_is_identity:
+        return 0.0
+    # L L^H = G^-1 / sqrt(e_k e_l), so (G^-1)_kk = e_k sum_j |L_kj|^2
+    rows = np.einsum("kj,kj->k", L.view(float), L.view(float))
+    return float(10.0 * np.log10(np.dot(kern.energies, rows) / cfg.n_subcarriers))

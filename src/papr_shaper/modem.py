@@ -14,10 +14,11 @@ zero-forcing solve against the subcarrier Gram matrix G. Both are linear,
 so with white noise of density N0 on the waveform the ZF output is a + w,
 w circular Gaussian of covariance N0 E^-1/2 G^-1 E^-1/2 (E = diag of the
 pulse energies), and the frame energy sum |s|^2 dt is the quadratic form
-a^H (G o sqrt(e e^T)) a. ``noise_colour`` is a factor L of that
-covariance over N0. A rect kernel's Toeplitz Gram matrix is exactly the
-identity; such a kernel skips the condition number and the inverse, and
-its L is the diagonal 1/sqrt(e), applied without a matrix product.
+a^H (G o sqrt(e e^T)) a. ``noise_colour`` is the lower Cholesky factor L
+of that covariance over N0; a shaped kernel keeps G and L, and no
+inverse. A rect kernel's Toeplitz Gram matrix is exactly the identity;
+such a kernel skips the condition number and the inverse, and its L is
+the diagonal 1/sqrt(e), applied without a matrix product.
 
 The demapper never measures the distance to every point. Minimum-distance
 detection on a rectangular QAM grid separates per axis, so each axis is
@@ -45,14 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegeneratePulseError,
-    FramingError,
-    IllConditionedGramError,
-    UnsupportedOrderError,
-)
-from .pulses import PulseDescriptor, SamplingGrid, sample_pulse, squared_transform
+from .errors import ConfigError, DegeneratePulseError, IllConditionedGramError
+from .pulses import PulseDescriptor, sample_pulse, squared_transform
 
 __all__ = [
     "Constellation",
@@ -140,7 +135,7 @@ def build_constellation(M: int) -> Constellation:
     keeps the worst nearest-neighbor label Hamming distance at 2.
     """
     if M not in SUPPORTED_ORDERS:
-        raise UnsupportedOrderError(f"unsupported constellation order M={M}")
+        raise ConfigError(f"unsupported constellation order M={M}")
 
     k = M.bit_length() - 1
     qb = k // 2  # label bits on Q; the rest (as many or one more) on I
@@ -169,7 +164,7 @@ def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64)
     k = c.bits_per_symbol
     if bits.shape[-1] % k:
-        raise FramingError(
+        raise ConfigError(
             f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})"
         )
     values = bits.reshape(*bits.shape[:-1], -1, k) @ (1 << np.arange(k - 1, -1, -1))
@@ -223,7 +218,7 @@ class OfdmConfig:
         if self.n_subcarriers < 1:
             raise ConfigError("n_subcarriers must be >= 1")
         if self.m_order not in SUPPORTED_ORDERS:
-            raise UnsupportedOrderError(f"unsupported constellation order M={self.m_order}")
+            raise ConfigError(f"unsupported constellation order M={self.m_order}")
         if self.oversample < 4:
             raise ConfigError("oversample must be >= 4 for peak capture")
         ps = self.pulse_set
@@ -238,10 +233,6 @@ class OfdmConfig:
     @property
     def bits_per_frame(self) -> int:
         return self.n_subcarriers * (self.m_order.bit_length() - 1)
-
-    @property
-    def grid(self) -> SamplingGrid:
-        return SamplingGrid(samples_per_symbol=self.samples_per_symbol)
 
 
 def _condition(g: np.ndarray) -> float:
@@ -261,14 +252,13 @@ class ModemKernel:
     gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
            outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
-    gram_inv: the ZF inverse of that response, E^-1/2 gram^-1 E^1/2;
-              raises IllConditionedGramError beyond GRAM_CONDITION_LIMIT
     gram_is_identity: gram equals the identity exactly, as every rect
-              kernel's gram does; then the condition is 1 and the inverse
-              is gram itself
+              kernel's gram does; then the condition is 1 and no
+              inverse is taken
     noise_colour: L with L L^H = E^-1/2 gram^-1 E^-1/2, the ZF-output
               noise covariance over N0; the vector 1/sqrt(energies)
-              when gram is the identity
+              when gram is the identity; raises IllConditionedGramError
+              beyond GRAM_CONDITION_LIMIT
 
     The Gram matrix and what derives from it are built on first use,
     never by PAPR or CCDF runs.
@@ -276,10 +266,10 @@ class ModemKernel:
 
     def __init__(self, cfg: OfdmConfig):
         self.cfg = cfg
-        grid, N = cfg.grid, cfg.n_subcarriers
-        self.dt = grid.dt
+        S, N = cfg.samples_per_symbol, cfg.n_subcarriers
+        self.dt = 1.0 / S
 
-        self.samples = np.stack([sample_pulse(desc, grid) for desc in cfg.pulse_set])
+        self.samples = np.stack([sample_pulse(desc, S) for desc in cfg.pulse_set])
         self.samples.setflags(write=False)
         energies = np.sum(self.samples**2, axis=1) * self.dt
         for g, e in enumerate(energies):
@@ -336,23 +326,15 @@ class ModemKernel:
         return 1.0 if self.gram_is_identity else _condition(self.gram)
 
     @functools.cached_property
-    def gram_inv(self) -> np.ndarray:
+    def noise_colour(self) -> np.ndarray:
         if self.gram_condition > GRAM_CONDITION_LIMIT:
             raise IllConditionedGramError(self.gram_condition, GRAM_CONDITION_LIMIT)
         if self.gram_is_identity:
-            return self.gram
-        inv = np.linalg.inv(self.gram)
-        # the noiseless response E^-1/2 G E^1/2 has inverse sqrt(e_l / e_k) G^-1
-        inv *= np.sqrt(self.energies / self.energies[:, None])
-        return inv
-
-    @functools.cached_property
-    def noise_colour(self) -> np.ndarray:
-        inv = self.gram_inv  # checks the ZF limit
-        if self.gram_is_identity:
             return 1.0 / np.sqrt(self.energies)
-        # gram_inv / e_l = gram^-1 / sqrt(e_k e_l); its lower Cholesky factor
-        return np.linalg.cholesky(inv / self.energies)
+        # the lower Cholesky factor of gram^-1 / sqrt(e_k e_l)
+        cov = np.linalg.inv(self.gram)
+        cov /= np.sqrt(np.outer(self.energies, self.energies))
+        return np.linalg.cholesky(cov)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,9 +1,9 @@
 """Subcarrier pulse shapes: sampling and discrete energy.
 
 All pulses are real, time-limited to one symbol interval [0, T) and
-sampled on a left-closed uniform grid (no sample at t = T), so that
-concatenated symbols never share a sample. T is normalized to 1.0 by
-convention and every frequency below is expressed in units of 1/T.
+sampled at the S instants t_i = i/S, i = 0..S-1 (no sample at t = T), so
+that concatenated symbols never share a sample. T is normalized to 1.0
+by convention and every frequency below is expressed in units of 1/T.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDescriptorError
+from .errors import ConfigError
 
 __all__ = [
     "PulseFamily",
     "PulseDescriptor",
-    "SamplingGrid",
     "sample_pulse",
     "pulse_energy",
     "squared_transform",
@@ -49,47 +48,27 @@ class PulseDescriptor:
     bandwidth_factor: float = 1.0
 
 
-@dataclass(frozen=True)
-class SamplingGrid:
-    """Uniform grid of S sample instants t_i = i/S, i = 0..S-1 (T = 1)."""
-
-    samples_per_symbol: int
-
-    def __post_init__(self):
-        if self.samples_per_symbol < 1:
-            raise InvalidDescriptorError("samples_per_symbol must be >= 1")
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.samples_per_symbol
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples_per_symbol) * self.dt
-
-
 def _validate_descriptor(desc: PulseDescriptor) -> None:
     if not isinstance(desc.family, PulseFamily):
-        raise InvalidDescriptorError(f"unknown pulse family: {desc.family!r}")
+        raise ConfigError(f"unknown pulse family: {desc.family!r}")
     for name in ("taper_alpha", "bandwidth_factor"):
         v = float(getattr(desc, name))
         if not math.isfinite(v):
-            raise InvalidDescriptorError(f"{name} must be finite, got {v!r}")
-    if desc.shape_n < 0:
-        raise InvalidDescriptorError(f"shape_n must be >= 0, got {desc.shape_n}")
+            raise ConfigError(f"{name} must be finite, got {v!r}")
+    if not 0 <= desc.shape_n < math.inf:  # NaN fails too
+        raise ConfigError(f"shape_n must be finite and >= 0, got {desc.shape_n}")
     if not 0.0 <= desc.taper_alpha <= 1.0:
-        raise InvalidDescriptorError(
-            f"taper_alpha must lie in [0, 1], got {desc.taper_alpha}"
-        )
+        raise ConfigError(f"taper_alpha must lie in [0, 1], got {desc.taper_alpha}")
     if desc.bandwidth_factor <= 0:
-        raise InvalidDescriptorError(
-            f"bandwidth_factor must be > 0, got {desc.bandwidth_factor}"
-        )
+        raise ConfigError(f"bandwidth_factor must be > 0, got {desc.bandwidth_factor}")
 
 
-def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> np.ndarray:
-    """The (S,) samples p(t_i) of a pulse on the grid."""
+def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
+    """The (S,) samples p(t_i) of a pulse at t_i = i * (1/S), i = 0..S-1."""
+    if S < 1:
+        raise ConfigError(f"samples_per_symbol must be >= 1, got {S}")
     _validate_descriptor(desc)
-    t = grid.times()
+    t = np.arange(S) * (1.0 / S)
 
     if desc.family is PulseFamily.RECT or (
         desc.family is PulseFamily.SINE_POWER and desc.shape_n == 0
@@ -102,7 +81,7 @@ def sample_pulse(desc: PulseDescriptor, grid: SamplingGrid) -> np.ndarray:
     elif desc.family is PulseFamily.TRUNCATED_SINC:
         p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
     else:  # pragma: no cover - enum is exhaustive
-        raise InvalidDescriptorError(f"unknown pulse family: {desc.family!r}")
+        raise ConfigError(f"unknown pulse family: {desc.family!r}")
     return p
 
 

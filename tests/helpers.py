@@ -52,8 +52,8 @@ def dense_synth(kern) -> np.ndarray:
 
     Row k takes its pulse from the set's entry k % P, independently of the kernel's groups.
     """
-    k = np.arange(kern.cfg.n_subcarriers)
-    phases = np.exp(2j * np.pi * np.outer(k, kern.cfg.grid.times()))
+    k, S = np.arange(kern.cfg.n_subcarriers), kern.cfg.samples_per_symbol
+    phases = np.exp(2j * np.pi * np.outer(k, np.arange(S) * kern.dt))
     return kern.samples[k % len(kern.cfg.pulse_set)] * phases
 
 
@@ -101,8 +101,14 @@ def matched_filter(kern, r):
 
 
 def solve_zf(kern, y):
-    """Exact zero-forcing of (F, N) matched-filter outputs: a_hat = gram_inv @ y."""
-    return y if kern.gram_is_identity else y @ kern.gram_inv.T
+    """Exact zero-forcing of (F, N) matched-filter outputs against their
+    noiseless response E^-1/2 G E^1/2, whose inverse is sqrt(e_l / e_k) G^-1."""
+    kern.noise_colour  # checks the ZF limit
+    if kern.gram_is_identity:
+        return y
+    inv = np.linalg.inv(kern.gram)
+    inv *= np.sqrt(kern.energies / kern.energies[:, None])
+    return y @ inv.T
 
 
 def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):

@@ -28,7 +28,7 @@ from papr_shaper.cli import dispatch
 from papr_shaper.config import parse_config
 from papr_shaper.harness import run_ber_point, run_ber_sweep
 from papr_shaper.modem import get_kernel
-from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
 from papr_shaper.seeding import mix64
 
 from helpers import RECT, TAPERED, TSINC, cfg_for, dense_synth, papr, waveform_frame_errors
@@ -53,8 +53,7 @@ def report(capsys):
 
 
 def sine_curve(n, f_max=8.0):
-    grid = SamplingGrid(samples_per_symbol=1024)
-    return xcorr_curve(sine(n), grid, f_max)
+    return xcorr_curve(sine(n), 1024, f_max)
 
 
 def cutoff_3db(n, f_max=8.0):

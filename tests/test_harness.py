@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from helpers import ENGINE_PULSES, RECT, SINE1, cfg_for, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
-from papr_shaper.errors import IllConditionedGramError, PlanError
+from papr_shaper.errors import ConfigError, IllConditionedGramError
 from papr_shaper.harness import (
     run_ber_point,
     run_ber_sweep,
@@ -19,7 +19,7 @@ from papr_shaper.harness import (
     zf_noise_enhancement_db,
 )
 from papr_shaper.modem import get_kernel
-from papr_shaper.pulses import PulseDescriptor, PulseFamily, SamplingGrid
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
 
@@ -45,9 +45,9 @@ class TestWilson:
         assert harness.WILSON_Z == float(ndtri(0.5 + 0.95 / 2.0))
 
     def test_bad_inputs(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError):
             wilson_interval(5, 0)
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError):
             wilson_interval(11, 10)
 
 
@@ -105,7 +105,7 @@ class TestBerPoint:
             (0.0, {"workers": 0}),
         ]
         for ebn0_db, kwargs in bad:
-            with pytest.raises(PlanError):
+            with pytest.raises(ConfigError):
                 run_ber_point(cfg_for(N=16), ebn0_db, max_frames=10, seed=1, **kwargs)
 
     DESCRIPTORS = st.one_of(
@@ -179,7 +179,7 @@ class TestBatchSchedule:
 
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)
-        get_kernel(cfg).gram_inv  # kernel allocations are not the point's
+        get_kernel(cfg).noise_colour  # kernel allocations are not the point's
         tracemalloc.start()
         try:
             p = run_ber_point(cfg, 0.0, target_errors=50, max_frames=10**9, seed=9)
@@ -193,7 +193,7 @@ class TestBatchSchedule:
         # S = 4096 caps batches at 128 frames; this 551-frame point peaks
         # at 14 MB, and the 512-frame batch a frame-count cap reaches at 56 MB
         cfg = cfg_for(N=1024)
-        get_kernel(cfg).gram_inv  # kernel allocations are not the point's
+        get_kernel(cfg).noise_colour  # kernel allocations are not the point's
         tracemalloc.start()
         try:
             p = run_ber_point(cfg, 8.0, target_errors=200, seed=3)
@@ -222,13 +222,13 @@ class TestBerSweep:
         assert all(b < a for a, b in zip(bers, bers[1:]))
 
     def test_invalid_plans(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError):
             run_ber_sweep(cfg_for(N=16), [])
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError):
             run_ber_sweep(cfg_for(N=16), [4.0, 2.0])
 
     def test_minus_inf_point_rejected(self):
-        with pytest.raises(PlanError, match=r"sweep point 0 .*-inf"):
+        with pytest.raises(ConfigError, match=r"sweep point 0 .*-inf"):
             run_ber_sweep(cfg_for(N=16), [-math.inf, 0.0], max_frames=10)
 
 
@@ -251,36 +251,34 @@ class TestPaprExperiment:
 
 
 class TestXcorrReport:
-    def grid(self):
-        return SamplingGrid(samples_per_symbol=1024)
+    S = 1024
 
     def test_rect_row(self):
-        ((_, metrics),) = run_xcorr_report(SINE, [0], self.grid(), 8.0)
+        ((_, metrics),) = run_xcorr_report(SINE, [0], self.S, 8.0)
         assert metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
 
     def test_rows_carry_their_curves(self):
-        grid = self.grid()
-        pairs = run_xcorr_report(SINE, [0, 3], grid, 8.0)
+        pairs = run_xcorr_report(SINE, [0, 3], self.S, 8.0)
         for n, (curve, _) in zip([0, 3], pairs, strict=True):
             desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
-            ref = xcorr_curve(desc, grid, 8.0)
+            ref = xcorr_curve(desc, self.S, 8.0)
             assert np.array_equal(curve.freq, ref.freq)
             assert np.array_equal(curve.rho, ref.rho)
 
     def test_rows_ordered_as_n_list(self):
-        grid = self.grid()
-        pairs = run_xcorr_report(SINE, [4, 0, 2], grid, 8.0)
+        pairs = run_xcorr_report(SINE, [4, 0, 2], self.S, 8.0)
         for n, (curve, _) in zip([4, 0, 2], pairs, strict=True):
-            ref = xcorr_curve(PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n), grid, 8.0)
+            desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
+            ref = xcorr_curve(desc, self.S, 8.0)
             assert np.array_equal(curve.rho, ref.rho)
 
     def test_cutoff_increasing(self):
-        pairs = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.grid(), 20.0)
+        pairs = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.S, 20.0)
         cutoffs = [metrics.cutoff_3db for _, metrics in pairs]
         assert all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_partial_row_marked_others_computed(self):
-        (_, m0), (_, m16) = run_xcorr_report(SINE, [0, 16], self.grid(), 8.0)
+        (_, m0), (_, m16) = run_xcorr_report(SINE, [0, 16], self.S, 8.0)
         assert m0.cutoff_first_null is not None
         assert m16.cutoff_first_null is None  # no null below 8/T
         assert m16.cutoff_3db is not None  # partial result kept
@@ -288,14 +286,14 @@ class TestXcorrReport:
     def test_rows_keep_the_other_parameters(self):
         # only shape_n varies; a tapered curve keeps its taper
         tapered = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.0)
-        ((curve, _),) = run_xcorr_report(tapered, [5], self.grid(), 8.0)
-        ref = xcorr_curve(tapered, self.grid(), 8.0)
+        ((curve, _),) = run_xcorr_report(tapered, [5], self.S, 8.0)
+        ref = xcorr_curve(tapered, self.S, 8.0)
         assert np.array_equal(curve.rho, ref.rho)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(f_max=st.floats(1.0, 16.0))
     def test_any_f_max_gives_metrics(self, f_max):
-        ((curve, metrics),) = run_xcorr_report(SINE, [1], self.grid(), f_max)
+        ((curve, metrics),) = run_xcorr_report(SINE, [1], self.S, f_max)
         f = curve.freq
         assert f[-2] < f_max <= f[-1]  # the grid ends at the first point past f_max
         assert metrics.cutoff_3db == pytest.approx(0.72, abs=0.01)
@@ -303,8 +301,8 @@ class TestXcorrReport:
         assert metrics.orthogonality_band == (2 if f[-1] >= 2 else None)
 
     def test_empty_n_list(self):
-        with pytest.raises(PlanError):
-            run_xcorr_report(SINE, [], self.grid(), 8.0)
+        with pytest.raises(ConfigError):
+            run_xcorr_report(SINE, [], self.S, 8.0)
 
 
 class TestNoiseEnhancement:
@@ -313,6 +311,15 @@ class TestNoiseEnhancement:
 
     def test_shaped_is_positive(self):
         assert zf_noise_enhancement_db(cfg_for(N=16, pulse=SINE1)) > 0.0
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
+    def test_is_the_mean_diagonal_of_the_inverse(self, N, name):
+        # read from the noise colour L, checked against an explicit inverse
+        cfg = cfg_for(N=N, pulse=ENGINE_PULSES[name])
+        inv = np.linalg.inv(get_kernel(cfg).gram)
+        ref = 10.0 * math.log10(np.trace(inv).real / N)
+        assert abs(zf_noise_enhancement_db(cfg) - ref) <= 1e-12
 
 
 class TestEngineEquivalence:

@@ -5,18 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from papr_shaper.analysis import xcorr_curve
-from papr_shaper.errors import InvalidDescriptorError
+from papr_shaper.errors import ConfigError
 from papr_shaper.pulses import (
     PulseDescriptor,
     PulseFamily,
-    SamplingGrid,
     pulse_energy,
     sample_pulse,
 )
-
-
-def grid(S):
-    return SamplingGrid(samples_per_symbol=S)
 
 
 def desc(family, **kw):
@@ -25,11 +20,11 @@ def desc(family, **kw):
 
 class TestSamplePulse:
     def test_rect_is_flat(self):
-        p = sample_pulse(desc(PulseFamily.RECT), grid(8))
+        p = sample_pulse(desc(PulseFamily.RECT), 8)
         assert np.array_equal(p, np.ones(8))
 
     def test_sine_peak_and_zero(self):
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=1), grid(16))
+        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=1), 16)
         assert p[0] == 0.0
         assert p[8] == pytest.approx(1.0, abs=1e-15)
 
@@ -38,25 +33,25 @@ class TestSamplePulse:
         oracle, err = quad(lambda t: math.sin(math.pi * t) ** 2, 0.0, 1.0)
         assert err < 1e-12
         assert oracle == pytest.approx(0.5, abs=1e-12)
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=1), grid(64))
+        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=1), 64)
         assert pulse_energy(p, 1 / 64) == pytest.approx(oracle, abs=1e-6)
 
     def test_sine_n0_is_rect(self):
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=0), grid(16))
+        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=0), 16)
         assert np.array_equal(p, np.ones(16))
 
     def test_tapered_alpha0_is_rect(self):
-        p = sample_pulse(desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.0), grid(32))
+        p = sample_pulse(desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.0), 32)
         assert np.array_equal(p, np.ones(32))
 
     def test_tapered_flat_center(self):
-        p = sample_pulse(desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5), grid(64))
+        p = sample_pulse(desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.5), 64)
         # central (1 - alpha) T is exactly flat
         assert np.all(p[16:48] == 1.0)
         assert p[0] == 0.0
 
     def test_truncated_sinc_center_peak(self):
-        p = sample_pulse(desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0), grid(64))
+        p = sample_pulse(desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0), 64)
         assert p[32] == pytest.approx(1.0)
         # design nulls at t - T/2 = k/(2W)
         assert p[32 + 16] == pytest.approx(0.0, abs=1e-12)
@@ -69,15 +64,25 @@ class TestSamplePulse:
             desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=float("nan")),
             desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=0.0),
             desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=float("inf")),
+            desc(PulseFamily.SINE_POWER, shape_n=float("nan")),
+            desc(PulseFamily.SINE_POWER, shape_n=float("inf")),
         ],
     )
     def test_invalid_descriptor(self, bad):
-        with pytest.raises(InvalidDescriptorError):
-            sample_pulse(bad, grid(16))
+        # the error names the one parameter out of range
+        key = next(k for k in ("shape_n", "taper_alpha", "bandwidth_factor")
+                   if getattr(bad, k) != getattr(desc(bad.family), k))
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            sample_pulse(bad, 16)
+
+    @pytest.mark.parametrize("S", [0, -1])
+    def test_sample_count_checked(self, S):
+        with pytest.raises(ConfigError, match="samples_per_symbol"):
+            sample_pulse(desc(PulseFamily.RECT), S)
 
     def test_irrelevant_parameters_ignored(self):
-        a = sample_pulse(desc(PulseFamily.RECT, shape_n=7, taper_alpha=0.9), grid(16))
-        b = sample_pulse(desc(PulseFamily.RECT), grid(16))
+        a = sample_pulse(desc(PulseFamily.RECT, shape_n=7, taper_alpha=0.9), 16)
+        b = sample_pulse(desc(PulseFamily.RECT), 16)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -90,28 +95,28 @@ class TestSamplePulse:
         ],
     )
     def test_discrete_mirror_symmetry(self, d):
-        p = sample_pulse(d, grid(64))
+        p = sample_pulse(d, 64)
         mirrored = p[(64 - np.arange(64)) % 64]
         assert np.allclose(p, mirrored, atol=1e-12)
 
 
 class TestEnergy:
     def test_rect_unit_energy(self):
-        p = sample_pulse(desc(PulseFamily.RECT), grid(32))
+        p = sample_pulse(desc(PulseFamily.RECT), 32)
         assert pulse_energy(p, 1 / 32) == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_squared_energy(self):
         # oracle: quadrature of sin^4(pi t) = 3/8
         oracle, _ = quad(lambda t: math.sin(math.pi * t) ** 4, 0.0, 1.0)
         assert oracle == pytest.approx(0.375, abs=1e-12)
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=2), grid(256))
+        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=2), 256)
         assert pulse_energy(p, 1 / 256) == pytest.approx(oracle, abs=1e-6)
 
     def test_zero_pulse(self):
         assert pulse_energy(np.zeros(8), 1 / 8) == 0.0
 
     def test_quadratic_scaling(self):
-        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=2), grid(64))
+        p = sample_pulse(desc(PulseFamily.SINE_POWER, shape_n=2), 64)
         e = pulse_energy(p, 1 / 64)
         assert pulse_energy(3.0 * p, 1 / 64) == pytest.approx(9.0 * e, rel=1e-9)
 
@@ -120,9 +125,9 @@ class TestSpectrum:
     def test_truncated_sinc_aliasing_ripple_shrinks_with_resolution(self):
         # oracle: a much finer grid stands in for the continuous pulse
         d = desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=2.0)
-        ref = xcorr_curve(d, grid(8192), 3.0)
+        ref = xcorr_curve(d, 8192, 3.0)
         dev = []
         for S in (64, 256):
-            curve = xcorr_curve(d, grid(S), 3.0)
+            curve = xcorr_curve(d, S, 3.0)
             dev.append(np.max(np.abs(np.abs(curve.rho) - np.abs(ref.rho))))
         assert dev[1] < dev[0]
