@@ -194,7 +194,9 @@ def dispatch(subcommand: str, cfg: RunConfig) -> int:
     """Run one subcommand, writing its CSVs and a summary file."""
     if subcommand not in RUNNERS:
         raise PaprShaperError(f"unknown subcommand {subcommand!r}")
-    if subcommand != "xcorr":  # xcorr samples the pulse on its own grid, not the frame's
+    if subcommand == "xcorr":  # xcorr samples the pulse on its own grid, not the frame's
+        cfg.resolved_f_max()  # the f_max cap, checked before the output directory is made
+    else:
         try:
             modem.get_kernel(cfg.ofdm_config())
         except DegeneratePulseError:  # sin^n, the one family that can underflow to zero
@@ -228,8 +230,9 @@ def _build_parser() -> _Parser:
             help="override one config key (highest precedence, repeatable)",
         )
         p.add_argument("--output", dest="output", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--workers", type=int, help="worker thread count")
+        # parsed as config values, so a malformed one names its key
+        p.add_argument("--seed", help="master seed")
+        p.add_argument("--workers", help="worker thread count")
     return parser
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -31,6 +32,8 @@ MAX_OVERSAMPLE = 64
 MAX_TRIALS = 10**8
 # xcorr's frequency grid and CSV grow with f_max: 16385 points per n at the cap
 MAX_F_MAX = 128
+# a sin^n pulse raises a float to the power n
+MAX_SHAPE_N = sys.float_info.max
 
 
 class ConfigKeyError(ConfigError):
@@ -164,8 +167,8 @@ def _validate(cfg: RunConfig) -> None:
     families = sorted(f.value for f in PulseFamily)
     if cfg.pulse_family not in families:
         bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
-    if cfg.shape_n < 0:
-        bad("shape_n", "must be >= 0")
+    if not 0 <= cfg.shape_n <= MAX_SHAPE_N:
+        bad("shape_n", f"must lie in [0, {MAX_SHAPE_N:g}]")
     if not 0.0 <= cfg.taper_alpha <= 1.0:
         bad("taper_alpha", "must lie in [0, 1]")
     if not 0 < cfg.bandwidth_factor < math.inf:
@@ -185,8 +188,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("max_frames", f"must lie in [1, {MAX_FRAMES}], got {cfg.max_frames}")
     if not 1 <= cfg.workers <= MAX_WORKERS:
         bad("workers", f"must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
-    if cfg.n_list is not None and (not cfg.n_list or any(n < 0 for n in cfg.n_list)):
-        bad("n_list", "must be a nonempty list of integers >= 0")
+    if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):
+        bad("n_list", f"must be a nonempty list of integers in [0, {MAX_SHAPE_N:g}]")
     if cfg.f_max is not None and not cfg.f_max >= 1.0:
         bad("f_max", "must be >= 1")
     if not cfg.gamma_step_db > 0:

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["PaprShaperError", "ConfigError", "DegeneratePulseError", "IllConditionedGramError"]
+__all__ = ["PaprShaperError", "ConfigError", "DegeneratePulseError"]
 
 
 class PaprShaperError(Exception):
@@ -13,11 +13,3 @@ class ConfigError(PaprShaperError, ValueError):
 
 class DegeneratePulseError(PaprShaperError):
     """Operation requires a pulse with nonzero energy."""
-
-
-class IllConditionedGramError(PaprShaperError):
-    """Gram matrix condition estimate exceeds the zero-forcing limit."""
-
-    def __init__(self, condition, limit):
-        super().__init__(f"gram matrix condition {condition:.3e} exceeds {limit:g}")
-        self.condition = condition

@@ -128,20 +128,6 @@ def run_ber_point(
     batches = seeding.frame_batches(max_frames, cfg.samples_per_symbol)
 
     total_errors = 0
-    frames_used = 0
-
-    def consume(per_frame: np.ndarray, lo: int) -> bool:
-        nonlocal total_errors, frames_used
-        cum = np.cumsum(per_frame)
-        hit = np.flatnonzero(total_errors + cum >= target_errors)
-        if hit.size:
-            stop_at = int(hit[0])
-            total_errors += int(cum[stop_at])
-            frames_used = lo + stop_at + 1
-            return True
-        total_errors += int(cum[-1]) if cum.size else 0
-        frames_used = lo + len(per_frame)
-        return False
 
     def errors(batch):
         lo, hi = batch
@@ -152,13 +138,15 @@ def run_ber_point(
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         while wave := list(itertools.islice(batches, workers)):
-            results = list(run(errors, wave))  # a failed batch raises here
-            # any() stops at the stop frame; later batches are discarded
-            if any(consume(per_frame, lo) for (lo, _), per_frame in zip(wave, results)):
+            # the wave's batches are consecutive, so its frames are one array
+            cum = total_errors + np.cumsum(np.concatenate(list(run(errors, wave))))
+            hit = np.flatnonzero(cum >= target_errors)
+            last = int(hit[0]) if hit.size else len(cum) - 1  # frames past the stop are discarded
+            total_errors = int(cum[last])
+            frames_used = wave[0][0] + last + 1
+            if hit.size:
                 break
 
-    if frames_used == 0:
-        raise ConfigError("plan produced zero frames")
     bits_sent = frames_used * nbits
     lo_ci, hi_ci = wilson_interval(total_errors, bits_sent)
     return BerPoint(
@@ -229,8 +217,8 @@ def run_xcorr_report(
 
 def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
     """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
-    orthogonal (rectangular-pulse) system. Raises IllConditionedGramError
-    beyond the ZF limit."""
+    orthogonal (rectangular-pulse) system. Raises ConfigError beyond the
+    ZF limit."""
     kern = get_kernel(cfg)
     L = kern.noise_colour  # checks the ZF limit
     if kern.gram_is_identity:

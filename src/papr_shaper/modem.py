@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePulseError, IllConditionedGramError
+from .errors import ConfigError, DegeneratePulseError
 from .pulses import PulseDescriptor, sample_pulse, squared_transform
 
 __all__ = [
@@ -257,8 +257,8 @@ class ModemKernel:
               inverse is taken
     noise_colour: L with L L^H = E^-1/2 gram^-1 E^-1/2, the ZF-output
               noise covariance over N0; the vector 1/sqrt(energies)
-              when gram is the identity; raises IllConditionedGramError
-              beyond GRAM_CONDITION_LIMIT
+              when gram is the identity; raises ConfigError beyond
+              GRAM_CONDITION_LIMIT
 
     The Gram matrix and what derives from it are built on first use,
     never by PAPR or CCDF runs.
@@ -327,8 +327,9 @@ class ModemKernel:
 
     @functools.cached_property
     def noise_colour(self) -> np.ndarray:
-        if self.gram_condition > GRAM_CONDITION_LIMIT:
-            raise IllConditionedGramError(self.gram_condition, GRAM_CONDITION_LIMIT)
+        c, limit = self.gram_condition, GRAM_CONDITION_LIMIT
+        if c > limit:
+            raise ConfigError(f"gram matrix condition {c:.3e} exceeds {limit:g}")
         if self.gram_is_identity:
             return 1.0 / np.sqrt(self.energies)
         # the lower Cholesky factor of gram^-1 / sqrt(e_k e_l)

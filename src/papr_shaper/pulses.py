@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ def _validate_descriptor(desc: PulseDescriptor) -> None:
         v = float(getattr(desc, name))
         if not math.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {v!r}")
-    if not 0 <= desc.shape_n < math.inf:  # NaN fails too
-        raise ConfigError(f"shape_n must be finite and >= 0, got {desc.shape_n}")
+    if not 0 <= desc.shape_n <= sys.float_info.max:  # NaN fails too
+        raise ConfigError(f"shape_n must lie in [0, {sys.float_info.max:g}]")
     if not 0.0 <= desc.taper_alpha <= 1.0:
         raise ConfigError(f"taper_alpha must lie in [0, 1], got {desc.taper_alpha}")
     if desc.bandwidth_factor <= 0:

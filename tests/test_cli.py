@@ -86,13 +86,17 @@ class TestParseConfig:
             ("trials", str(10**15), str(10**8)),
             ("n_subcarriers", str(10**9), "4096"),
             ("oversample", str(10**9), "64"),
+            # a sin^n pulse raises a float to the power n
+            pytest.param("shape_n", str(10**400), str(int(sys.float_info.max)), id="shape_n-huge"),
+            pytest.param("n_list", f"0,{10**400}", f"0,{int(sys.float_info.max)}",
+                         id="n_list-huge"),
         ],
     )
     def test_size_caps(self, key, value, limit):
         with pytest.raises(ConfigKeyError) as exc:
             parse_config("", [f"{key}={value}"])
         assert exc.value.key == key
-        assert "\n" not in str(exc.value)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) < 200
         parse_config("", [f"{key}={limit}"])  # the largest accepted size
 
     def test_env_seed_lowest_precedence(self, monkeypatch):
@@ -316,11 +320,32 @@ class TestMain:
             raise AssertionError("an over-cap xcorr grid was built")
 
         monkeypatch.setattr("papr_shaper.harness.xcorr_curve", no_curve)
-        assert main(["xcorr", "--output", str(tmp_path), "--set", override]) == 2
+        out = tmp_path / "out"
+        assert main(["xcorr", "--output", str(out), "--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: gives f_max = ")
         assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
+
+    BIG = str(10**400)
+
+    @pytest.mark.parametrize(
+        "key,argv",
+        [
+            ("seed", ["papr", "--seed", "abc"]),
+            ("workers", ["ber", "--workers", "x"]),
+            ("shape_n", ["papr", "--set", "pulse_family=sine_power", "--set", f"shape_n={BIG}"]),
+            ("n_list", ["xcorr", "--set", "f_max=8", "--set", f"n_list=1,{BIG}"]),
+        ],
+        ids=["seed", "workers", "shape_n", "n_list"],
+    )
+    def test_bad_value_names_key_and_writes_nothing(self, tmp_path, capsys, key, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["ber", "xcorr"])
     def test_infinite_bandwidth_factor_exit_two(self, tmp_path, capsys, subcommand):

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from helpers import ENGINE_PULSES, RECT, SINE1, cfg_for, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
-from papr_shaper.errors import ConfigError, IllConditionedGramError
+from papr_shaper.errors import ConfigError
 from papr_shaper.harness import (
     run_ber_point,
     run_ber_sweep,
@@ -138,7 +138,7 @@ class TestBerPoint:
         # nearly time-disjoint narrow pulses: strongly non-orthogonal set
         narrow = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=400)
         cfg = cfg_for(N=16, pulse=narrow)
-        with pytest.raises(IllConditionedGramError):
+        with pytest.raises(ConfigError, match="^gram matrix condition "):
             run_ber_point(cfg, 10.0, target_errors=5, max_frames=10, seed=1)
 
 
@@ -176,6 +176,31 @@ class TestBatchSchedule:
             monkeypatch.setattr(seeding, "BATCH_SAMPLES", batch_frames * cfg.samples_per_symbol)
             for workers in (1, 2, 4):
                 assert point(workers) == ref, (batch_frames, workers)
+
+    # the frame the stop must fall on, in the batches [0, 64), [64, 192),
+    # [192, 448), ... of a 1000-frame N = 16 point; None: no stop before max_frames
+    STOP_FRAMES = {"in-first-batch": 30, "batch-end": 63, "second-batch-start": 64, "none": None}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(STOP_FRAMES))
+    def test_stop_frame_matches_oracle(self, case, workers):
+        # a rect frame does not depend on its batch, so one batch over all
+        # frames gives every frame's errors; the stop is where their sum
+        # first reaches the target
+        cfg, max_frames, seed = cfg_for(N=16), 1000, 9
+        per_frame = harness._frame_errors_batch(
+            get_kernel(cfg), 0.0, 0, max_frames, seeding.mix64(seed)
+        )
+        cum = np.cumsum(per_frame)
+        frame = self.STOP_FRAMES[case]
+        target = int(cum[-1]) + 1 if frame is None else int(cum[frame])
+        hit = np.flatnonzero(cum >= target)
+        stop = int(hit[0]) if hit.size else max_frames - 1
+        assert stop == (max_frames - 1 if frame is None else frame)  # errors on that frame
+        p = run_ber_point(
+            cfg, 0.0, target_errors=target, max_frames=max_frames, seed=seed, workers=workers
+        )
+        assert (p.bits_sent, p.bit_errors) == ((stop + 1) * cfg.bits_per_frame, int(cum[stop]))
 
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)

@@ -66,6 +66,7 @@ class TestSamplePulse:
             desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=float("inf")),
             desc(PulseFamily.SINE_POWER, shape_n=float("nan")),
             desc(PulseFamily.SINE_POWER, shape_n=float("inf")),
+            desc(PulseFamily.SINE_POWER, shape_n=10**400),  # above the largest float
         ],
     )
     def test_invalid_descriptor(self, bad):
