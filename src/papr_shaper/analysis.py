@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePulseError
+from .errors import ConfigError
 from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
-from .pulses import PulseDescriptor, pulse_energy, sample_pulse, squared_transform
+from .pulses import PulseDescriptor, sample_pulse, squared_transform
 from . import seeding
 
 __all__ = [
@@ -72,7 +72,9 @@ class PulseMetrics:
 def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
     s = kern.synthesize(symbols)
     power = np.abs(s) ** 2
-    return power.max(axis=1) / power.mean(axis=1)
+    peak, mean = power.max(axis=1), power.mean(axis=1)
+    # a frame of zero mean power is constant, so its PAPR is 1
+    return np.divide(peak, mean, out=np.ones_like(mean), where=mean > 0)
 
 
 def _random_paprs(cfg: OfdmConfig, trials: int, seed: int) -> np.ndarray:
@@ -177,8 +179,6 @@ def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
         )
     p = sample_pulse(desc, S)
     dt = 1.0 / S
-    if pulse_energy(p, dt) <= 0.0:
-        raise DegeneratePulseError("crosscorrelation of a zero-energy pulse")
     freq = np.arange(points) / XCORR_POINTS_PER_T
     rho = squared_transform(p, dt, XCORR_POINTS_PER_T, points)
     center = float(np.average(np.arange(S) * dt, weights=np.square(p)))

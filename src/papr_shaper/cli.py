@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per experiment family.
 
-Subcommands write deterministic CSV payloads (plus a plain-text summary)
-into the configured output directory; plotting is left to external
-tools. All files are UTF-8 with LF line endings and floats serialized
-to 9 significant digits.
+Subcommands compute every result first, then write deterministic CSV
+payloads (plus a plain-text summary) into the configured output
+directory; plotting is left to external tools. All files are UTF-8 with
+LF line endings and floats serialized to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .analysis import (
     reference_ccdf,
     theoretical_ber,
 )
-from . import modem
-from .config import ConfigKeyError, RunConfig, parse_config
-from .errors import DegeneratePulseError, PaprShaperError
+from .config import RunConfig, parse_config
+from .errors import ConfigKeyError, PaprShaperError
 from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
 from .pulses import PulseFamily
 
@@ -40,12 +39,8 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-            fh.write("\n")
+def _csv(header: str, rows) -> list[str]:
+    return [header, *(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)]
 
 
 def _gamma_grid(cfg: RunConfig) -> np.ndarray:
@@ -73,7 +68,7 @@ def _reference_crossing(N: int, level: float) -> float:
     return float(10.0 * np.log10(gamma))
 
 
-def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
+def _run_xcorr(cfg: RunConfig) -> dict[str, list[str]]:
     desc = cfg.pulse_descriptor()
     if desc.family is PulseFamily.RECT:
         # rect is the n = 0 member of the sine-power family; using the
@@ -83,21 +78,16 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
     f_max = cfg.resolved_f_max()
 
     pairs = run_xcorr_report(desc, n_list, XCORR_GRID_SAMPLES, f_max)
-    _write_csv(
-        os.path.join(outdir, "xcorr.csv"),
+    xcorr = _csv(
         "n,f_over_invT,rho_re,rho_im,rho_abs",
-        [
+        (
             (n, f, rho.real, rho.imag, abs(rho))
             for n, (curve, _) in zip(n_list, pairs)
             for f, rho in zip(curve.freq, curve.rho)
-        ],
+        ),
     )
     metrics = [(n, *astuple(m)) for n, (_, m) in zip(n_list, pairs)]
-    _write_csv(
-        os.path.join(outdir, "metrics.csv"),
-        "n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band",
-        metrics,
-    )
+    metrics_csv = _csv("n,cutoff_3db,cutoff_null,sidelobe_db,ortho_band", metrics)
 
     lines = [
         f"# Crosscorrelation metrics ({cfg.pulse_family}, f up to {_fmt(f_max)}/T)",
@@ -113,37 +103,30 @@ def _run_xcorr(cfg: RunConfig, outdir: str) -> list[str]:
         usable = [(n, cutoff) for n, cutoff, *_ in metrics if cutoff is not None]
         for (na, ca), (nb, cb) in zip(usable, usable[1:]):
             lines.append(f"cutoff_3db ratio n={nb}/n={na}: {_fmt(cb / ca)}")
-    return lines
+    return {"xcorr.csv": xcorr, "metrics.csv": metrics_csv, "summary.txt": lines}
 
 
-def _run_papr(cfg: RunConfig, outdir: str) -> list[str]:
+def _run_papr(cfg: RunConfig) -> dict[str, list[str]]:
     ofdm = cfg.ofdm_config()
     values = {}
     if ofdm.m_order**ofdm.n_subcarriers <= EXHAUSTIVE_FRAME_CAP:
         values["exhaustive"] = max_papr(ofdm, method="exhaustive")
     values["random"] = max_papr(ofdm, method="random", trials=cfg.trials, seed=cfg.seed)
     values["bound"] = max_papr(ofdm, method="bound")
-    _write_csv(
-        os.path.join(outdir, "papr.csv"),
-        "method,papr_linear,papr_db",
-        [(method, v, 10.0 * np.log10(v)) for method, v in values.items()],
-    )
+    db = {method: 10.0 * np.log10(v) for method, v in values.items()}
+    csv = _csv("method,papr_linear,papr_db", ((m, v, db[m]) for m, v in values.items()))
 
     lines = [f"# Max PAPR ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]
     for method, v in values.items():
-        lines.append(f"{method}: {_fmt(v)} ({_fmt(10.0 * np.log10(v))} dB)")
-    return lines
+        lines.append(f"{method}: {_fmt(v)} ({_fmt(db[method])} dB)")
+    return {"papr.csv": csv, "summary.txt": lines}
 
 
-def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
+def _run_ccdf(cfg: RunConfig) -> dict[str, list[str]]:
     ofdm = cfg.ofdm_config()
     gamma = _gamma_grid(cfg)
     prob = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
-    _write_csv(
-        os.path.join(outdir, "ccdf.csv"),
-        "gamma_db,prob,trials",
-        [(g, p, cfg.trials) for g, p in zip(gamma, prob)],
-    )
+    csv = _csv("gamma_db,prob,trials", ((g, p, cfg.trials) for g, p in zip(gamma, prob)))
 
     lines = [f"# PAPR CCDF ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]
     crossing = _ccdf_crossing(gamma, prob, 1e-2)
@@ -153,22 +136,21 @@ def _run_ccdf(cfg: RunConfig, outdir: str) -> list[str]:
             ref = _reference_crossing(cfg.n_subcarriers, 1e-2)
             lines.append(f"rect reference gamma at P=1e-2: {_fmt(ref)} dB")
             lines.append(f"horizontal deviation: {_fmt(crossing - ref)} dB")
-    return lines
+    return {"ccdf.csv": csv, "summary.txt": lines}
 
 
-def _run_ber(cfg: RunConfig, outdir: str) -> list[str]:
+def _run_ber(cfg: RunConfig) -> dict[str, list[str]]:
     ofdm = cfg.ofdm_config()
     points = run_ber_sweep(
         ofdm, cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames, cfg.seed, cfg.workers
     )
-    _write_csv(
-        os.path.join(outdir, "ber.csv"),
+    csv = _csv(
         "ebn0_db,m,pulse,shape_n,bits,errors,ber,ci_lo,ci_hi,seed",
-        [
+        (
             (p.ebn0_db, cfg.m, cfg.pulse_family, cfg.shape_n, p.bits_sent, p.bit_errors,
              p.ber, p.ci_lo, p.ci_hi, p.seed)
             for p in points
-        ],
+        ),
     )
 
     # the sweep has already raised if the kernel is beyond the ZF limit
@@ -183,30 +165,23 @@ def _run_ber(cfg: RunConfig, outdir: str) -> list[str]:
             f"{_fmt(p.ebn0_db)} {_fmt(p.ber)} {_fmt(p.ci_lo)} {_fmt(p.ci_hi)} "
             f"{_fmt(th)} {_fmt(p.ber - th)}"
         )
-    return lines
+    return {"ber.csv": csv, "summary.txt": lines}
 
 
-# Each runner writes its CSVs and returns the lines of its summary.txt.
+# Each runner computes its results and returns {file name: lines}; it opens no file.
 RUNNERS = {"xcorr": _run_xcorr, "papr": _run_papr, "ccdf": _run_ccdf, "ber": _run_ber}
 
 
 def dispatch(subcommand: str, cfg: RunConfig) -> int:
-    """Run one subcommand, writing its CSVs and a summary file."""
+    """Run one subcommand, then write its CSVs and summary file: nothing is
+    written, and no output directory made, until every result exists."""
     if subcommand not in RUNNERS:
         raise PaprShaperError(f"unknown subcommand {subcommand!r}")
-    if subcommand == "xcorr":  # xcorr samples the pulse on its own grid, not the frame's
-        cfg.resolved_f_max()  # the f_max cap, checked before the output directory is made
-    else:
-        try:
-            modem.get_kernel(cfg.ofdm_config())
-        except DegeneratePulseError:  # sin^n, the one family that can underflow to zero
-            S = cfg.n_subcarriers * cfg.oversample
-            raise ConfigKeyError("shape_n", f"sin^{cfg.shape_n} is zero at all {S} samples") from None
+    files = RUNNERS[subcommand](cfg)
     os.makedirs(cfg.output_path, exist_ok=True)
-    lines = RUNNERS[subcommand](cfg, cfg.output_path)
-    path = os.path.join(cfg.output_path, "summary.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for name, lines in files.items():
+        with open(os.path.join(cfg.output_path, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 

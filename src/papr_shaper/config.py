@@ -13,11 +13,11 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigKeyError
 from .modem import MAX_ABS_EBN0_DB, SUPPORTED_ORDERS, OfdmConfig
 from .pulses import PulseDescriptor, PulseFamily
 
-__all__ = ["RunConfig", "ConfigKeyError", "parse_config"]
+__all__ = ["RunConfig", "parse_config"]
 
 # Caps on what one config may ask for, so that a typo ends in a named
 # error instead of an unbounded allocation or thread count.
@@ -34,17 +34,6 @@ MAX_TRIALS = 10**8
 MAX_F_MAX = 128
 # a sin^n pulse raises a float to the power n
 MAX_SHAPE_N = sys.float_info.max
-
-
-class ConfigKeyError(ConfigError):
-    """Invalid configuration input, attributed to one key."""
-
-    def __init__(self, key: str, reason: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{key}: {reason}{where}")
-        self.key = key
-        self.reason = reason
-        self.line = line
 
 
 def _default_seed() -> int:

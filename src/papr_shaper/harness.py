@@ -174,6 +174,7 @@ def run_ber_sweep(
         raise ConfigError("ebn0_db_list must be nonempty")
     if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
         raise ConfigError("ebn0_db_list must be ascending")
+    get_kernel(cfg)  # a bad pulse is the config's fault, not a sweep point's
     points = []
     for index, ebn0_db in enumerate(ebn0_db_list):
         try:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePulseError
+from .errors import ConfigError
 from .pulses import PulseDescriptor, sample_pulse, squared_transform
 
 __all__ = [
@@ -271,10 +271,7 @@ class ModemKernel:
 
         self.samples = np.stack([sample_pulse(desc, S) for desc in cfg.pulse_set])
         self.samples.setflags(write=False)
-        energies = np.sum(self.samples**2, axis=1) * self.dt
-        for g, e in enumerate(energies):
-            if e <= 0:
-                raise DegeneratePulseError(f"pulse_set[{g}] is a zero-energy pulse")
+        energies = np.sum(self.samples**2, axis=1) * self.dt  # each > 0: sample_pulse checks
         P = len(energies)
         self.energies = energies[np.arange(N) % P]  # subcarrier k carries pulse_set[k % P]
         self.groups = [

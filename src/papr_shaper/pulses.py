@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConfigKeyError
 
 __all__ = [
     "PulseFamily",
@@ -52,20 +52,19 @@ class PulseDescriptor:
 def _validate_descriptor(desc: PulseDescriptor) -> None:
     if not isinstance(desc.family, PulseFamily):
         raise ConfigError(f"unknown pulse family: {desc.family!r}")
-    for name in ("taper_alpha", "bandwidth_factor"):
-        v = float(getattr(desc, name))
-        if not math.isfinite(v):
-            raise ConfigError(f"{name} must be finite, got {v!r}")
     if not 0 <= desc.shape_n <= sys.float_info.max:  # NaN fails too
         raise ConfigError(f"shape_n must lie in [0, {sys.float_info.max:g}]")
     if not 0.0 <= desc.taper_alpha <= 1.0:
         raise ConfigError(f"taper_alpha must lie in [0, 1], got {desc.taper_alpha}")
-    if desc.bandwidth_factor <= 0:
-        raise ConfigError(f"bandwidth_factor must be > 0, got {desc.bandwidth_factor}")
+    if not 0 < desc.bandwidth_factor < math.inf:  # NaN fails too
+        raise ConfigError(f"bandwidth_factor must be finite and > 0, got {desc.bandwidth_factor}")
 
 
 def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
-    """The (S,) samples p(t_i) of a pulse at t_i = i * (1/S), i = 0..S-1."""
+    """The (S,) samples p(t_i) of a pulse at t_i = i * (1/S), i = 0..S-1.
+
+    A pulse of zero discrete energy raises ConfigKeyError naming its
+    family's parameter."""
     if S < 1:
         raise ConfigError(f"samples_per_symbol must be >= 1, got {S}")
     _validate_descriptor(desc)
@@ -83,6 +82,11 @@ def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
         p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown pulse family: {desc.family!r}")
+    if pulse_energy(p, 1.0 / S) <= 0.0:  # p**2 can underflow to 0 where p does not
+        if desc.family is PulseFamily.SINE_POWER:
+            raise ConfigKeyError("shape_n", f"sin^{desc.shape_n} is zero at all {S} samples")
+        key = "bandwidth_factor" if desc.family is PulseFamily.TRUNCATED_SINC else "taper_alpha"
+        raise ConfigKeyError(key, f"the {desc.family.value} pulse has zero energy at {S} samples")
     return p
 
 

@@ -58,6 +58,10 @@ class TestMaxPapr:
         b = max_papr(cfg, method="bound")
         assert r <= e + 1e-12
         assert e <= b + 1e-12
+        # sin^1000000 at S = 16 is nonzero only at t = T/2, where some frames
+        # sum to zero: such a frame is constant, PAPR 1, and drops no batch
+        spike = cfg_for(pulse=PulseDescriptor(PulseFamily.SINE_POWER, 1_000_000))
+        assert max_papr(spike, "random", trials=10) == max_papr(spike, "exhaustive") == 16.0
 
     def test_rect_bound_equals_exhaustive(self):
         cfg = cfg_for()

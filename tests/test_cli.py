@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import papr_shaper
-from papr_shaper.cli import dispatch, main
-from papr_shaper.config import ConfigKeyError, RunConfig, parse_config
-from papr_shaper.errors import PaprShaperError
+from papr_shaper.cli import RUNNERS, dispatch, main
+from papr_shaper.config import RunConfig, parse_config
+from papr_shaper.errors import ConfigKeyError, PaprShaperError
 from papr_shaper.pulses import PulseFamily
 
 
@@ -226,6 +226,28 @@ class TestDispatch:
         ]
         assert methods == ["random", "bound"]
 
+    @pytest.mark.parametrize(
+        "subcommand,names",
+        [
+            ("xcorr", ["xcorr.csv", "metrics.csv", "summary.txt"]),
+            ("papr", ["papr.csv", "summary.txt"]),
+            ("ccdf", ["ccdf.csv", "summary.txt"]),
+            ("ber", ["ber.csv", "summary.txt"]),
+        ],
+        ids=["xcorr", "papr", "ccdf", "ber"],
+    )
+    def test_runner_returns_files_and_writes_nothing(self, tmp_path, subcommand, names):
+        out = tmp_path / "out"
+        cfg = parse_config(
+            "n_subcarriers = 4\ntrials = 50\nebn0_db_list = inf\nmax_frames = 2\nn_list = 1\n",
+            [f"output_path={out}"],
+        )
+        files = RUNNERS[subcommand](cfg)
+        assert list(files) == names
+        assert all(lines and all(isinstance(l, str) for l in lines) for lines in files.values())
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand(self):
         with pytest.raises(PaprShaperError):
             dispatch("frobnicate", RunConfig())
@@ -365,17 +387,25 @@ class TestMain:
 
     # sin^100000 underflows to zero at every sample of a 5-sample frame
     ZERO_ENERGY = ("n_subcarriers=1", "oversample=5", "pulse_family=sine_power", "shape_n=100000")
+    # so do the squares of a truncated sinc this narrow, though its samples do not
+    ZERO_ENERGY_SINC = ("n_subcarriers=1", "oversample=5", "pulse_family=truncated_sinc",
+                        "bandwidth_factor=1e300")
 
     @pytest.mark.parametrize("subcommand", ["papr", "ccdf", "ber"])
     def test_zero_energy_pulse_names_shape_n(self, tmp_path, capsys, subcommand):
-        out = tmp_path / "out"
-        argv = [subcommand, "--output", str(out)]
-        for item in self.ZERO_ENERGY:
-            argv += ["--set", item]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "error: shape_n: sin^100000 is zero at all 5 samples\n"
-        assert not out.exists()
+        cases = [
+            (self.ZERO_ENERGY, "shape_n: sin^100000 is zero at all 5 samples"),
+            (self.ZERO_ENERGY_SINC,
+             "bandwidth_factor: the truncated_sinc pulse has zero energy at 5 samples"),
+        ]
+        for items, message in cases:
+            out = tmp_path / "out"
+            argv = [subcommand, "--output", str(out)]
+            for item in items:
+                argv += ["--set", item]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_zero_energy_frame_pulse_still_runs_xcorr(self, tmp_path):
         # xcorr's 1024-point grid samples t = T/2, where sin^n is 1
@@ -386,15 +416,16 @@ class TestMain:
 
     def test_ill_conditioned_ber_writes_nothing(self, tmp_path, capsys):
         # sine n=4 at N=64 is beyond the ZF limit; the sweep fails before
-        # any CSV or summary line is written
-        rc = main(["ber", "--output", str(tmp_path), "--set", "pulse_family=sine_power",
+        # the output directory is made
+        out = tmp_path / "out"
+        rc = main(["ber", "--output", str(out), "--set", "pulse_family=sine_power",
                    "--set", "shape_n=4", "--set", "max_frames=10"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: run: sweep point 0")
         assert "gram matrix condition" in err
         assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -22,7 +22,7 @@ from helpers import (
     solve_zf,
 )
 from papr_shaper import harness, modem, seeding
-from papr_shaper.errors import ConfigError, DegeneratePulseError
+from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.modem import (
     ModemKernel,
     OfdmConfig,
@@ -227,7 +227,7 @@ class TestSynthesize:
     def test_zero_energy_pulse_named(self):
         # S = 15 is odd, so no sample of sin^100000 lands at t = T/2: all underflow to 0
         cfg = cfg_for(N=3, pulse=(RECT, PulseDescriptor(PulseFamily.SINE_POWER, 100_000)), L=5)
-        with pytest.raises(DegeneratePulseError, match=r"pulse_set\[1\]"):
+        with pytest.raises(ConfigKeyError, match=r"^shape_n: sin\^100000 is zero at all 15 samples"):
             ModemKernel(cfg)
 
 

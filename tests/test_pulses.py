@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from papr_shaper.analysis import xcorr_curve
-from papr_shaper.errors import ConfigError
+from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.pulses import (
     PulseDescriptor,
     PulseFamily,
@@ -75,6 +75,22 @@ class TestSamplePulse:
                    if getattr(bad, k) != getattr(desc(bad.family), k))
         with pytest.raises(ConfigError, match=f"^{key} "):
             sample_pulse(bad, 16)
+
+    @pytest.mark.parametrize(
+        "bad,S,message",
+        [
+            (desc(PulseFamily.SINE_POWER, shape_n=100_000), 5,
+             "shape_n: sin^100000 is zero at all 5 samples"),
+            (desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=1e300), 5, "bandwidth_factor: "),
+            (desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.0), 1, "taper_alpha: "),
+        ],
+        ids=["sine_power", "truncated_sinc", "tapered_flat_top"],
+    )
+    def test_zero_energy_names_its_key(self, bad, S, message):
+        # the sinc's samples are about 1e-300, nonzero, but their squares underflow
+        with pytest.raises(ConfigKeyError) as exc:
+            sample_pulse(bad, S)
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("S", [0, -1])
     def test_sample_count_checked(self, S):
