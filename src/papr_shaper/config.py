@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigKeyError
 from .modem import MAX_ABS_EBN0_DB, SUPPORTED_ORDERS, OfdmConfig
-from .pulses import PulseDescriptor, PulseFamily
+from .pulses import MAX_SHAPE_N, PulseDescriptor, PulseFamily
 
 __all__ = ["RunConfig", "parse_config"]
 
@@ -32,8 +31,6 @@ MAX_OVERSAMPLE = 64
 MAX_TRIALS = 10**8
 # xcorr's frequency grid and CSV grow with f_max: 16385 points per n at the cap
 MAX_F_MAX = 128
-# a sin^n pulse raises a float to the power n
-MAX_SHAPE_N = sys.float_info.max
 
 
 def _default_seed() -> int:
@@ -156,12 +153,7 @@ def _validate(cfg: RunConfig) -> None:
     families = sorted(f.value for f in PulseFamily)
     if cfg.pulse_family not in families:
         bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
-    if not 0 <= cfg.shape_n <= MAX_SHAPE_N:
-        bad("shape_n", f"must lie in [0, {MAX_SHAPE_N:g}]")
-    if not 0.0 <= cfg.taper_alpha <= 1.0:
-        bad("taper_alpha", "must lie in [0, 1]")
-    if not 0 < cfg.bandwidth_factor < math.inf:
-        bad("bandwidth_factor", f"must be finite and > 0, got {cfg.bandwidth_factor}")
+    cfg.pulse_descriptor()  # range-checks shape_n, taper_alpha and bandwidth_factor
     if not cfg.ebn0_db_list:
         bad("ebn0_db_list", "must be nonempty")
     if any(b < a for a, b in zip(cfg.ebn0_db_list, cfg.ebn0_db_list[1:])):

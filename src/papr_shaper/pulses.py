@@ -33,6 +33,12 @@ class PulseFamily(enum.Enum):
     TRUNCATED_SINC = "truncated_sinc"
 
 
+# a sin^n pulse raises a float to the power n
+MAX_SHAPE_N = sys.float_info.max
+# np.sinc multiplies 2W(t - T/2), at most W, by pi; above this W the product overflows
+MAX_BANDWIDTH_FACTOR = sys.float_info.max / math.pi
+
+
 @dataclass(frozen=True)
 class PulseDescriptor:
     """Pulse family plus its shape parameters.
@@ -40,7 +46,9 @@ class PulseDescriptor:
     Each family reads only its own parameter: ``shape_n`` for the
     sine-power family (n = 0 degenerates to the rectangular pulse),
     ``taper_alpha`` for the tapered flat-top, ``bandwidth_factor`` for
-    the truncated sinc. Irrelevant parameters are ignored, not rejected.
+    the truncated sinc. Irrelevant parameters are ignored, but each is
+    range-checked on construction (ConfigKeyError naming it, NaN too), so
+    a descriptor that exists is valid.
     """
 
     family: PulseFamily
@@ -48,26 +56,24 @@ class PulseDescriptor:
     taper_alpha: float = 0.0
     bandwidth_factor: float = 1.0
 
-
-def _validate_descriptor(desc: PulseDescriptor) -> None:
-    if not isinstance(desc.family, PulseFamily):
-        raise ConfigError(f"unknown pulse family: {desc.family!r}")
-    if not 0 <= desc.shape_n <= sys.float_info.max:  # NaN fails too
-        raise ConfigError(f"shape_n must lie in [0, {sys.float_info.max:g}]")
-    if not 0.0 <= desc.taper_alpha <= 1.0:
-        raise ConfigError(f"taper_alpha must lie in [0, 1], got {desc.taper_alpha}")
-    if not 0 < desc.bandwidth_factor < math.inf:  # NaN fails too
-        raise ConfigError(f"bandwidth_factor must be finite and > 0, got {desc.bandwidth_factor}")
+    def __post_init__(self):
+        if not 0 <= self.shape_n <= MAX_SHAPE_N:
+            raise ConfigKeyError("shape_n", f"must lie in [0, {MAX_SHAPE_N:g}]")
+        if not 0.0 <= self.taper_alpha <= 1.0:
+            raise ConfigKeyError("taper_alpha", "must lie in [0, 1]")
+        if not 0 < self.bandwidth_factor <= MAX_BANDWIDTH_FACTOR:
+            raise ConfigKeyError("bandwidth_factor", f"must lie in (0, {MAX_BANDWIDTH_FACTOR:g}], "
+                                 f"got {self.bandwidth_factor}")
 
 
 def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
     """The (S,) samples p(t_i) of a pulse at t_i = i * (1/S), i = 0..S-1.
 
-    A pulse of zero discrete energy raises ConfigKeyError naming its
-    family's parameter."""
+    The descriptor checked its parameters when it was built; a pulse of
+    zero discrete energy raises ConfigKeyError naming its family's
+    parameter."""
     if S < 1:
         raise ConfigError(f"samples_per_symbol must be >= 1, got {S}")
-    _validate_descriptor(desc)
     t = np.arange(S) * (1.0 / S)
 
     if desc.family is PulseFamily.RECT or (
@@ -80,7 +86,7 @@ def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
         p = _tapered_flat_top(t, desc.taper_alpha)
     elif desc.family is PulseFamily.TRUNCATED_SINC:
         p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
-    else:  # pragma: no cover - enum is exhaustive
+    else:  # a family that is not a PulseFamily
         raise ConfigError(f"unknown pulse family: {desc.family!r}")
     if pulse_energy(p, 1.0 / S) <= 0.0:  # p**2 can underflow to 0 where p does not
         if desc.family is PulseFamily.SINE_POWER:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -369,15 +370,21 @@ class TestMain:
         assert err.count("\n") == 1 and len(err) < 200
         assert not out.exists()
 
-    @pytest.mark.parametrize("subcommand", ["ber", "xcorr"])
+    @pytest.mark.parametrize("subcommand", ["ber", "xcorr", "papr", "ccdf"])
     def test_infinite_bandwidth_factor_exit_two(self, tmp_path, capsys, subcommand):
-        rc = main([subcommand, "--output", str(tmp_path), "--set", "pulse_family=truncated_sinc",
-                   "--set", "bandwidth_factor=inf"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bandwidth_factor:")
-        assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        # 1e308 and 6e307 are finite, but pi * W overflows in np.sinc
+        for w in ("inf", "1e308", "6e307"):
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([subcommand, "--output", str(out), "--set", "pulse_family=truncated_sinc",
+                           "--set", f"bandwidth_factor={w}", "--set", "n_subcarriers=2",
+                           "--set", "trials=10"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bandwidth_factor:")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_large_shape_n_outside_xcorr(self, tmp_path):
         rc = main(["papr", "--output", str(tmp_path), "--set", "shape_n=1000",

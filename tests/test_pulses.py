@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from papr_shaper.analysis import xcorr_curve
 from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.pulses import (
+    MAX_BANDWIDTH_FACTOR,
     PulseDescriptor,
     PulseFamily,
     pulse_energy,
@@ -59,22 +60,32 @@ class TestSamplePulse:
     @pytest.mark.parametrize(
         "bad",
         [
-            desc(PulseFamily.SINE_POWER, shape_n=-1),
-            desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.5),
-            desc(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=float("nan")),
-            desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=0.0),
-            desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=float("inf")),
-            desc(PulseFamily.SINE_POWER, shape_n=float("nan")),
-            desc(PulseFamily.SINE_POWER, shape_n=float("inf")),
-            desc(PulseFamily.SINE_POWER, shape_n=10**400),  # above the largest float
+            (PulseFamily.SINE_POWER, "shape_n", -1),
+            (PulseFamily.TAPERED_FLAT_TOP, "taper_alpha", 1.5),
+            (PulseFamily.TAPERED_FLAT_TOP, "taper_alpha", float("nan")),
+            (PulseFamily.TRUNCATED_SINC, "bandwidth_factor", 0.0),
+            (PulseFamily.TRUNCATED_SINC, "bandwidth_factor", float("inf")),
+            (PulseFamily.SINE_POWER, "shape_n", float("nan")),
+            (PulseFamily.SINE_POWER, "shape_n", float("inf")),
+            (PulseFamily.SINE_POWER, "shape_n", 10**400),  # above the largest float
+            # pi * W overflows, so np.sinc would give NaN samples
+            (PulseFamily.TRUNCATED_SINC, "bandwidth_factor", 1e308),
+            (PulseFamily.TRUNCATED_SINC, "bandwidth_factor", 6e307),
+            (PulseFamily.TRUNCATED_SINC, "bandwidth_factor",
+             np.nextafter(MAX_BANDWIDTH_FACTOR, math.inf)),
         ],
     )
     def test_invalid_descriptor(self, bad):
-        # the error names the one parameter out of range
-        key = next(k for k in ("shape_n", "taper_alpha", "bandwidth_factor")
-                   if getattr(bad, k) != getattr(desc(bad.family), k))
-        with pytest.raises(ConfigError, match=f"^{key} "):
-            sample_pulse(bad, 16)
+        # the descriptor refuses to exist, naming the one parameter out of range
+        family, key, value = bad
+        with pytest.raises(ConfigKeyError, match=f"^{key}: "):
+            desc(family, **{key: value})
+
+    @pytest.mark.parametrize("S", [8, 1024])
+    def test_largest_bandwidth_factor_samples_finite(self, S):
+        p = sample_pulse(desc(PulseFamily.TRUNCATED_SINC, bandwidth_factor=MAX_BANDWIDTH_FACTOR), S)
+        assert np.all(np.isfinite(p))
+        assert p[S // 2] == 1.0
 
     @pytest.mark.parametrize(
         "bad,S,message",
