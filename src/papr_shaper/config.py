@@ -13,20 +13,17 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigKeyError
-from .modem import MAX_ABS_EBN0_DB, SUPPORTED_ORDERS, OfdmConfig
+from .harness import check_ber_plan
+from .modem import OfdmConfig
 from .pulses import MAX_SHAPE_N, PulseDescriptor, PulseFamily
 
 __all__ = ["RunConfig", "parse_config"]
 
-# Caps on what one config may ask for, so that a typo ends in a named
-# error instead of an unbounded allocation or thread count.
+# Caps on the keys only the CLI reads, so that a typo ends in a named error
+# instead of an unbounded allocation. The kernel keys are capped by
+# modem.OfdmConfig and pulses.PulseDescriptor, the BER plan by
+# harness.check_ber_plan.
 MAX_GAMMA_POINTS = 100_001
-MAX_WORKERS = 64
-MAX_FRAMES = 10**9  # frames per BER point
-# a BER kernel holds N x N matrices G and noise colour L: 268 MB each at N = 4096
-MAX_SUBCARRIERS = 4096
-# a frame and each of the kernel's P pulse rows hold N * oversample samples: 262144 at both caps
-MAX_OVERSAMPLE = 64
 # the PAPR array and its sorted copy: 800 MB each at 10^8 trials
 MAX_TRIALS = 10**8
 # xcorr's frequency grid and CSV grow with f_max: 16385 points per n at the cap
@@ -144,37 +141,24 @@ def _validate(cfg: RunConfig) -> None:
     def bad(key, reason):
         raise ConfigKeyError(key, reason)
 
-    if not 1 <= cfg.n_subcarriers <= MAX_SUBCARRIERS:
-        bad("n_subcarriers", f"must lie in [1, {MAX_SUBCARRIERS}], got {cfg.n_subcarriers}")
-    if cfg.m not in SUPPORTED_ORDERS:
-        bad("m", f"must be one of {sorted(SUPPORTED_ORDERS)}, got {cfg.m}")
-    if not 4 <= cfg.oversample <= MAX_OVERSAMPLE:
-        bad("oversample", f"must lie in [4, {MAX_OVERSAMPLE}], got {cfg.oversample}")
     families = sorted(f.value for f in PulseFamily)
     if cfg.pulse_family not in families:
         bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
-    cfg.pulse_descriptor()  # range-checks shape_n, taper_alpha and bandwidth_factor
-    if not cfg.ebn0_db_list:
-        bad("ebn0_db_list", "must be nonempty")
-    if any(b < a for a, b in zip(cfg.ebn0_db_list, cfg.ebn0_db_list[1:])):
-        bad("ebn0_db_list", "must be ascending")
-    if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in cfg.ebn0_db_list):
-        bad("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, {MAX_ABS_EBN0_DB:g}] dB "
-            "or be inf (the noiseless channel)")
+    cfg.ofdm_config()  # range-checks the pulse keys, n_subcarriers, m and oversample
+    check_ber_plan(cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames, cfg.workers)
     if not 1 <= cfg.trials <= MAX_TRIALS:
         bad("trials", f"must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
-    if cfg.target_errors < 1:
-        bad("target_errors", "must be >= 1")
-    if not 1 <= cfg.max_frames <= MAX_FRAMES:
-        bad("max_frames", f"must lie in [1, {MAX_FRAMES}], got {cfg.max_frames}")
-    if not 1 <= cfg.workers <= MAX_WORKERS:
-        bad("workers", f"must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
     if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):
         bad("n_list", f"must be a nonempty list of integers in [0, {MAX_SHAPE_N:g}]")
-    if cfg.f_max is not None and not cfg.f_max >= 1.0:
-        bad("f_max", "must be >= 1")
+    if cfg.f_max is not None:
+        if not cfg.f_max >= 1.0:
+            bad("f_max", "must be >= 1")
+        cfg.resolved_f_max()  # checks the cap; a derived f_max is checked by xcorr alone
     if not cfg.gamma_step_db > 0:
         bad("gamma_step_db", "must be > 0")
+    for key in ("gamma_min_db", "gamma_max_db"):
+        if not math.isfinite(getattr(cfg, key)):
+            bad(key, "must be finite")
     if not cfg.gamma_max_db >= cfg.gamma_min_db:
         bad("gamma_max_db", "must be >= gamma_min_db")
     # the CLI grid has round(span) + 1 points; NaN and inf spans fail too

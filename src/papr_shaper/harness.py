@@ -24,12 +24,13 @@ import numpy as np
 
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
-from .errors import ConfigError
-from .modem import MAX_ABS_EBN0_DB, OfdmConfig, demap_symbols, get_kernel, map_bits
+from .errors import ConfigError, ConfigKeyError
+from .modem import OfdmConfig, demap_symbols, get_kernel, map_bits
 from .pulses import PulseDescriptor
 
 __all__ = [
     "BerPoint",
+    "check_ber_plan",
     "run_ber_point",
     "run_ber_sweep",
     "run_xcorr_report",
@@ -39,6 +40,14 @@ __all__ = [
 
 # z of the 95% two-sided Wilson interval: float(scipy.special.ndtri(0.975))
 WILSON_Z = 1.959963984540054
+
+# Caps on a BER plan, so that a typo ends in a named error instead of an
+# unbounded run or thread count.
+MAX_WORKERS = 64
+MAX_FRAMES = 10**9  # frames per BER point
+# Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
+# aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
+MAX_ABS_EBN0_DB = 100.0
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,24 @@ def wilson_interval(errors: int, trials_bits: int):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials_bits else min(1.0, center + half)
     return lo, hi
+
+
+def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: int) -> None:
+    """Range-check a BER plan, raising ConfigKeyError named by its config key."""
+    if not len(ebn0_db_list):
+        raise ConfigKeyError("ebn0_db_list", "must be nonempty")
+    if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
+        raise ConfigKeyError("ebn0_db_list", "must be ascending")
+    # +inf is the noiseless channel; NaN and -inf fail the test
+    if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in ebn0_db_list):
+        raise ConfigKeyError("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, "
+                             f"{MAX_ABS_EBN0_DB:g}] dB or be inf (the noiseless channel)")
+    if target_errors < 1:
+        raise ConfigKeyError("target_errors", "must be >= 1")
+    if not 1 <= max_frames <= MAX_FRAMES:
+        raise ConfigKeyError("max_frames", f"must lie in [1, {MAX_FRAMES}], got {max_frames}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
@@ -111,13 +138,7 @@ def run_ber_point(
     Stops at the first frame where the cumulative error count reaches
     ``target_errors``, or at ``max_frames``, whichever comes first.
     """
-    if target_errors < 1 or max_frames < 1:
-        raise ConfigError("target_errors and max_frames must be >= 1")
-    if not (abs(ebn0_db) <= MAX_ABS_EBN0_DB or ebn0_db == math.inf):
-        # +inf is the noiseless channel; NaN and -inf fail the test
-        raise ConfigError(f"|ebn0_db| must be <= {MAX_ABS_EBN0_DB:g} or +inf, got {ebn0_db}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_ber_plan([ebn0_db], target_errors, max_frames, workers)
     kern = get_kernel(cfg)
     kern.noise_colour  # checks the ZF limit; computed once, before any worker thread
     # the noise normals' ndtri: scipy is imported here, not by a worker thread
@@ -169,29 +190,15 @@ def run_ber_sweep(
     workers: int = 1,
 ) -> list[BerPoint]:
     """One BerPoint per Eb/N0 value of an ascending list; point i runs
-    ``run_ber_point`` with the seed ``seeding.mix64(seed, i)``."""
-    if not len(ebn0_db_list):
-        raise ConfigError("ebn0_db_list must be nonempty")
-    if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
-        raise ConfigError("ebn0_db_list must be ascending")
-    get_kernel(cfg)  # a bad pulse is the config's fault, not a sweep point's
-    points = []
-    for index, ebn0_db in enumerate(ebn0_db_list):
-        try:
-            points.append(
-                run_ber_point(
-                    cfg,
-                    ebn0_db,
-                    target_errors=target_errors,
-                    max_frames=max_frames,
-                    seed=seeding.mix64(seed, index),
-                    workers=workers,
-                )
-            )
-        except Exception as exc:
-            exc.args = (f"sweep point {index} (Eb/N0 = {ebn0_db} dB): {exc}",)
-            raise
-    return points
+    ``run_ber_point`` with the seed ``seeding.mix64(seed, i)``. The plan is
+    checked first, so a point fails only on the config: a zero-energy
+    pulse or the ZF limit."""
+    check_ber_plan(ebn0_db_list, target_errors, max_frames, workers)
+    return [
+        run_ber_point(cfg, ebn0_db, target_errors=target_errors, max_frames=max_frames,
+                      seed=seeding.mix64(seed, index), workers=workers)
+        for index, ebn0_db in enumerate(ebn0_db_list)
+    ]
 
 
 def run_xcorr_report(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConfigKeyError
 from .pulses import PulseDescriptor, sample_pulse, squared_transform
 
 __all__ = [
@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
+# a BER kernel holds N x N matrices G and noise colour L: 268 MB each at N = 4096
+MAX_SUBCARRIERS = 4096
+# a frame and each of the kernel's P pulse rows hold N * oversample samples: 262144 at both caps
+MAX_OVERSAMPLE = 64
 
 # Condition number beyond which the ZF solve is refused.
 GRAM_CONDITION_LIMIT = 1e8
@@ -206,7 +210,9 @@ class OfdmConfig:
     """N subcarriers at spacing 1/T, M-QAM, oversampling L (S = N*L).
 
     ``pulse_set`` holds 1 <= P <= N descriptors used cyclically:
-    subcarrier k carries ``pulse_set[k % P]``.
+    subcarrier k carries ``pulse_set[k % P]``. N, M and L are range-checked
+    on construction, each raising ConfigKeyError under its config key
+    (``m`` for ``m_order``); L >= 4 captures the peak.
     """
 
     n_subcarriers: int
@@ -215,12 +221,13 @@ class OfdmConfig:
     oversample: int = 4
 
     def __post_init__(self):
-        if self.n_subcarriers < 1:
-            raise ConfigError("n_subcarriers must be >= 1")
+        if not 1 <= self.n_subcarriers <= MAX_SUBCARRIERS:
+            raise ConfigKeyError("n_subcarriers", f"must lie in [1, {MAX_SUBCARRIERS}], "
+                                 f"got {self.n_subcarriers}")
         if self.m_order not in SUPPORTED_ORDERS:
-            raise ConfigError(f"unsupported constellation order M={self.m_order}")
-        if self.oversample < 4:
-            raise ConfigError("oversample must be >= 4 for peak capture")
+            raise ConfigKeyError("m", f"must be one of {list(SUPPORTED_ORDERS)}, got {self.m_order}")
+        if not 4 <= self.oversample <= MAX_OVERSAMPLE:
+            raise ConfigKeyError("oversample", f"must lie in [4, {MAX_OVERSAMPLE}], got {self.oversample}")
         ps = self.pulse_set
         if not (isinstance(ps, tuple) and 1 <= len(ps) <= self.n_subcarriers
                 and all(isinstance(desc, PulseDescriptor) for desc in ps)):
@@ -338,8 +345,3 @@ class ModemKernel:
 @functools.lru_cache(maxsize=64)
 def get_kernel(cfg: OfdmConfig) -> ModemKernel:
     return ModemKernel(cfg)
-
-
-# Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
-# aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
-MAX_ABS_EBN0_DB = 100.0

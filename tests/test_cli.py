@@ -42,10 +42,26 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\nm = 8  # trailing\n")
         assert cfg.m == 8
 
-    def test_out_of_range_names_key(self):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("m = 7", "m: must be one of [4, 8, 16, 32], got 7"),
+            # a non-finite gamma bound is named, not blamed on the other bound or the step
+            ("gamma_min_db = nan", "gamma_min_db: must be finite"),
+            ("gamma_min_db = -inf", "gamma_min_db: must be finite"),
+            ("gamma_max_db = inf", "gamma_max_db: must be finite"),
+            # a set f_max is capped at parse time, whatever the subcommand
+            ("f_max = inf", "f_max: gives f_max = inf/T, above the cap 128"),
+            ("f_max = 1e9", "f_max: gives f_max = 1e+09/T, above the cap 128"),
+        ],
+        ids=["m-7", "gamma_min-nan", "gamma_min-minus-inf", "gamma_max-inf", "f_max-inf",
+             "f_max-1e9"],
+    )
+    def test_out_of_range_names_key(self, text, message):
         with pytest.raises(ConfigKeyError) as exc:
-            parse_config("m = 7")
-        assert exc.value.key == "m"
+            parse_config(text)
+        assert exc.value.key == message.split(":")[0]
+        assert str(exc.value) == message
 
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigKeyError) as exc:
@@ -429,8 +445,7 @@ class TestMain:
                    "--set", "shape_n=4", "--set", "max_frames=10"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: run: sweep point 0")
-        assert "gram matrix condition" in err
+        assert err.startswith("error: run: gram matrix condition ")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from helpers import ENGINE_PULSES, RECT, SINE1, cfg_for, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
-from papr_shaper.errors import ConfigError
+from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.harness import (
     run_ber_point,
     run_ber_sweep,
@@ -96,17 +96,24 @@ class TestBerPoint:
         assert p.bit_errors >= 25
         assert p.bit_errors < 25 + cfg_for(N=16).bits_per_frame
 
-    def test_bad_plan(self):
-        bad = [
-            (0.0, {"target_errors": 0}),
-            (-math.inf, {}),
-            (math.nan, {}),
-            (-4000.0, {}),
-            (0.0, {"workers": 0}),
-        ]
-        for ebn0_db, kwargs in bad:
-            with pytest.raises(ConfigError):
-                run_ber_point(cfg_for(N=16), ebn0_db, max_frames=10, seed=1, **kwargs)
+    @pytest.mark.parametrize(
+        "ebn0_db,kwargs,key",
+        [
+            (0.0, {"target_errors": 0}, "target_errors"),
+            (-math.inf, {}, "ebn0_db_list"),
+            (math.nan, {}, "ebn0_db_list"),
+            (-4000.0, {}, "ebn0_db_list"),
+            (0.0, {"workers": 0}, "workers"),
+            (0.0, {"workers": 65}, "workers"),
+            (0.0, {"max_frames": 10**9 + 1}, "max_frames"),
+        ],
+        ids=["target_errors-0", "ebn0-minus-inf", "ebn0-nan", "ebn0-minus-4000",
+             "workers-0", "workers-65", "max_frames-cap"],
+    )
+    def test_bad_plan(self, ebn0_db, kwargs, key):
+        with pytest.raises(ConfigKeyError) as exc:
+            run_ber_point(cfg_for(N=16), ebn0_db, seed=1, **{"max_frames": 10, **kwargs})
+        assert exc.value.key == key
 
     DESCRIPTORS = st.one_of(
         st.builds(PulseDescriptor, family=st.just(PulseFamily.SINE_POWER),
@@ -253,7 +260,7 @@ class TestBerSweep:
             run_ber_sweep(cfg_for(N=16), [4.0, 2.0])
 
     def test_minus_inf_point_rejected(self):
-        with pytest.raises(ConfigError, match=r"sweep point 0 .*-inf"):
+        with pytest.raises(ConfigKeyError, match=r"^ebn0_db_list: "):
             run_ber_sweep(cfg_for(N=16), [-math.inf, 0.0], max_frames=10)
 
 

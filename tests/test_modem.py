@@ -224,6 +224,24 @@ class TestSynthesize:
         with pytest.raises(ConfigError, match="pulse_set"):
             OfdmConfig(n_subcarriers=4, m_order=4, pulse_set=pulse_set)
 
+    @pytest.mark.parametrize(
+        "kwargs,key",
+        [
+            ({"n_subcarriers": 0}, "n_subcarriers"),
+            ({"n_subcarriers": 4097}, "n_subcarriers"),
+            ({"m_order": 7}, "m"),
+            ({"oversample": 3}, "oversample"),
+            ({"oversample": 65}, "oversample"),
+        ],
+        ids=["N-0", "N-4097", "M-7", "L-3", "L-65"],
+    )
+    def test_range_checked(self, kwargs, key):
+        with pytest.raises(ConfigKeyError, match=f"^{key}: ") as exc:
+            OfdmConfig(**{"n_subcarriers": 4, "m_order": 4, "pulse_set": (RECT,), **kwargs})
+        assert exc.value.key == key
+        # the caps themselves are accepted
+        OfdmConfig(n_subcarriers=4096, m_order=32, pulse_set=(RECT,), oversample=64)
+
     def test_zero_energy_pulse_named(self):
         # S = 15 is odd, so no sample of sin^100000 lands at t = T/2: all underflow to 0
         cfg = cfg_for(N=3, pulse=(RECT, PulseDescriptor(PulseFamily.SINE_POWER, 100_000)), L=5)
