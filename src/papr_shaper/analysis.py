@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modem import SUPPORTED_ORDERS, ModemKernel, OfdmConfig, get_kernel
+from .modem import ModemKernel, OfdmConfig, build_constellation, get_kernel
 from .pulses import PulseDescriptor, sample_pulse, squared_transform
 from . import seeding
 
@@ -267,9 +267,7 @@ def theoretical_ber(M: int, ebn0_db) -> np.ndarray | float:
     Exact for Gray QPSK (M = 4, where it reduces to Q(sqrt(2 gamma_b)));
     approximate for the non-square orders 8 and 32.
     """
-    if M not in SUPPORTED_ORDERS:
-        raise ConfigError(f"unsupported constellation order M={M}")
-    k = math.log2(M)
+    k = build_constellation(M).bits_per_symbol  # raises ConfigError for an unsupported M
     gamma_b = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
     arg = np.sqrt(3.0 * k / (M - 1) * gamma_b)
     out = (4.0 / k) * (1.0 - 1.0 / math.sqrt(M)) * q_function(arg)

@@ -10,6 +10,13 @@ frames, doubling up to ``seeding.BATCH_SAMPLES`` samples, so a point that
 stops early wastes little work; with several workers each wave runs the
 next batches of the same schedule. The worker count never changes the
 batches, so outputs are byte-identical for any worker count.
+
+A BER batch runs the label-domain frame sketched in ``modem`` and
+writes every (F, .) array into a set it is given, one set per worker
+slot of a point: the wave's batch i uses slot i's set. A set is held at
+the largest batch it has computed, so once the schedule stops growing no
+batch allocates or frees a frame array, and no page of it is handed back
+to the OS between batches.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import ConfigError, ConfigKeyError
-from .modem import OfdmConfig, demap_symbols, get_kernel, map_bits
+from .modem import OfdmConfig, bits_to_labels, demap_labels, get_kernel
 from .pulses import PulseDescriptor
 
 __all__ = [
@@ -96,7 +103,33 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: i
         raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
-def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
+class FrameArrays:
+    """The (F, .) arrays of ``_frame_errors_batch`` for up to ``frames``
+    frames of one kernel's BER frame, overwritten by every batch.
+
+    All are views of one allocation: once a block that large has been
+    freed, glibc's malloc raises its mmap threshold above it and serves
+    the next sets from its heap, whose pages stay mapped, so after the
+    first points of a process a point's growing sets fault in no page.
+    """
+
+    def __init__(self, kern, frames: int):
+        N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
+        self.frames = frames
+        fields = [
+            ((frames, seeding.trial_words(nbits + 2 * N)), np.float64),  # u: uniform words
+            ((3, frames, N), np.complex128),  # symbols: a, then two planes of scratch
+            ((2, frames, N), np.intp),  # labels: sent, decided
+            ((frames, nbits), np.bool_),  # bits
+        ]
+        ends = np.cumsum([0] + [math.prod(s) * np.dtype(t).itemsize for s, t in fields])
+        buf = np.empty(ends[-1], dtype=np.uint8)
+        self.u, self.symbols, self.labels, self.bits = (
+            buf[lo:hi].view(t).reshape(s) for (s, t), lo, hi in zip(fields, ends, ends[1:])
+        )
+
+
+def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key, arrays=None):
     """Bit errors per frame for frames [first_frame, first_frame + n_frames).
 
     BER frame i reads nbits + 2N draws: its bits, then the 2N normals of
@@ -106,23 +139,38 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     L^T, L = kern.noise_colour. Eb is measured per frame, from the energy
     of the waveform the frame's symbols would synthesize, so shaped and
     unshaped systems are compared at equal energy per bit. Eb/N0 = +inf
-    is the noiseless channel: a_hat = a, and no normal is read.
+    is the noiseless channel: a_hat = a, and no normal is read. A frame's
+    bit errors are the Hamming distances between its sent and decided
+    labels. Every (F, .) array is a view of ``arrays`` (a FrameArrays of at
+    least n_frames frames), or of a set made for this call.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-    u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N)
+    c = kern.constellation
+    if arrays is None:
+        arrays = FrameArrays(kern, n_frames)
+    u = arrays.u[:n_frames]
+    labels, labels_hat = arrays.labels[:, :n_frames]
+    a, x, y = arrays.symbols[:, :n_frames]
 
-    bits = seeding.uniforms_to_bits(u[:, :nbits])
-    a = map_bits(bits, kern.constellation)
+    seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N, out=u)
+    bits = seeding.uniforms_to_bits(u[:, :nbits], out=arrays.bits[:n_frames])
+    bits_to_labels(bits, c, out=labels)
+    c.points.take(labels, out=a, mode="clip")  # "raise" would copy `out`
     if ebn0_db != math.inf:
+        n0 = kern.frame_energy(a, scratch=arrays.symbols[1:, :n_frames])
+        n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
         # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
-        w = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N]).view(complex)
+        w = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=x.view(float))
+        w = w.view(complex)
         colour = kern.noise_colour
-        w = np.multiply(w, colour, out=w) if colour.ndim == 1 else w @ colour.T
-        n0 = kern.frame_energy(a) * (10.0 ** (-ebn0_db / 10.0) / nbits)
+        w = np.multiply(w, colour, out=w) if colour.ndim == 1 else np.matmul(w, colour.T, out=y)
         w *= np.sqrt(n0 / 2.0)[:, None]
         a = np.add(w, a, out=w)
-    bits_hat = demap_symbols(a, kern.constellation)
-    return (bits_hat != bits).sum(axis=1)
+    # the uniforms are spent: their rows are the decision's scratch
+    demap_labels(a, c, out=labels_hat, scratch=u.reshape(-1))
+    labels *= c.m_order
+    labels += labels_hat
+    return c.hamming.take(labels, out=labels_hat, mode="clip").sum(axis=1)
 
 
 def run_ber_point(
@@ -149,10 +197,14 @@ def run_ber_point(
     batches = seeding.frame_batches(max_frames, cfg.samples_per_symbol)
 
     total_errors = 0
+    arrays = [None] * workers  # one FrameArrays per worker slot
 
-    def errors(batch):
+    def errors(batch, slot):
         lo, hi = batch
-        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key)
+        if arrays[slot] is None or arrays[slot].frames < hi - lo:
+            arrays[slot] = None  # freed before its larger successor is allocated
+            arrays[slot] = FrameArrays(kern, hi - lo)
+        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key, arrays[slot])
 
     # workers=1 computes on the calling thread: a pool thread gets a malloc
     # arena of its own, which made the peak RSS differ from run to run
@@ -160,7 +212,7 @@ def run_ber_point(
         run = pool.map if pool else map
         while wave := list(itertools.islice(batches, workers)):
             # the wave's batches are consecutive, so its frames are one array
-            cum = total_errors + np.cumsum(np.concatenate(list(run(errors, wave))))
+            cum = total_errors + np.cumsum(np.concatenate(list(run(errors, wave, range(workers)))))
             hit = np.flatnonzero(cum >= target_errors)
             last = int(hit[0]) if hit.size else len(cum) - 1  # frames past the stop are discarded
             total_errors = int(cum[last])

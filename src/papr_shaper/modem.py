@@ -1,13 +1,17 @@
 """The frame pipeline: Gray M-QAM, pulse-shaped OFDM and the BER frame.
 
-Every stage works on a batch of frames, one frame per row. A BER frame
-never builds its waveform. BER frame i reads nbits + 2N draws: its bits,
-then the 2N normals of its ZF-output noise, in (re, im) pairs z:
+Every stage works on a batch of frames, one frame per row, and the BER
+stages can write into arrays the caller gives them. A BER frame never
+builds its waveform and never forms decided bits: it reads its bit
+errors from the sent and decided labels in ``c.hamming``. BER frame i
+reads nbits + 2N draws: its bits, then the 2N normals of its ZF-output
+noise, in (re, im) pairs z (c = kern.constellation):
 
-    a = map_bits(bits, kern.constellation)       # (F, N*k) -> (F, N)
+    labels = bits_to_labels(bits, c)             # (F, N*k) -> (F, N)
+    a = c.points[labels]
     n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
     a_hat = a + sqrt(n0 / 2) * (z_re + j z_im) @ kern.noise_colour.T
-    bits_hat = demap_symbols(a_hat, kern.constellation)
+    errors = c.hamming[labels * M + demap_labels(a_hat, c)].sum(axis=1)
 
 The receiver it stands for is a matched-filter bank followed by an exact
 zero-forcing solve against the subcarrier Gram matrix G. Both are linear,
@@ -52,8 +56,9 @@ from .pulses import PulseDescriptor, sample_pulse, squared_transform
 __all__ = [
     "Constellation",
     "OfdmConfig",
+    "bits_to_labels",
     "build_constellation",
-    "map_bits",
+    "demap_labels",
     "demap_symbols",
 ]
 
@@ -89,7 +94,9 @@ class Constellation:
     v, so labels are implicitly 0..M-1 and the demap tie-break "lowest
     point index" is also "lowest label". ``points * scale`` lies on the
     odd-integer level grid. ``label_table`` and ``bit_table`` are the
-    read-only tables of :func:`demap_symbols`, shared by worker threads.
+    read-only tables of :func:`demap_labels` and :func:`demap_symbols`;
+    ``hamming[i * M + j]`` is the number of bits in which labels i and j
+    differ. All three are shared by worker threads.
     """
 
     m_order: int
@@ -97,6 +104,7 @@ class Constellation:
     scale: float
     label_table: np.ndarray
     bit_table: np.ndarray
+    hamming: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
@@ -157,35 +165,41 @@ def build_constellation(M: int) -> Constellation:
     pts /= scale
     assert len(np.unique(pts)) == M
     bit_table = (np.arange(M)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    pts.setflags(write=False)
-    bit_table.setflags(write=False)
-    return Constellation(M, pts, scale, labels, bit_table)
+    # labels i and j differ in the bits where their bit_table rows do
+    hamming = (bit_table[:, None, :] != bit_table).sum(axis=-1, dtype=np.intp).ravel()
+    for table in (pts, bit_table, hamming):
+        table.setflags(write=False)
+    return Constellation(M, pts, scale, labels, bit_table, hamming)
 
 
-def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map (..., N*k) bits to (..., N) symbols, k = log2(M) bits per
-    symbol taken MSB first."""
-    bits = np.asarray(bits, dtype=np.int64)
+def bits_to_labels(bits: np.ndarray, c: Constellation, out=None) -> np.ndarray:
+    """(..., N*k) bits to the (..., N) labels they spell, k = log2(M) bits
+    per symbol taken MSB first; the symbols are ``c.points[labels]``."""
     k = c.bits_per_symbol
     if bits.shape[-1] % k:
-        raise ConfigError(
-            f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})"
-        )
-    values = bits.reshape(*bits.shape[:-1], -1, k) @ (1 << np.arange(k - 1, -1, -1))
-    return c.points[values]
+        raise ConfigError(f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})")
+    if out is None:
+        out = np.empty((*bits.shape[:-1], bits.shape[-1] // k), dtype=np.intp)
+    np.copyto(out, bits[..., 0::k])
+    for i in range(1, k):
+        out <<= 1
+        out |= bits[..., i::k]
+    return out
 
 
-def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int) -> np.ndarray:
-    """Slicer cell (see _label_table) of each coordinate on one axis."""
-    h = u * half_scale + 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
-    cells = np.floor(h)
-    cells += np.ceil(h)  # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
+def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int, h: np.ndarray, cells: np.ndarray):
+    """Slicer cell (see _label_table) of each coordinate on one axis, as
+    floats written to ``cells``; ``h`` is scratch."""
+    np.multiply(u, half_scale, out=h)
+    h += 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
+    np.floor(h, out=cells)
+    cells += np.ceil(h, out=h)  # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
     cells -= 1
-    return np.clip(cells, 0, n_cells - 1, out=cells).astype(np.intp)
+    return np.clip(cells, 0, n_cells - 1, out=cells)
 
 
-def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map (..., N) symbols to (..., N*k) bits by minimum-distance hard
+def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.ndarray:
+    """Map (..., N) symbols to (..., N) labels by minimum-distance hard
     decision on the level grid ``y * c.scale``; ties go to the lowest
     label.
 
@@ -193,16 +207,37 @@ def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
     32-cross also needs the side of the diagonal: a sample in an empty
     corner cell goes to (+-3, +-5) when |x| < |y|, to (+-5, +-3) when
     |x| > |y|, and to the lower of the two labels when |x| = |y|.
+    ``out``, if given, is the intp array of y's shape that receives the
+    labels; ``scratch``, if given, a contiguous float array of at least
+    4 * y.size elements that the decision may overwrite.
     """
     y = np.asarray(y, dtype=complex)
+    if scratch is None:
+        scratch = np.empty(4 * y.size)
+    h, cell, iy, side = scratch[: 4 * y.size].reshape(4, *y.shape)
     nx, ny, sides = c.label_table.shape
-    ix = _axis_cells(y.real, 0.5 * c.scale, nx)
-    cell = sides * (ix * ny + _axis_cells(y.imag, 0.5 * c.scale, ny))
+    _axis_cells(y.real, 0.5 * c.scale, nx, h, cell)
+    cell *= ny
+    cell += _axis_cells(y.imag, 0.5 * c.scale, ny, h, iy)
+    cell *= sides
     if c.m_order == 32:
-        ar, ai = np.abs(y.real), np.abs(y.imag)
-        cell += (ar > ai) + 2 * (ar < ai)
-    labels = c.label_table.take(cell)
-    return c.bit_table.take(labels, axis=0).reshape(*y.shape[:-1], -1)
+        ar, ai = np.abs(y.real, out=h), np.abs(y.imag, out=iy)
+        cell += np.greater(ar, ai, out=side)
+        np.less(ar, ai, out=side)
+        side *= 2
+        cell += side
+    # the cells are small whole floats; the spent plane `side` holds them as indices
+    index = side.view(np.intp)
+    np.copyto(index, cell, casting="unsafe")
+    if out is None:
+        out = np.empty(y.shape, dtype=np.intp)
+    return c.label_table.take(index, out=out, mode="clip")  # "raise" would copy `out`
+
+
+def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
+    """Map (..., N) symbols to (..., N*k) bits: the bits of :func:`demap_labels`."""
+    y = np.asarray(y, dtype=complex)
+    return c.bit_table.take(demap_labels(y, c), axis=0).reshape(*y.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -296,11 +331,14 @@ class ModemKernel:
             s = x if s is None else np.add(s, x, out=s)
         return s
 
-    def frame_energy(self, a: np.ndarray) -> np.ndarray:
+    def frame_energy(self, a: np.ndarray, scratch=None) -> np.ndarray:
         """(F, N) symbols -> (F,) energies sum |s|^2 dt of their waveforms,
-        by the quadratic form a^H (G o sqrt(e e^T)) a."""
-        b = a * np.sqrt(self.energies)
-        gb = b if self.gram_is_identity else b @ self.gram.T
+        by the quadratic form a^H (G o sqrt(e e^T)) a. ``scratch``, if
+        given, is a (2, F, N) complex array it may overwrite."""
+        if scratch is None:
+            scratch = np.empty((2, *a.shape), dtype=complex)
+        b = np.multiply(a, np.sqrt(self.energies), out=scratch[0])
+        gb = b if self.gram_is_identity else np.matmul(b, self.gram.T, out=scratch[1])
         # Re(conj(b) gb) summed over k, as one real dot product per frame
         return np.einsum("fk,fk->f", b.view(float), gb.view(float))
 

@@ -57,26 +57,34 @@ def frame_batches(n_frames: int, samples_per_frame: int):
         lo, size = hi, min(2 * size, cap)
 
 
-def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int) -> np.ndarray:
+def trial_words(n_draws: int) -> int:
+    """Words a trial of ``n_draws`` draws owns: whole Philox blocks of four."""
+    return 4 * -(-n_draws // 4)
+
+
+def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int, out=None) -> np.ndarray:
     """(n_trials, n_draws) uniforms from the fixed-offset substream; each
-    trial owns ``n_draws`` words rounded up to whole Philox blocks, so
-    consecutive calls tile the stream exactly."""
-    blocks = -(-n_draws // 4)  # Philox.advance steps in blocks of four 64-bit words
+    trial owns ``trial_words(n_draws)`` words, so consecutive calls tile
+    the stream exactly. ``out``, if given, is the C-contiguous
+    (n_trials, trial_words(n_draws)) array they are drawn into."""
+    words = trial_words(n_draws)
     bitgen = np.random.Philox(key=key)
-    bitgen.advance(first_trial * blocks)
+    bitgen.advance(first_trial * words // 4)  # advance steps in blocks
     gen = np.random.Generator(bitgen)
-    return gen.random((n_trials, 4 * blocks))[:, :n_draws]
+    return gen.random((n_trials, words), out=out)[:, :n_draws]
 
 
-def uniforms_to_bits(u: np.ndarray) -> np.ndarray:
-    return (u < 0.5).astype(np.int64)
+def uniforms_to_bits(u: np.ndarray, out=None) -> np.ndarray:
+    """Bool bits, True for u < 1/2."""
+    return np.less(u, 0.5, out=out)
 
 
-def uniforms_to_normals(u: np.ndarray) -> np.ndarray:
+def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:
     # scipy loads on first use: only BER runs draw noise normals
     from scipy.special import ndtri
 
-    return ndtri(np.maximum(u, _U_FLOOR))
+    z = np.maximum(u, _U_FLOOR, out=out)
+    return ndtri(z, out=z)
 
 
 def uniforms_to_indices(u: np.ndarray, n: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from papr_shaper import seeding
-from papr_shaper.modem import OfdmConfig, demap_symbols, map_bits
+from papr_shaper.modem import OfdmConfig, demap_symbols
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -35,6 +35,15 @@ def papr(samples) -> float:
     """Peak over mean instantaneous power of one waveform (linear, >= 1)."""
     power = np.abs(np.asarray(samples)) ** 2
     return float(power.max() / power.mean())
+
+
+def map_bits(bits, c) -> np.ndarray:
+    """Map (..., N*k) bits to (..., N) symbols, k = log2(M) bits per
+    symbol taken MSB first: the oracle of ``modem.bits_to_labels``."""
+    bits = np.asarray(bits, dtype=np.int64)
+    k = c.bits_per_symbol
+    values = bits.reshape(*bits.shape[:-1], -1, k) @ (1 << np.arange(k - 1, -1, -1))
+    return c.points[values]
 
 
 def demap_argmin(y, c) -> np.ndarray:
@@ -111,11 +120,12 @@ def solve_zf(kern, y):
     return y @ inv.T
 
 
-def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
+def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key, arrays=None):
     """Bit errors per frame through the waveform chain.
 
     Frame i reads nbits uniforms for its bits, then 2S for its noise
-    normals, from its own slice of the substream.
+    normals, from its own slice of the substream. ``arrays``, the BER
+    engine's reused arrays, is accepted and ignored.
     """
     S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
     u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * S)

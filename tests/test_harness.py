@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from helpers import ENGINE_PULSES, RECT, SINE1, cfg_for, waveform_frame_errors
+from helpers import ENGINE_PULSES, RECT, SINE1, TAPERED, cfg_for, map_bits, waveform_frame_errors
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import ConfigError, ConfigKeyError
@@ -18,10 +21,26 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import get_kernel
+from papr_shaper.modem import demap_symbols, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
+
+
+def bit_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
+    """The symbol-domain BER frame with fresh arrays, its errors counted
+    by comparing bits: the oracle of the label count."""
+    N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
+    u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N)
+    bits = seeding.uniforms_to_bits(u[:, :nbits])
+    a = map_bits(bits, kern.constellation)
+    if ebn0_db != math.inf:
+        w = seeding.uniforms_to_normals(u[:, nbits:]).view(complex)
+        colour = kern.noise_colour
+        w = w * colour if colour.ndim == 1 else w @ colour.T
+        n0 = kern.frame_energy(a) * (10.0 ** (-ebn0_db / 10.0) / nbits)
+        a = w * np.sqrt(n0 / 2.0)[:, None] + a
+    return (demap_symbols(a, kern.constellation) != bits).sum(axis=1)
 
 
 class TestWilson:
@@ -223,7 +242,8 @@ class TestBatchSchedule:
 
     def test_batch_memory_bounded_at_large_n(self):
         # S = 4096 caps batches at 128 frames; this 551-frame point peaks
-        # at 14 MB, and the 512-frame batch a frame-count cap reaches at 56 MB
+        # at 12 MB (its arrays for 128 frames), and the 512-frame batch a
+        # frame-count cap reaches would need four times that
         cfg = cfg_for(N=1024)
         get_kernel(cfg).noise_colour  # kernel allocations are not the point's
         tracemalloc.start()
@@ -234,6 +254,65 @@ class TestBatchSchedule:
             tracemalloc.stop()
         assert p.bits_sent > 400 * cfg.bits_per_frame
         assert peak < 64 * 2**20
+
+
+class TestFrameArrays:
+    # (N, M, pulse, Eb/N0): rect's diagonal noise colour, a dense one, and
+    # a dense one with an odd bit count (N = 3, M = 8); every 2048-frame
+    # batch sees errors
+    CASES = {
+        "rect-32": (64, 32, RECT, 10.0),
+        "sine1-16": (16, 16, SINE1, 14.0),
+        "tapered-3": (3, 8, TAPERED, 6.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reused_arrays_match_fresh_arrays_and_bit_count(self, case):
+        N, M, pulse, ebn0_db = self.CASES[case]
+        kern = get_kernel(cfg_for(N=N, M=M, pulse=pulse))
+        key = seeding.mix64(N, M)
+        arrays = harness.FrameArrays(kern, 2048)
+        for ebn0 in (ebn0_db, math.inf):
+            lo = 0
+            # shrinking batches, so rows a larger batch left behind would show
+            for n in (2048, 64, 7, 1):
+                reused = harness._frame_errors_batch(kern, ebn0, lo, n, key, arrays)
+                fresh = harness._frame_errors_batch(kern, ebn0, lo, n, key)
+                assert np.array_equal(reused, fresh), (ebn0, n)
+                assert np.array_equal(reused, bit_frame_errors(kern, ebn0, lo, n, key)), (ebn0, n)
+                if ebn0 == math.inf:
+                    assert reused.sum() == 0
+                elif n == 2048:
+                    assert reused.sum() > 0
+                lo += n
+
+    def test_worker_slots_never_share_arrays(self, monkeypatch):
+        cfg = cfg_for(N=16)
+        ref = run_ber_point(cfg, 4.0, target_errors=10**6, max_frames=5000, seed=9)
+        frame_errors, lock = harness._frame_errors_batch, threading.Lock()
+        in_use, seen = set(), set()
+
+        def exclusive(kern, ebn0_db, first_frame, n_frames, key, arrays):
+            with lock:
+                assert id(arrays) not in in_use
+                in_use.add(id(arrays))
+                seen.add(id(arrays))
+            try:
+                time.sleep(0.002)  # widens the window another thread could enter
+                return frame_errors(kern, ebn0_db, first_frame, n_frames, key, arrays)
+            finally:
+                with lock:
+                    in_use.remove(id(arrays))
+
+        monkeypatch.setattr(harness, "_frame_errors_batch", exclusive)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            p = run_ber_point(cfg, 4.0, target_errors=10**6, max_frames=5000, seed=9, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert p == ref
+        assert len(seen) >= 4
 
 
 class TestBerSweep:

@@ -18,6 +18,7 @@ from helpers import (
     dense_gram,
     dense_mf,
     dense_synth,
+    map_bits,
     matched_filter,
     solve_zf,
 )
@@ -27,10 +28,11 @@ from papr_shaper.modem import (
     ModemKernel,
     OfdmConfig,
     _condition,
+    bits_to_labels,
     build_constellation,
+    demap_labels,
     demap_symbols,
     get_kernel,
-    map_bits,
 )
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse, squared_transform
 
@@ -103,17 +105,32 @@ class TestConstellation:
 class TestMapDemap:
     def test_repeated_symbol(self):
         c = build_constellation(4)
-        out = map_bits(np.zeros(4, dtype=int), c)
+        out = c.points[bits_to_labels(np.zeros(4, dtype=bool), c)]
         assert np.allclose(out, (1 + 1j) / math.sqrt(2))
 
     def test_empty(self):
         c = build_constellation(4)
-        assert map_bits(np.array([], dtype=int), c).size == 0
+        assert bits_to_labels(np.array([], dtype=bool), c).size == 0
 
     def test_framing_error(self):
         c = build_constellation(16)
         with pytest.raises(ConfigError):
-            map_bits(np.zeros(6, dtype=int), c)
+            bits_to_labels(np.zeros(6, dtype=bool), c)
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_labels_match_map_bits_oracle(self, M):
+        c = build_constellation(M)
+        bits = np.random.default_rng(M).random((7, 5 * c.bits_per_symbol)) < 0.5
+        out = np.full((7, 5), -1, dtype=np.intp)
+        assert bits_to_labels(bits, c, out=out) is out
+        assert np.array_equal(c.points[out], map_bits(bits, c))
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_hamming_table_is_the_label_popcount(self, M):
+        c = build_constellation(M)
+        i, j = np.divmod(np.arange(M * M), M)
+        assert np.array_equal(c.hamming, [bin(x).count("1") for x in i ^ j])
+        assert not c.hamming.flags.writeable
 
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_roundtrip(self, M):
@@ -174,6 +191,28 @@ class TestMapDemap:
             # the noise reaches the empty corner cells |x|, |y| > 4
             scaled = y * c.scale
             assert np.any((np.abs(scaled.real) > 4) & (np.abs(scaled.imag) > 4))
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_labels_match_argmin_at_thresholds_and_corners(self, M):
+        c = build_constellation(M)
+        rng = np.random.default_rng(M)
+        # half steps of the level grid: every level (odd), every threshold
+        # between levels (even) and, for the 32-cross, the corner cells and
+        # their diagonal |x| = |y|
+        grid = rng.integers(-18, 19, (2, 4000)) / 2
+        y = (grid[0] + 1j * grid[1]) / c.scale
+        exact = (y.real * c.scale == grid[0]) & (y.imag * c.scale == grid[1])
+        y, grid = y[exact], grid[:, exact]
+        assert y.size > 1000
+        levels = np.rint(c.points * c.scale)
+        d2 = (levels.real - grid[0, :, None]) ** 2 + (levels.imag - grid[1, :, None]) ** 2
+        assert np.sum(d2 == d2.min(axis=1, keepdims=True)) > y.size  # exact ties occur
+        assert np.array_equal(demap_labels(y, c), np.argmin(d2, axis=1))
+        # off the grid, against the distance to every unscaled point
+        y = (rng.uniform(-9, 9, (64, 16)) + 1j * rng.uniform(-9, 9, (64, 16))) / c.scale
+        out = np.empty(y.shape, dtype=np.intp)
+        assert demap_labels(y, c, out=out, scratch=np.full(4 * y.size, np.nan)) is out
+        assert np.array_equal(c.bit_table[out].reshape(64, -1), demap_argmin(y, c))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
