@@ -20,8 +20,8 @@ w circular Gaussian of covariance N0 E^-1/2 G^-1 E^-1/2 (E = diag of the
 pulse energies), and the frame energy sum |s|^2 dt is the quadratic form
 a^H (G o sqrt(e e^T)) a. ``noise_colour`` is the lower Cholesky factor L
 of that covariance over N0; a shaped kernel keeps G and L, and no
-inverse. A rect kernel's Toeplitz Gram matrix is exactly the identity;
-such a kernel skips the condition number and the inverse, and its L is
+inverse. A kernel of flat (rect) pulses has G = I by construction: it
+builds no G, skips the condition number and the inverse, and its L is
 the diagonal 1/sqrt(e), applied without a matrix product.
 
 The demapper never measures the distance to every point. Minimum-distance
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
-# a BER kernel holds N x N matrices G and noise colour L: 268 MB each at N = 4096
+# a shaped BER kernel holds N x N matrices G and noise colour L: 268 MB each at N = 4096
 MAX_SUBCARRIERS = 4096
 # a frame and each of the kernel's P pulse rows hold N * oversample samples: 262144 at both caps
 MAX_OVERSAMPLE = 64
@@ -214,7 +214,7 @@ def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.
     y = np.asarray(y, dtype=complex)
     if scratch is None:
         scratch = np.empty(4 * y.size)
-    h, cell, iy, side = scratch[: 4 * y.size].reshape(4, *y.shape)
+    h, cell, iy, side = (p.reshape(y.shape) for p in scratch[: 4 * y.size].reshape(4, y.size))
     nx, ny, sides = c.label_table.shape
     _axis_cells(y.real, 0.5 * c.scale, nx, h, cell)
     cell *= ny
@@ -294,9 +294,8 @@ class ModemKernel:
     gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
            outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
-    gram_is_identity: gram equals the identity exactly, as every rect
-              kernel's gram does; then the condition is 1 and no
-              inverse is taken
+    gram_is_identity: every pulse is flat (rect), so gram is the identity
+              by construction and is never built; the condition is 1
     noise_colour: L with L L^H = E^-1/2 gram^-1 E^-1/2, the ZF-output
               noise covariance over N0; the vector 1/sqrt(energies)
               when gram is the identity; raises ConfigError beyond
@@ -361,7 +360,7 @@ class ModemKernel:
 
     @functools.cached_property
     def gram_is_identity(self) -> bool:
-        return np.array_equal(self.gram, np.eye(self.cfg.n_subcarriers))
+        return all(p is None for _, p in self.groups)
 
     @functools.cached_property
     def gram_condition(self) -> float:

@@ -255,6 +255,20 @@ class TestBatchSchedule:
         assert p.bits_sent > 400 * cfg.bits_per_frame
         assert peak < 64 * 2**20
 
+    def test_cold_rect_point_at_max_subcarriers_builds_no_matrix(self):
+        # a flat kernel is the identity by construction: at N = 4096 its
+        # point holds no N x N array (G alone would be 268 MB)
+        cfg = cfg_for(N=modem.MAX_SUBCARRIERS)
+        get_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            p = run_ber_point(cfg, 0.0, target_errors=200, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.bit_errors >= 200
+        assert peak < 32 * 2**20
+
 
 class TestFrameArrays:
     # (N, M, pulse, Eb/N0): rect's diagonal noise colour, a dense one, and

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,17 @@ class TestMapDemap:
         out = np.empty(y.shape, dtype=np.intp)
         assert demap_labels(y, c, out=out, scratch=np.full(4 * y.size, np.nan)) is out
         assert np.array_equal(c.bit_table[out].reshape(64, -1), demap_argmin(y, c))
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_zero_dimensional_symbol(self, M):
+        # a 0-d symbol decides as the one symbol of a 1-d call on [y]
+        c = build_constellation(M)
+        for y in (0.3 + 0.2j, np.complex128(-0.9 + 0.7j), np.array(1.1 - 0.4j)):
+            label = demap_labels(y, c)
+            assert label.shape == () and label == demap_labels([y], c)[0]
+            bits = demap_symbols(y, c)
+            assert bits.shape == (c.bits_per_symbol,)
+            assert np.array_equal(bits, demap_symbols([y], c))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -500,15 +512,41 @@ class TestReceiver:
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
-        cfg = cfg_for(N=48, M=8)  # a kernel no other test builds
-        kern = get_kernel(cfg)
-        assert "noise_colour" not in kern.__dict__
-        harness.run_ber_point(cfg, 6.0, target_errors=5, max_frames=100, seed=1)
-        assert "noise_colour" in kern.__dict__
-        assert kern.gram_condition == 1.0
-        assert np.array_equal(kern.noise_colour, 1.0 / np.sqrt(kern.energies))
-        y = np.arange(96, dtype=complex).reshape(2, 48)
-        assert solve_zf(kern, y) is y
+        sine0 = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=0)
+        tapered0 = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=0.0)
+        flat = [
+            cfg_for(N=48, M=8),
+            # the FFT-built Gram matrices of these two miss the identity by about 3e-17
+            cfg_for(N=7, M=16),
+            cfg_for(N=13, M=16),
+            cfg_for(N=10, pulse=(RECT, RECT)),
+            cfg_for(N=12, pulse=sine0),
+            cfg_for(N=9, pulse=tapered0, L=5),
+        ]
+        get_kernel.cache_clear()
+        for cfg in flat:
+            kern = get_kernel(cfg)
+            assert "noise_colour" not in kern.__dict__
+            harness.run_ber_point(cfg, 6.0, target_errors=5, max_frames=100, seed=1)
+            assert harness.zf_noise_enhancement_db(cfg) == 0.0
+            assert "noise_colour" in kern.__dict__
+            assert "gram" not in kern.__dict__
+            assert kern.gram_condition == 1.0
+            assert np.array_equal(kern.noise_colour, 1.0 / np.sqrt(kern.energies))
+            y = np.arange(2 * cfg.n_subcarriers, dtype=complex).reshape(2, -1)
+            assert solve_zf(kern, y) is y
+
+    def test_identity_decided_by_flat_pulses(self):
+        # oracle: the Gram matrix a flat kernel never needs is the identity
+        # to within rounding, and no non-flat pulse is taken for flat
+        eye_tol = 4 * np.finfo(float).eps
+        for N, L in itertools.product(range(1, 130), (4, 5, 6, 7, 8, 13)):
+            kern = ModemKernel(cfg_for(N=N, L=L))
+            assert kern.gram_is_identity and "gram" not in kern.__dict__
+            assert np.abs(kern.gram - np.eye(N)).max() <= eye_tol, (N, L)
+            shaped = [SINE1, TAPERED, TSINC] + ([(RECT, SINE2)] if N > 1 else [])
+            for pulse in shaped:
+                assert not ModemKernel(cfg_for(N=N, pulse=pulse, L=L)).gram_is_identity, (N, L)
 
     def test_singular_gram_rejected(self):
         # nearly time-disjoint narrow pulses: a numerically singular Gram matrix
