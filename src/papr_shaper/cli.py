@@ -26,6 +26,7 @@ from .analysis import (
 from .config import RunConfig, parse_config
 from .errors import ConfigKeyError, PaprShaperError
 from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
+from .modem import get_kernel
 from .pulses import PulseFamily
 
 XCORR_GRID_SAMPLES = 1024
@@ -132,7 +133,7 @@ def _run_ccdf(cfg: RunConfig) -> dict[str, list[str]]:
     crossing = _ccdf_crossing(gamma, prob, 1e-2)
     if crossing is not None:
         lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
-        if cfg.pulse_family == "rect":
+        if get_kernel(ofdm).gram_is_identity:  # flat pulses: rect OFDM
             ref = _reference_crossing(cfg.n_subcarriers, 1e-2)
             lines.append(f"rect reference gamma at P=1e-2: {_fmt(ref)} dB")
             lines.append(f"horizontal deviation: {_fmt(crossing - ref)} dB")

@@ -129,7 +129,7 @@ class FrameArrays:
         )
 
 
-def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key, arrays=None):
+def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key, arrays):
     """Bit errors per frame for frames [first_frame, first_frame + n_frames).
 
     BER frame i reads nbits + 2N draws: its bits, then the 2N normals of
@@ -139,15 +139,13 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key, arrays=None):
     L^T, L = kern.noise_colour. Eb is measured per frame, from the energy
     of the waveform the frame's symbols would synthesize, so shaped and
     unshaped systems are compared at equal energy per bit. Eb/N0 = +inf
-    is the noiseless channel: a_hat = a, and no normal is read. A frame's
-    bit errors are the Hamming distances between its sent and decided
-    labels. Every (F, .) array is a view of ``arrays`` (a FrameArrays of at
-    least n_frames frames), or of a set made for this call.
+    is the noiseless channel: a_hat = a, and no normal is read. The
+    decision ends at the label, and a frame's bit errors are the Hamming
+    distances between its sent and decided labels. Every (F, .) array is
+    a view of ``arrays``, a FrameArrays of at least n_frames frames.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
-    if arrays is None:
-        arrays = FrameArrays(kern, n_frames)
     u = arrays.u[:n_frames]
     labels, labels_hat = arrays.labels[:, :n_frames]
     a, x, y = arrays.symbols[:, :n_frames]

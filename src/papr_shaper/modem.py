@@ -59,7 +59,6 @@ __all__ = [
     "bits_to_labels",
     "build_constellation",
     "demap_labels",
-    "demap_symbols",
 ]
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
@@ -93,17 +92,16 @@ class Constellation:
     ``points[v]`` is the point whose log2(M)-bit label has integer value
     v, so labels are implicitly 0..M-1 and the demap tie-break "lowest
     point index" is also "lowest label". ``points * scale`` lies on the
-    odd-integer level grid. ``label_table`` and ``bit_table`` are the
-    read-only tables of :func:`demap_labels` and :func:`demap_symbols`;
-    ``hamming[i * M + j]`` is the number of bits in which labels i and j
-    differ. All three are shared by worker threads.
+    odd-integer level grid. ``label_table``, read by :func:`demap_labels`,
+    and ``hamming[i * M + j]``, the number of bits in which labels i and j
+    differ, are read-only and shared by worker threads. The package's
+    decision ends at the label; its bit form lives in ``tests/helpers.py``.
     """
 
     m_order: int
     points: np.ndarray
     scale: float
     label_table: np.ndarray
-    bit_table: np.ndarray
     hamming: np.ndarray
 
     @property
@@ -164,12 +162,10 @@ def build_constellation(M: int) -> Constellation:
     scale = math.sqrt(float(np.mean(np.abs(pts) ** 2)))
     pts /= scale
     assert len(np.unique(pts)) == M
-    bit_table = (np.arange(M)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    # labels i and j differ in the bits where their bit_table rows do
-    hamming = (bit_table[:, None, :] != bit_table).sum(axis=-1, dtype=np.intp).ravel()
-    for table in (pts, bit_table, hamming):
+    hamming = np.bitwise_count(np.arange(M)[:, None] ^ np.arange(M)).ravel().astype(np.intp)
+    for table in (pts, hamming):
         table.setflags(write=False)
-    return Constellation(M, pts, scale, labels, bit_table, hamming)
+    return Constellation(M, pts, scale, labels, hamming)
 
 
 def bits_to_labels(bits: np.ndarray, c: Constellation, out=None) -> np.ndarray:
@@ -232,12 +228,6 @@ def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.
     if out is None:
         out = np.empty(y.shape, dtype=np.intp)
     return c.label_table.take(index, out=out, mode="clip")  # "raise" would copy `out`
-
-
-def demap_symbols(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map (..., N) symbols to (..., N*k) bits: the bits of :func:`demap_labels`."""
-    y = np.asarray(y, dtype=complex)
-    return c.bit_table.take(demap_labels(y, c), axis=0).reshape(*y.shape[:-1], -1)
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,7 @@ def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
         raise ConfigError(f"samples_per_symbol must be >= 1, got {S}")
     t = np.arange(S) * (1.0 / S)
 
-    if desc.family is PulseFamily.RECT or (
-        desc.family is PulseFamily.SINE_POWER and desc.shape_n == 0
-    ):
+    if desc.family is PulseFamily.RECT:
         p = np.ones_like(t)
     elif desc.family is PulseFamily.SINE_POWER:
         p = np.sin(np.pi * t) ** desc.shape_n
@@ -100,8 +98,6 @@ def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
     # Flat 1 over the central (1 - alpha)T, raised-cosine ramps of width
     # alpha*T/2 at each end; alpha = 0 recovers the rectangular pulse.
     p = np.ones_like(t)
-    if alpha == 0.0:
-        return p
     edge = alpha / 2.0
     lo = t < edge
     hi = t > 1.0 - edge

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from papr_shaper import seeding
-from papr_shaper.modem import OfdmConfig, demap_symbols
+from papr_shaper.modem import OfdmConfig, demap_labels
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 RECT = PulseDescriptor(family=PulseFamily.RECT)
@@ -46,14 +46,24 @@ def map_bits(bits, c) -> np.ndarray:
     return c.points[values]
 
 
+def label_bits(labels, k) -> np.ndarray:
+    """(..., N) labels to the (..., N*k) bits that spell them, MSB first:
+    the inverse of ``modem.bits_to_labels``."""
+    labels = np.asarray(labels)
+    bits = (labels[..., None] >> np.arange(k - 1, -1, -1)) & 1
+    return bits.reshape(*labels.shape[:-1], -1)
+
+
+def demap_bits(y, c) -> np.ndarray:
+    """(..., N) symbols to the (..., N*k) bits of their ``modem.demap_labels`` decision."""
+    return label_bits(demap_labels(y, c), c.bits_per_symbol)
+
+
 def demap_argmin(y, c) -> np.ndarray:
     """Minimum-distance hard decision over every point of ``c``: (..., N)
     symbols to (..., N*k) bits; argmin breaks ties to the lowest label."""
     y = np.asarray(y, dtype=complex)
-    values = np.argmin(np.abs(y[..., None] - c.points) ** 2, axis=-1)
-    k = c.bits_per_symbol
-    bits = (values[..., None] >> np.arange(k - 1, -1, -1)) & 1
-    return bits.reshape(*y.shape[:-1], -1)
+    return label_bits(np.argmin(np.abs(y[..., None] - c.points) ** 2, axis=-1), c.bits_per_symbol)
 
 
 def dense_synth(kern) -> np.ndarray:
@@ -135,5 +145,5 @@ def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key, arrays=None
     noiseless = ebn0_db == math.inf
     z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])
     r = add_awgn(s, z, ebn0_db, nbits, kern.dt)
-    bits_hat = demap_symbols(solve_zf(kern, matched_filter(kern, r)), kern.constellation)
+    bits_hat = demap_bits(solve_zf(kern, matched_filter(kern, r)), kern.constellation)
     return (bits_hat != bits).sum(axis=1)

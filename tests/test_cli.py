@@ -208,6 +208,29 @@ class TestDispatch:
         assert read(tmp_path / "a" / "ccdf.csv") == read(tmp_path / "b" / "ccdf.csv")
         assert read(tmp_path / "a" / "summary.txt") == read(tmp_path / "b" / "summary.txt")
 
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            ["pulse_family=sine_power", "shape_n=0"],
+            ["pulse_family=tapered_flat_top", "taper_alpha=0"],
+        ],
+        ids=["sine0", "tapered0"],
+    )
+    def test_flat_pulse_ccdf_is_rect(self, tmp_path, flat):
+        # every sample of these pulses is 1.0: rect OFDM, with rect's reference lines
+        out = {}
+        for name, overrides in (("rect", ["pulse_family=rect"]), ("flat", flat)):
+            cfg = parse_config(
+                "trials = 2000\nn_subcarriers = 8\n", [*overrides, f"output_path={tmp_path / name}"]
+            )
+            assert dispatch("ccdf", cfg) == 0
+            out[name] = [read(tmp_path / name / f).decode().splitlines()
+                         for f in ("ccdf.csv", "summary.txt")]
+        (rect_csv, rect_summary), (flat_csv, flat_summary) = out["rect"], out["flat"]
+        assert flat_csv == rect_csv
+        assert flat_summary[1:] == rect_summary[1:]
+        assert rect_summary[2].startswith("rect reference gamma at P=1e-2: ")
+
     def test_xcorr_metrics_ascending(self, tmp_path):
         cfg = parse_config("n_list = 0,4,16\nf_max = 20\n", [f"output_path={tmp_path}"])
         assert dispatch("xcorr", cfg) == 0

@@ -10,7 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from helpers import ENGINE_PULSES, RECT, SINE1, TAPERED, cfg_for, map_bits, waveform_frame_errors
+from helpers import (
+    ENGINE_PULSES,
+    RECT,
+    SINE1,
+    TAPERED,
+    cfg_for,
+    demap_bits,
+    map_bits,
+    waveform_frame_errors,
+)
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import ConfigError, ConfigKeyError
@@ -21,7 +30,7 @@ from papr_shaper.harness import (
     wilson_interval,
     zf_noise_enhancement_db,
 )
-from papr_shaper.modem import demap_symbols, get_kernel
+from papr_shaper.modem import get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
@@ -40,7 +49,7 @@ def bit_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
         w = w * colour if colour.ndim == 1 else w @ colour.T
         n0 = kern.frame_energy(a) * (10.0 ** (-ebn0_db / 10.0) / nbits)
         a = w * np.sqrt(n0 / 2.0)[:, None] + a
-    return (demap_symbols(a, kern.constellation) != bits).sum(axis=1)
+    return (demap_bits(a, kern.constellation) != bits).sum(axis=1)
 
 
 class TestWilson:
@@ -214,8 +223,9 @@ class TestBatchSchedule:
         # frames gives every frame's errors; the stop is where their sum
         # first reaches the target
         cfg, max_frames, seed = cfg_for(N=16), 1000, 9
+        kern = get_kernel(cfg)
         per_frame = harness._frame_errors_batch(
-            get_kernel(cfg), 0.0, 0, max_frames, seeding.mix64(seed)
+            kern, 0.0, 0, max_frames, seeding.mix64(seed), harness.FrameArrays(kern, max_frames)
         )
         cum = np.cumsum(per_frame)
         frame = self.STOP_FRAMES[case]
@@ -291,7 +301,8 @@ class TestFrameArrays:
             # shrinking batches, so rows a larger batch left behind would show
             for n in (2048, 64, 7, 1):
                 reused = harness._frame_errors_batch(kern, ebn0, lo, n, key, arrays)
-                fresh = harness._frame_errors_batch(kern, ebn0, lo, n, key)
+                fresh_arrays = harness.FrameArrays(kern, n)
+                fresh = harness._frame_errors_batch(kern, ebn0, lo, n, key, fresh_arrays)
                 assert np.array_equal(reused, fresh), (ebn0, n)
                 assert np.array_equal(reused, bit_frame_errors(kern, ebn0, lo, n, key)), (ebn0, n)
                 if ebn0 == math.inf:
@@ -475,10 +486,11 @@ class TestEngineEquivalence:
     def test_error_rates_agree_with_waveform_oracle(self, N, M, name, ebn0_list, frames):
         kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name]))
         batches = list(seeding.frame_batches(frames, kern.cfg.samples_per_symbol))
+        arrays = harness.FrameArrays(kern, max(hi - lo for lo, hi in batches))
 
         def per_frame(frame_errors, ebn0_db, key):
             return np.concatenate(
-                [frame_errors(kern, ebn0_db, lo, hi - lo, key) for lo, hi in batches]
+                [frame_errors(kern, ebn0_db, lo, hi - lo, key, arrays) for lo, hi in batches]
             )
 
         for i, ebn0_db in enumerate(ebn0_list):
