@@ -77,23 +77,27 @@ def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
     return np.divide(peak, mean, out=np.ones_like(mean), where=mean > 0)
 
 
-def _random_paprs(cfg: OfdmConfig, trials: int, seed: int) -> np.ndarray:
+def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> np.ndarray:
     """PAPR of ``trials`` frames with uniform random constellation symbols.
 
     Trial i draws its symbols from a fixed slice of a counter-based
-    stream, so the batches of ``seeding.frame_batches`` it is computed
-    in change none of its draws.
+    stream, so neither the batches of ``seeding.frame_batches`` it is
+    computed in nor the worker count change any of its draws.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     kern = get_kernel(cfg)
-    points = kern.constellation.points
+    points = kern.constellation.points  # cached before any worker thread
     M, N = len(points), cfg.n_subcarriers
     key = seeding.mix64(seed)
-    out = np.empty(trials)
-    for lo, hi in seeding.frame_batches(trials, cfg.samples_per_symbol):
+
+    def paprs(lo, hi):
         u = seeding.trial_uniforms(key, lo, hi - lo, N)
-        out[lo:hi] = _batch_papr(points[seeding.uniforms_to_indices(u, M)], kern)
+        return _batch_papr(points[seeding.uniforms_to_indices(u, M)], kern)
+
+    out = np.empty(trials)
+    for lo, hi, batch in seeding.map_batches(paprs, trials, cfg.samples_per_symbol, workers):
+        out[lo:hi] = batch
     return out
 
 
@@ -102,6 +106,7 @@ def max_papr(
     method: str = "exhaustive",
     trials: int = 10_000,
     seed: int = 1,
+    workers: int = 1,
 ) -> float:
     """Worst-case PAPR by one of three regimes.
 
@@ -110,6 +115,7 @@ def max_papr(
     ``bound`` returns the coherent-superposition upper bound: the peak
     attainable if every subcarrier carried a maximum-modulus symbol in
     phase, over the mean frame power at unit average symbol energy.
+    ``workers`` threads compute the batches of the first two.
     """
     kern = get_kernel(cfg)
     points = kern.constellation.points
@@ -119,15 +125,17 @@ def max_papr(
         n_frames = M**N
         if n_frames > EXHAUSTIVE_FRAME_CAP:
             raise ConfigError(f"M^N = {n_frames} exceeds the exhaustive cap {EXHAUSTIVE_FRAME_CAP}")
-        best = 0.0
-        for lo, hi in seeding.frame_batches(n_frames, cfg.samples_per_symbol):
+
+        def batch_max(lo, hi):
             # frame i carries the N base-M digits of i, most significant first
             digits = np.stack(np.unravel_index(np.arange(lo, hi), (M,) * N), axis=-1)
-            best = max(best, float(_batch_papr(points[digits], kern).max()))
-        return best
+            return float(_batch_papr(points[digits], kern).max())
+
+        batches = seeding.map_batches(batch_max, n_frames, cfg.samples_per_symbol, workers)
+        return max(m for *_, m in batches)
 
     if method == "random":
-        return float(_random_paprs(cfg, trials, seed).max())
+        return float(_random_paprs(cfg, trials, seed, workers).max())
 
     if method == "bound":
         a_max = float(np.abs(points).max())
@@ -144,10 +152,11 @@ def ccdf_empirical(
     trials: int,
     seed: int,
     gamma_db: np.ndarray,
+    workers: int = 1,
 ) -> np.ndarray:
     """Empirical P(PAPR > gamma) over random frames, one per threshold
-    of the ascending dB grid ``gamma_db``."""
-    papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed)))
+    of the ascending dB grid ``gamma_db``, computed by ``workers`` threads."""
+    papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed, workers)))
     # strict inequality: count of samples > gamma
     exceed = trials - np.searchsorted(papr_db, gamma_db, side="right")
     return exceed / trials

@@ -111,8 +111,10 @@ def _run_papr(cfg: RunConfig) -> dict[str, list[str]]:
     ofdm = cfg.ofdm_config()
     values = {}
     if ofdm.m_order**ofdm.n_subcarriers <= EXHAUSTIVE_FRAME_CAP:
-        values["exhaustive"] = max_papr(ofdm, method="exhaustive")
-    values["random"] = max_papr(ofdm, method="random", trials=cfg.trials, seed=cfg.seed)
+        values["exhaustive"] = max_papr(ofdm, method="exhaustive", workers=cfg.workers)
+    values["random"] = max_papr(
+        ofdm, method="random", trials=cfg.trials, seed=cfg.seed, workers=cfg.workers
+    )
     values["bound"] = max_papr(ofdm, method="bound")
     db = {method: 10.0 * np.log10(v) for method, v in values.items()}
     csv = _csv("method,papr_linear,papr_db", ((m, v, db[m]) for m, v in values.items()))
@@ -126,7 +128,7 @@ def _run_papr(cfg: RunConfig) -> dict[str, list[str]]:
 def _run_ccdf(cfg: RunConfig) -> dict[str, list[str]]:
     ofdm = cfg.ofdm_config()
     gamma = _gamma_grid(cfg)
-    prob = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma)
+    prob = ccdf_empirical(ofdm, cfg.trials, cfg.seed, gamma, cfg.workers)
     csv = _csv("gamma_db,prob,trials", ((g, p, cfg.trials) for g, p in zip(gamma, prob)))
 
     lines = [f"# PAPR CCDF ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]

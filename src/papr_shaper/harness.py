@@ -7,24 +7,18 @@ substream slice, and stopping decisions are made at frame granularity in
 index order. A BER frame builds no waveform, but its batches follow
 ``seeding.frame_batches``, which sizes them in waveform samples: 64
 frames, doubling up to ``seeding.BATCH_SAMPLES`` samples, so a point that
-stops early wastes little work; with several workers each wave runs the
-next batches of the same schedule. The worker count never changes the
-batches, so outputs are byte-identical for any worker count.
+stops early wastes little work. ``seeding.map_batches`` runs them, with
+several workers in waves of the next batches of the same schedule. The
+worker count never changes the batches, so outputs are byte-identical for
+any worker count.
 
 A BER batch runs the label-domain frame sketched in ``modem`` and
-writes every (F, .) array into a set it is given, one set per worker
-slot of a point: the wave's batch i uses slot i's set. A set is held at
-the largest batch it has computed, so once the schedule stops growing no
-batch allocates or frees a frame array, and no page of it is handed back
-to the OS between batches.
+writes every (F, .) array into one ``FrameArrays`` of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,18 +98,14 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: i
 
 
 class FrameArrays:
-    """The (F, .) arrays of ``_frame_errors_batch`` for up to ``frames``
-    frames of one kernel's BER frame, overwritten by every batch.
-
-    All are views of one allocation: once a block that large has been
-    freed, glibc's malloc raises its mmap threshold above it and serves
-    the next sets from its heap, whose pages stay mapped, so after the
-    first points of a process a point's growing sets fault in no page.
+    """The (F, .) arrays of ``_frame_errors_batch`` for ``frames`` frames
+    of one kernel's BER frame: views of one allocation, which every stage
+    writes into. A batch holds at most ``seeding.BATCH_SAMPLES`` waveform
+    samples, so a set is a few MB and malloc serves it from its heap.
     """
 
     def __init__(self, kern, frames: int):
         N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-        self.frames = frames
         fields = [
             ((frames, seeding.trial_words(nbits + 2 * N)), np.float64),  # u: uniform words
             ((3, frames, N), np.complex128),  # symbols: a, then two planes of scratch
@@ -186,37 +176,27 @@ def run_ber_point(
     """
     check_ber_plan([ebn0_db], target_errors, max_frames, workers)
     kern = get_kernel(cfg)
-    kern.noise_colour  # checks the ZF limit; computed once, before any worker thread
+    # cached once, before any worker thread; noise_colour checks the ZF limit
+    kern.noise_colour, kern.constellation
     # the noise normals' ndtri: scipy is imported here, not by a worker thread
     import scipy.special  # noqa: F401
 
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame
-    batches = seeding.frame_batches(max_frames, cfg.samples_per_symbol)
+
+    def errors(lo, hi):
+        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key, FrameArrays(kern, hi - lo))
 
     total_errors = 0
-    arrays = [None] * workers  # one FrameArrays per worker slot
-
-    def errors(batch, slot):
-        lo, hi = batch
-        if arrays[slot] is None or arrays[slot].frames < hi - lo:
-            arrays[slot] = None  # freed before its larger successor is allocated
-            arrays[slot] = FrameArrays(kern, hi - lo)
-        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key, arrays[slot])
-
-    # workers=1 computes on the calling thread: a pool thread gets a malloc
-    # arena of its own, which made the peak RSS differ from run to run
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        while wave := list(itertools.islice(batches, workers)):
-            # the wave's batches are consecutive, so its frames are one array
-            cum = total_errors + np.cumsum(np.concatenate(list(run(errors, wave, range(workers)))))
-            hit = np.flatnonzero(cum >= target_errors)
-            last = int(hit[0]) if hit.size else len(cum) - 1  # frames past the stop are discarded
-            total_errors = int(cum[last])
-            frames_used = wave[0][0] + last + 1
-            if hit.size:
-                break
+    batches = seeding.map_batches(errors, max_frames, cfg.samples_per_symbol, workers)
+    for lo, _, per_frame in batches:
+        cum = total_errors + np.cumsum(per_frame)
+        hit = np.flatnonzero(cum >= target_errors)
+        last = int(hit[0]) if hit.size else len(cum) - 1  # frames past the stop are discarded
+        total_errors = int(cum[last])
+        frames_used = lo + last + 1
+        if hit.size:
+            break
 
     bits_sent = frames_used * nbits
     lo_ci, hi_ci = wilson_interval(total_errors, bits_sent)

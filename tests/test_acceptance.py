@@ -386,7 +386,8 @@ def test_09_deterministic_outputs_across_workers(report):
     )
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
-        # only ber reads workers today; the others must still ignore it
+        # ber, ccdf and papr compute their batches on `workers` threads;
+        # xcorr ignores the key
         for kind, settings in [
             ("ber", ber_settings),
             ("ccdf", "n_subcarriers = 8\ntrials = 2000\nseed = 5\n"),

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -103,10 +104,63 @@ class TestMaxPapr:
     @pytest.mark.parametrize("N", [3, 16, 64, 256])
     def test_random_paprs_independent_of_batch_size(self, N, pulse, monkeypatch):
         cfg = cfg_for(N=N, pulse=pulse)
-        default = _random_paprs(cfg, 200, seed=4)  # batches of 64 and 128 frames
+        default = _random_paprs(cfg, 200, seed=4)  # batches of 64 frames and up
         for frames in (1, 3, 5, 7):
             monkeypatch.setattr(seeding, "BATCH_SAMPLES", frames * cfg.samples_per_symbol)
             assert np.array_equal(_random_paprs(cfg, 200, seed=4), default)
+
+    @pytest.mark.parametrize("batch_frames", [None, 1], ids=["default", "one-frame"])
+    def test_independent_of_workers(self, batch_frames, monkeypatch):
+        # the batches of a run do not depend on the worker count, and
+        # neither does any frame's PAPR
+        rect, sine = cfg_for(N=4), cfg_for(N=16, pulse=(RECT, SINE1))
+        if batch_frames:
+            monkeypatch.setattr(seeding, "BATCH_SAMPLES", batch_frames)
+        gamma = np.linspace(0, 12, 49)
+
+        def run(workers):
+            return (
+                max_papr(rect, "exhaustive", workers=workers),
+                max_papr(sine, "random", trials=300, seed=3, workers=workers),
+                _random_paprs(sine, 300, seed=4, workers=workers),
+                ccdf_empirical(sine, 300, seed=5, gamma_db=gamma, workers=workers),
+            )
+
+        exhaustive, worst, paprs, prob = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3):
+                got = run(workers)
+                assert got[:2] == (exhaustive, worst), workers
+                assert np.array_equal(got[2], paprs), workers
+                assert np.array_equal(got[3], prob), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_starts_no_thread_pool(self, monkeypatch):
+        # a pool thread gets its own malloc arena; workers=1 stays on the caller
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a thread pool")
+
+        monkeypatch.setattr(seeding, "ThreadPoolExecutor", no_pool)
+        cfg = cfg_for(N=4)
+        assert max_papr(cfg, "exhaustive") > 1.0
+        assert max_papr(cfg, "random", trials=300, seed=1) > 1.0
+        assert ccdf_empirical(cfg, 300, seed=1, gamma_db=np.array([-30.0]))[0] == 1.0
+
+    def test_random_paprs_memory_bounded(self):
+        # 100k rect N = 64 trials peak near 2.65 MB in batches of 256 frames
+        # (2**16 samples), 0.8 MB of it the result; 2048-frame batches took 15.8 MB
+        cfg = cfg_for(N=64)
+        get_kernel(cfg)  # kernel allocations are not the run's
+        tracemalloc.start()
+        try:
+            _random_paprs(cfg, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_exhaustive_cap(self):
         with pytest.raises(ConfigError):
@@ -146,8 +200,9 @@ class TestCcdf:
         assert np.array_equal(a, b)
 
     def test_batches_capped_by_samples(self, monkeypatch):
-        # S = 4096 caps batches at 128 frames; one uncapped 1024-frame
-        # batch would hold two 64 MB waveform arrays
+        # S = 4096 caps batches at 16 frames, which peak near 1.9 MB; one
+        # uncapped 1024-frame batch would hold two 64 MB waveform arrays, and
+        # the 128-frame batches of a 2**19-sample cap peaked at 15 MB
         cfg = cfg_for(N=1024)
         get_kernel(cfg)  # kernel allocations are not the run's
         tracemalloc.start()
@@ -156,7 +211,7 @@ class TestCcdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 4 * 2**20
         monkeypatch.setattr(seeding, "BATCH_SAMPLES", 37 * cfg.samples_per_symbol)
         assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2))
 

@@ -105,7 +105,7 @@ class TestBerPoint:
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=1 started a thread pool")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(seeding, "ThreadPoolExecutor", no_pool)
         p = run_ber_point(cfg_for(N=16), 2.0, target_errors=300, max_frames=10_000, seed=5)
         assert p.bit_errors >= 300
 
@@ -190,8 +190,11 @@ class TestBatchSchedule:
         def sizes(n_frames, samples_per_frame):
             return [hi - lo for lo, hi in seeding.frame_batches(n_frames, samples_per_frame)]
 
-        assert sizes(10_000, 256) == [64, 128, 256, 512, 1024, 2048, 2048, 2048, 1872]
-        assert sizes(1_000, 4096) == [64] + [128] * 7 + [40]
+        # BATCH_SAMPLES = 2**16: 2048 frames at S = 32, 256 at S = 256 (N = 64,
+        # oversample 4) and 16 at S = 4096 (N = 1024)
+        assert sizes(10_000, 32) == [64, 128, 256, 512, 1024, 2048, 2048, 2048, 1872]
+        assert sizes(10_000, 256) == [64, 128] + [256] * 38 + [80]
+        assert sizes(1_000, 4096) == [16] * 62 + [8]
         assert sizes(3, seeding.BATCH_SAMPLES + 1) == [1, 1, 1]
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -251,9 +254,9 @@ class TestBatchSchedule:
         assert peak < 4 * 2**20
 
     def test_batch_memory_bounded_at_large_n(self):
-        # S = 4096 caps batches at 128 frames; this 551-frame point peaks
-        # at 12 MB (its arrays for 128 frames), and the 512-frame batch a
-        # frame-count cap reaches would need four times that
+        # S = 4096 caps batches at 16 frames; this 551-frame point peaks
+        # near 2 MB (its arrays for 16 frames), and a 128-frame batch, the
+        # cap of 2**19 samples, would need 12 MB
         cfg = cfg_for(N=1024)
         get_kernel(cfg).noise_colour  # kernel allocations are not the point's
         tracemalloc.start()
@@ -263,7 +266,7 @@ class TestBatchSchedule:
         finally:
             tracemalloc.stop()
         assert p.bits_sent > 400 * cfg.bits_per_frame
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
     def test_cold_rect_point_at_max_subcarriers_builds_no_matrix(self):
         # a flat kernel is the identity by construction: at N = 4096 its
