@@ -27,6 +27,7 @@ __all__ = [
     "reference_ccdf",
     "XCORR_POINTS_PER_T",
     "xcorr_curve",
+    "first_crossing",
     "pulse_metrics",
     "theoretical_ber",
     "q_function",
@@ -87,7 +88,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> 
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     kern = get_kernel(cfg)
-    points = kern.constellation.points  # cached before any worker thread
+    points = kern.constellation.points
     M, N = len(points), cfg.n_subcarriers
     key = seeding.mix64(seed)
 
@@ -200,11 +201,22 @@ def _interp_crossing(f0, f1, y0, y1, level):
     return f0 + (level - y0) * (f1 - f0) / (y1 - y0)
 
 
+def first_crossing(x, y, level: float) -> float | None:
+    """The x at which the samples y first fall to ``level`` or below,
+    linearly interpolated from the sample before; None if no sample does,
+    or if the first one already does."""
+    below = np.flatnonzero(y <= level)
+    if not below.size or below[0] == 0:
+        return None
+    i = int(below[0])
+    return float(_interp_crossing(x[i - 1], x[i], y[i - 1], y[i], level))
+
+
 def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
     """Cutoffs, peak sidelobe and orthogonality band of |rho(f)| on the
     grid of :func:`xcorr_curve`.
 
-    The -3 dB cutoff is the lowest f with |rho|^2 <= 1/2 (linearly
+    The -3 dB cutoff is where |rho|^2 first falls to 1/2 (linearly
     interpolated); the first null is the lowest f where |rho| drops
     below 1e-6 or the real part changes sign. A feature that does not
     occur inside the curve's band is None, as is the sidelobe of a curve
@@ -214,15 +226,7 @@ def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
     mag = np.abs(curve.rho)
     mag2 = mag**2
 
-    cutoff_3db = None
-    below = np.flatnonzero(mag2 <= 0.5)
-    if below.size:
-        i = int(below[0])
-        cutoff_3db = (
-            float(f[i])
-            if i == 0
-            else float(_interp_crossing(f[i - 1], f[i], mag2[i - 1], mag2[i], 0.5))
-        )
+    cutoff_3db = first_crossing(f, mag2, 0.5)  # |rho(0)| = 1 lies above it
 
     cutoff_null = None
     re = curve.derotated().real

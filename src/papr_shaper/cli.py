@@ -17,8 +17,8 @@ import numpy as np
 
 from .analysis import (
     EXHAUSTIVE_FRAME_CAP,
-    _interp_crossing,
     ccdf_empirical,
+    first_crossing,
     max_papr,
     reference_ccdf,
     theoretical_ber,
@@ -52,15 +52,6 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
 def _labels(cfg: RunConfig) -> str:
     """The N, M and pulse labels of a summary header."""
     return f"N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, n={cfg.shape_n}"
-
-
-def _ccdf_crossing(gamma_db, prob, level: float):
-    """Threshold (dB) where the empirical CCDF falls to ``level``."""
-    below = np.flatnonzero(prob <= level)
-    if not below.size or below[0] == 0:
-        return None
-    i = int(below[0])
-    return float(_interp_crossing(gamma_db[i - 1], gamma_db[i], prob[i - 1], prob[i], level))
 
 
 def _reference_crossing(N: int, level: float) -> float:
@@ -132,7 +123,7 @@ def _run_ccdf(cfg: RunConfig) -> dict[str, list[str]]:
     csv = _csv("gamma_db,prob,trials", ((g, p, cfg.trials) for g, p in zip(gamma, prob)))
 
     lines = [f"# PAPR CCDF ({_labels(cfg)}, trials={cfg.trials}, seed={cfg.seed})"]
-    crossing = _ccdf_crossing(gamma, prob, 1e-2)
+    crossing = first_crossing(gamma, prob, 1e-2)  # dB
     if crossing is not None:
         lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
         if get_kernel(ofdm).gram_is_identity:  # flat pulses: rect OFDM

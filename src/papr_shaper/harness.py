@@ -12,8 +12,8 @@ several workers in waves of the next batches of the same schedule. The
 worker count never changes the batches, so outputs are byte-identical for
 any worker count.
 
-A BER batch runs the label-domain frame sketched in ``modem`` and
-writes every (F, .) array into one ``FrameArrays`` of its own.
+A BER batch runs the label-domain frame sketched in ``modem``; it
+allocates its (F, .) arrays itself, as views of one block per batch.
 """
 
 from __future__ import annotations
@@ -97,62 +97,54 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: i
         raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
-class FrameArrays:
-    """The (F, .) arrays of ``_frame_errors_batch`` for ``frames`` frames
-    of one kernel's BER frame: views of one allocation, which every stage
-    writes into. A batch holds at most ``seeding.BATCH_SAMPLES`` waveform
-    samples, so a set is a few MB and malloc serves it from its heap.
+def _frame_arrays(kern, frames: int):
+    """The (F, .) arrays of one BER batch of ``frames`` frames: uniform
+    words u, symbols (a, then two planes of scratch), labels (sent,
+    decided) and bits, views of one allocation that every stage writes
+    into. A batch holds at most ``seeding.BATCH_SAMPLES`` waveform
+    samples, so the block is a few MB and malloc serves it from its heap.
     """
-
-    def __init__(self, kern, frames: int):
-        N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-        fields = [
-            ((frames, seeding.trial_words(nbits + 2 * N)), np.float64),  # u: uniform words
-            ((3, frames, N), np.complex128),  # symbols: a, then two planes of scratch
-            ((2, frames, N), np.intp),  # labels: sent, decided
-            ((frames, nbits), np.bool_),  # bits
-        ]
-        ends = np.cumsum([0] + [math.prod(s) * np.dtype(t).itemsize for s, t in fields])
-        buf = np.empty(ends[-1], dtype=np.uint8)
-        self.u, self.symbols, self.labels, self.bits = (
-            buf[lo:hi].view(t).reshape(s) for (s, t), lo, hi in zip(fields, ends, ends[1:])
-        )
+    N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
+    fields = [
+        ((frames, seeding.trial_words(nbits + 2 * N)), np.float64),
+        ((3, frames, N), np.complex128),
+        ((2, frames, N), np.intp),
+        ((frames, nbits), np.bool_),
+    ]
+    ends = np.cumsum([0] + [math.prod(s) * np.dtype(t).itemsize for s, t in fields])
+    buf = np.empty(ends[-1], dtype=np.uint8)
+    return (buf[lo:hi].view(t).reshape(s) for (s, t), lo, hi in zip(fields, ends, ends[1:]))
 
 
-def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key, arrays):
+def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     """Bit errors per frame for frames [first_frame, first_frame + n_frames).
 
     BER frame i reads nbits + 2N draws: its bits, then the 2N normals of
     its ZF-output noise, in (real, imaginary) pairs, from its own slice of
     the substream. The matched filter and ZF are linear, so the receiver's
-    output is a + w without any waveform: w = sqrt(N0 / 2) (z_re + j z_im)
-    L^T, L = kern.noise_colour. Eb is measured per frame, from the energy
-    of the waveform the frame's symbols would synthesize, so shaped and
-    unshaped systems are compared at equal energy per bit. Eb/N0 = +inf
-    is the noiseless channel: a_hat = a, and no normal is read. The
-    decision ends at the label, and a frame's bit errors are the Hamming
-    distances between its sent and decided labels. Every (F, .) array is
-    a view of ``arrays``, a FrameArrays of at least n_frames frames.
+    output is a + w without any waveform: w = kern.colour_noise(z, N0).
+    Eb is measured per frame, from the energy of the waveform the frame's
+    symbols would synthesize, so shaped and unshaped systems are compared
+    at equal energy per bit. Eb/N0 = +inf is the noiseless channel:
+    a_hat = a, and no normal is read. The decision ends at the label, and
+    a frame's bit errors are the Hamming distances between its sent and
+    decided labels.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
-    u = arrays.u[:n_frames]
-    labels, labels_hat = arrays.labels[:, :n_frames]
-    a, x, y = arrays.symbols[:, :n_frames]
+    u, symbols, (labels, labels_hat), bits = _frame_arrays(kern, n_frames)
+    a, x, y = symbols
 
     seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N, out=u)
-    bits = seeding.uniforms_to_bits(u[:, :nbits], out=arrays.bits[:n_frames])
+    bits = seeding.uniforms_to_bits(u[:, :nbits], out=bits)
     bits_to_labels(bits, c, out=labels)
     c.points.take(labels, out=a, mode="clip")  # "raise" would copy `out`
     if ebn0_db != math.inf:
-        n0 = kern.frame_energy(a, scratch=arrays.symbols[1:, :n_frames])
+        n0 = kern.frame_energy(a, scratch=symbols[1:])
         n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
         # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
-        w = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=x.view(float))
-        w = w.view(complex)
-        colour = kern.noise_colour
-        w = np.multiply(w, colour, out=w) if colour.ndim == 1 else np.matmul(w, colour.T, out=y)
-        w *= np.sqrt(n0 / 2.0)[:, None]
+        z = seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=x.view(float))
+        w = kern.colour_noise(z.view(complex), n0, out=y)
         a = np.add(w, a, out=w)
     # the uniforms are spent: their rows are the decision's scratch
     demap_labels(a, c, out=labels_hat, scratch=u.reshape(-1))
@@ -176,8 +168,8 @@ def run_ber_point(
     """
     check_ber_plan([ebn0_db], target_errors, max_frames, workers)
     kern = get_kernel(cfg)
-    # cached once, before any worker thread; noise_colour checks the ZF limit
-    kern.noise_colour, kern.constellation
+    # builds L before any worker thread, and raises the ZF-limit error on this one
+    kern.noise_colour
     # the noise normals' ndtri: scipy is imported here, not by a worker thread
     import scipy.special  # noqa: F401
 
@@ -185,7 +177,7 @@ def run_ber_point(
     nbits = cfg.bits_per_frame
 
     def errors(lo, hi):
-        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key, FrameArrays(kern, hi - lo))
+        return _frame_errors_batch(kern, ebn0_db, lo, hi - lo, key)
 
     total_errors = 0
     batches = seeding.map_batches(errors, max_frames, cfg.samples_per_symbol, workers)

@@ -10,7 +10,7 @@ noise, in (re, im) pairs z (c = kern.constellation):
     labels = bits_to_labels(bits, c)             # (F, N*k) -> (F, N)
     a = c.points[labels]
     n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
-    a_hat = a + sqrt(n0 / 2) * (z_re + j z_im) @ kern.noise_colour.T
+    a_hat = a + kern.colour_noise(z_re + j z_im, n0, out)  # sqrt(n0 / 2) z L^T
     errors = c.hamming[labels * M + demap_labels(a_hat, c)].sum(axis=1)
 
 The receiver it stands for is a matched-filter bank followed by an exact
@@ -20,9 +20,10 @@ w circular Gaussian of covariance N0 E^-1/2 G^-1 E^-1/2 (E = diag of the
 pulse energies), and the frame energy sum |s|^2 dt is the quadratic form
 a^H (G o sqrt(e e^T)) a. ``noise_colour`` is the lower Cholesky factor L
 of that covariance over N0; a shaped kernel keeps G and L, and no
-inverse. A kernel of flat (rect) pulses has G = I by construction: it
-builds no G, skips the condition number and the inverse, and its L is
-the diagonal 1/sqrt(e), applied without a matrix product.
+inverse. ``kern.colour_noise`` is the one stage that applies L. A kernel
+of flat (rect) pulses has G = I by construction: it builds no G, skips
+the condition number and the inverse, and its L is the diagonal
+1/sqrt(e), applied without a matrix product.
 
 The demapper never measures the distance to every point. Minimum-distance
 detection on a rectangular QAM grid separates per axis, so each axis is
@@ -71,18 +72,14 @@ MAX_OVERSAMPLE = 64
 GRAM_CONDITION_LIMIT = 1e8
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-def _gray_pam(bits_value: int, n_levels: int) -> int:
-    """Level of a Gray-coded PAM axis: code v sits at index gray^-1(v),
-    levels are -(n_levels-1), ..., +(n_levels-1) in steps of 2 with code
-    0 on the positive end (so 1-bit code 0 -> +1)."""
-    for idx in range(n_levels):
-        if _gray(idx) == bits_value:
-            return (n_levels - 1) - 2 * idx
-    raise ValueError(f"no Gray index for code {bits_value}")  # pragma: no cover
+def _gray_levels(n: int) -> np.ndarray:
+    """Level of each code of an n-level Gray-coded PAM axis: the Gray code
+    i ^ (i >> 1) sits at index i, levels are -(n-1), ..., +(n-1) in steps
+    of 2 with code 0 on the positive end (so 1-bit code 0 -> +1)."""
+    i = np.arange(n)
+    levels = np.empty(n, dtype=int)
+    levels[i ^ (i >> 1)] = (n - 1) - 2 * i
+    return levels
 
 
 @dataclass(frozen=True)
@@ -150,15 +147,13 @@ def build_constellation(M: int) -> Constellation:
     k = M.bit_length() - 1
     qb = k // 2  # label bits on Q; the rest (as many or one more) on I
     nq = 1 << qb
-    pts = np.empty(M, dtype=complex)
-    for label in range(M):
-        x, y = _gray_pam(label >> qb, M // nq), _gray_pam(label & (nq - 1), nq)
-        if abs(x) == 7:  # M = 32 only
-            s = 1 if x > 0 else -1
-            x, y = s * abs(y), 5 * (1 if y > 0 else -1)
-        pts[label] = complex(x, y)
+    label = np.arange(M)
+    x, y = _gray_levels(M // nq)[label >> qb], _gray_levels(nq)[label & (nq - 1)]
+    corner = np.abs(x) == 7  # M = 32 only
+    x, y = np.where(corner, np.sign(x) * np.abs(y), x), np.where(corner, 5 * np.sign(y), y)
+    pts = x + 1j * y
 
-    labels = _label_table(pts.real.astype(int), pts.imag.astype(int))
+    labels = _label_table(x, y)
     scale = math.sqrt(float(np.mean(np.abs(pts) ** 2)))
     pts /= scale
     assert len(np.unique(pts)) == M
@@ -281,18 +276,21 @@ class ModemKernel:
     energies: (N,) pulse energies e_k
     groups: (carriers, samples) per entry g of the pulse set of period P;
             carriers the slice g:N:P, samples None if all 1.0
+    gram_is_identity: every pulse is flat (rect), so gram is the identity
+              by construction and is never built; the condition is 1
+    constellation: the Constellation of cfg.m_order
     gram:  Hermitian N x N with unit diagonal; noiseless matched-filter
            outputs are y = E^-1/2 gram E^1/2 a, E = diag(energies)
     gram_condition: max|lambda| / min|lambda| of gram
-    gram_is_identity: every pulse is flat (rect), so gram is the identity
-              by construction and is never built; the condition is 1
     noise_colour: L with L L^H = E^-1/2 gram^-1 E^-1/2, the ZF-output
               noise covariance over N0; the vector 1/sqrt(energies)
               when gram is the identity; raises ConfigError beyond
               GRAM_CONDITION_LIMIT
 
-    The Gram matrix and what derives from it are built on first use,
-    never by PAPR or CCDF runs.
+    ``__init__`` builds samples through constellation, the cheap parts.
+    The Gram matrix and what derives from it (gram, gram_condition,
+    noise_colour) are built on first use, never by PAPR or CCDF runs; a
+    BER point reads noise_colour before its worker threads start.
     """
 
     def __init__(self, cfg: OfdmConfig):
@@ -308,6 +306,8 @@ class ModemKernel:
         self.groups = [
             (slice(g, N, P), None if np.all(p == 1.0) else p) for g, p in enumerate(self.samples)
         ]
+        self.gram_is_identity = all(p is None for _, p in self.groups)
+        self.constellation = build_constellation(cfg.m_order)
 
     def synthesize(self, a: np.ndarray) -> np.ndarray:
         """(F, N) symbols -> (F, S) waveforms, summed over the groups."""
@@ -331,9 +331,16 @@ class ModemKernel:
         # Re(conj(b) gb) summed over k, as one real dot product per frame
         return np.einsum("fk,fk->f", b.view(float), gb.view(float))
 
-    @functools.cached_property
-    def constellation(self) -> Constellation:
-        return build_constellation(self.cfg.m_order)
+    def colour_noise(self, z: np.ndarray, n0: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(F, N) complex white normals z -> the ZF-output noise
+        sqrt(n0 / 2) z L^T of (F,) noise densities n0, L = noise_colour.
+        A flat kernel's L is a vector, applied in place in z; otherwise
+        the product is written to ``out``, an (F, N) complex array, and z
+        is left as it is."""
+        L = self.noise_colour
+        w = np.multiply(z, L, out=z) if self.gram_is_identity else np.matmul(z, L.T, out=out)
+        w *= np.sqrt(n0 / 2.0)[:, None]
+        return w
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -347,10 +354,6 @@ class ModemKernel:
         g += g.conj().T  # symmetrized in place, without a third N x N array
         g *= 0.5
         return g
-
-    @functools.cached_property
-    def gram_is_identity(self) -> bool:
-        return all(p is None for _, p in self.groups)
 
     @functools.cached_property
     def gram_condition(self) -> float:

@@ -130,12 +130,11 @@ def solve_zf(kern, y):
     return y @ inv.T
 
 
-def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key, arrays=None):
+def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
     """Bit errors per frame through the waveform chain.
 
     Frame i reads nbits uniforms for its bits, then 2S for its noise
-    normals, from its own slice of the substream. ``arrays``, the BER
-    engine's reused arrays, is accepted and ignored.
+    normals, from its own slice of the substream.
     """
     S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
     u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * S)

@@ -429,6 +429,12 @@ class TestLazyGram:
         assert "gram" not in kern.__dict__
         assert "gram_condition" not in kern.__dict__
 
+    def test_fresh_kernel_holds_its_cheap_parts_and_no_gram(self):
+        kern = ModemKernel(cfg_for(N=64, pulse=SINE1))
+        assert {"constellation", "gram_is_identity"} <= kern.__dict__.keys()
+        assert not kern.gram_is_identity
+        assert "gram" not in kern.__dict__
+
     def test_ber_point_builds_gram(self):
         cfg = cfg_for(N=64, pulse=SINE1)
         get_kernel.cache_clear()

@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -227,9 +224,7 @@ class TestBatchSchedule:
         # first reaches the target
         cfg, max_frames, seed = cfg_for(N=16), 1000, 9
         kern = get_kernel(cfg)
-        per_frame = harness._frame_errors_batch(
-            kern, 0.0, 0, max_frames, seeding.mix64(seed), harness.FrameArrays(kern, max_frames)
-        )
+        per_frame = harness._frame_errors_batch(kern, 0.0, 0, max_frames, seeding.mix64(seed))
         cum = np.cumsum(per_frame)
         frame = self.STOP_FRAMES[case]
         target = int(cum[-1]) + 1 if frame is None else int(cum[frame])
@@ -283,7 +278,7 @@ class TestBatchSchedule:
         assert peak < 32 * 2**20
 
 
-class TestFrameArrays:
+class TestFrameBatchSizes:
     # (N, M, pulse, Eb/N0): rect's diagonal noise colour, a dense one, and
     # a dense one with an odd bit count (N = 3, M = 8); every 2048-frame
     # batch sees errors
@@ -294,53 +289,20 @@ class TestFrameArrays:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_reused_arrays_match_fresh_arrays_and_bit_count(self, case):
+    def test_every_batch_size_matches_bit_count(self, case):
         N, M, pulse, ebn0_db = self.CASES[case]
         kern = get_kernel(cfg_for(N=N, M=M, pulse=pulse))
         key = seeding.mix64(N, M)
-        arrays = harness.FrameArrays(kern, 2048)
         for ebn0 in (ebn0_db, math.inf):
             lo = 0
-            # shrinking batches, so rows a larger batch left behind would show
             for n in (2048, 64, 7, 1):
-                reused = harness._frame_errors_batch(kern, ebn0, lo, n, key, arrays)
-                fresh_arrays = harness.FrameArrays(kern, n)
-                fresh = harness._frame_errors_batch(kern, ebn0, lo, n, key, fresh_arrays)
-                assert np.array_equal(reused, fresh), (ebn0, n)
-                assert np.array_equal(reused, bit_frame_errors(kern, ebn0, lo, n, key)), (ebn0, n)
+                errors = harness._frame_errors_batch(kern, ebn0, lo, n, key)
+                assert np.array_equal(errors, bit_frame_errors(kern, ebn0, lo, n, key)), (ebn0, n)
                 if ebn0 == math.inf:
-                    assert reused.sum() == 0
+                    assert errors.sum() == 0
                 elif n == 2048:
-                    assert reused.sum() > 0
+                    assert errors.sum() > 0
                 lo += n
-
-    def test_worker_slots_never_share_arrays(self, monkeypatch):
-        cfg = cfg_for(N=16)
-        ref = run_ber_point(cfg, 4.0, target_errors=10**6, max_frames=5000, seed=9)
-        frame_errors, lock = harness._frame_errors_batch, threading.Lock()
-        in_use, seen = set(), set()
-
-        def exclusive(kern, ebn0_db, first_frame, n_frames, key, arrays):
-            with lock:
-                assert id(arrays) not in in_use
-                in_use.add(id(arrays))
-                seen.add(id(arrays))
-            try:
-                time.sleep(0.002)  # widens the window another thread could enter
-                return frame_errors(kern, ebn0_db, first_frame, n_frames, key, arrays)
-            finally:
-                with lock:
-                    in_use.remove(id(arrays))
-
-        monkeypatch.setattr(harness, "_frame_errors_batch", exclusive)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            p = run_ber_point(cfg, 4.0, target_errors=10**6, max_frames=5000, seed=9, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert p == ref
-        assert len(seen) >= 4
 
 
 class TestBerSweep:
@@ -489,11 +451,10 @@ class TestEngineEquivalence:
     def test_error_rates_agree_with_waveform_oracle(self, N, M, name, ebn0_list, frames):
         kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name]))
         batches = list(seeding.frame_batches(frames, kern.cfg.samples_per_symbol))
-        arrays = harness.FrameArrays(kern, max(hi - lo for lo, hi in batches))
 
         def per_frame(frame_errors, ebn0_db, key):
             return np.concatenate(
-                [frame_errors(kern, ebn0_db, lo, hi - lo, key, arrays) for lo, hi in batches]
+                [frame_errors(kern, ebn0_db, lo, hi - lo, key) for lo, hi in batches]
             )
 
         for i, ebn0_db in enumerate(ebn0_list):

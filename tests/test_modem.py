@@ -597,6 +597,21 @@ class TestSymbolDomain:
         target = self.zf_covariance(kern)
         assert np.abs(llh - target).max() <= 1e-12 * np.abs(target).max()
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["rect", "sine1"])
+    def test_colour_noise_is_the_explicit_product(self, name, rows):
+        # bit for bit sqrt(n0 / 2) z L^T, for L the vector and the matrix
+        N = 16
+        kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name]))
+        rng = np.random.default_rng(rows)
+        z = rng.standard_normal((rows, 2 * N)).view(complex)
+        n0 = rng.uniform(0.1, 2.0, rows)
+        L = kern.noise_colour
+        coloured = z * L if name == "rect" else z @ L.T
+        expected = coloured * np.sqrt(n0 / 2.0)[:, None]
+        w = kern.colour_noise(z.copy(), n0, out=np.empty_like(z))
+        assert np.array_equal(w, expected)
+
     @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
     def test_waveform_zf_noise_has_that_covariance(self, name):
         N, frames, ebn0_db = 8, 200_000, 10.0
