@@ -24,7 +24,7 @@ __all__ = [
     "max_papr",
     "EXHAUSTIVE_FRAME_CAP",
     "ccdf_empirical",
-    "reference_ccdf",
+    "reference_crossing_db",
     "XCORR_POINTS_PER_T",
     "xcorr_curve",
     "first_crossing",
@@ -70,12 +70,21 @@ class PulseMetrics:
     orthogonality_band: int | None
 
 
-def _batch_papr(symbols: np.ndarray, kern: ModemKernel) -> np.ndarray:
-    s = kern.synthesize(symbols)
-    power = np.abs(s) ** 2
-    peak, mean = power.max(axis=1), power.mean(axis=1)
-    # a frame of zero mean power is constant, so its PAPR is 1
-    return np.divide(peak, mean, out=np.ones_like(mean), where=mean > 0)
+def _paprs(kern: ModemKernel, n_frames: int, labels, workers: int = 1) -> np.ndarray:
+    """PAPR of frames [0, n_frames), frames [lo, hi) carrying the symbols
+    ``points[labels(lo, hi)]``, over the batches of ``seeding.map_batches``."""
+    points = kern.constellation.points
+
+    def paprs(lo, hi):
+        power = np.abs(kern.synthesize(points[labels(lo, hi)])) ** 2
+        peak, mean = power.max(axis=1), power.mean(axis=1)
+        # a frame of zero mean power is constant, so its PAPR is 1
+        return np.divide(peak, mean, out=np.ones_like(mean), where=mean > 0)
+
+    out = np.empty(n_frames)
+    for lo, hi, batch in seeding.map_batches(paprs, n_frames, kern.cfg.samples_per_symbol, workers):
+        out[lo:hi] = batch
+    return out
 
 
 def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -87,19 +96,13 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> 
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    kern = get_kernel(cfg)
-    points = kern.constellation.points
-    M, N = len(points), cfg.n_subcarriers
+    M, N = cfg.m_order, cfg.n_subcarriers
     key = seeding.mix64(seed)
 
-    def paprs(lo, hi):
-        u = seeding.trial_uniforms(key, lo, hi - lo, N)
-        return _batch_papr(points[seeding.uniforms_to_indices(u, M)], kern)
+    def labels(lo, hi):
+        return seeding.uniforms_to_indices(seeding.trial_uniforms(key, lo, hi - lo, N), M)
 
-    out = np.empty(trials)
-    for lo, hi, batch in seeding.map_batches(paprs, trials, cfg.samples_per_symbol, workers):
-        out[lo:hi] = batch
-    return out
+    return _paprs(get_kernel(cfg), trials, labels, workers)
 
 
 def max_papr(
@@ -127,13 +130,11 @@ def max_papr(
         if n_frames > EXHAUSTIVE_FRAME_CAP:
             raise ConfigError(f"M^N = {n_frames} exceeds the exhaustive cap {EXHAUSTIVE_FRAME_CAP}")
 
-        def batch_max(lo, hi):
+        def digits(lo, hi):
             # frame i carries the N base-M digits of i, most significant first
-            digits = np.stack(np.unravel_index(np.arange(lo, hi), (M,) * N), axis=-1)
-            return float(_batch_papr(points[digits], kern).max())
+            return np.stack(np.unravel_index(np.arange(lo, hi), (M,) * N), axis=-1)
 
-        batches = seeding.map_batches(batch_max, n_frames, cfg.samples_per_symbol, workers)
-        return max(m for *_, m in batches)
+        return float(_paprs(kern, n_frames, digits, workers).max())
 
     if method == "random":
         return float(_random_paprs(cfg, trials, seed, workers).max())
@@ -163,15 +164,14 @@ def ccdf_empirical(
     return exceed / trials
 
 
-def reference_ccdf(N: int, gamma_linear) -> np.ndarray | float:
-    """Classic Nyquist-sampled approximation 1 - (1 - e^-gamma)^N for
-    rectangular OFDM; a sanity oracle, not a fit."""
+def reference_crossing_db(N: int, level: float) -> float:
+    """The gamma in dB at which the classic Nyquist-sampled approximation
+    1 - (1 - e^-gamma)^N of rectangular OFDM falls to ``level``; a sanity
+    oracle, not a fit."""
     if N < 1:
         raise ConfigError("N must be >= 1")
-    g = np.asarray(gamma_linear, dtype=float)
-    out = -np.expm1(N * np.log1p(-np.exp(-g), where=g > 0, out=np.zeros_like(g)))
-    out = np.where(g > 0, out, 1.0)
-    return float(out) if np.isscalar(gamma_linear) else out
+    gamma = -np.log(1.0 - (1.0 - level) ** (1.0 / N))
+    return float(10.0 * np.log10(gamma))
 
 
 def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
@@ -196,8 +196,6 @@ def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
 
 
 def _interp_crossing(f0, f1, y0, y1, level):
-    if y1 == y0:
-        return f0
     return f0 + (level - y0) * (f1 - f0) / (y1 - y0)
 
 
@@ -269,8 +267,7 @@ def q_function(x) -> np.ndarray | float:
     """Standard normal tail probability via the complementary error function."""
     from scipy.special import erfc  # scipy loads on first use: only the BER path needs it
 
-    out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-    return float(out) if np.isscalar(x) else out
+    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def theoretical_ber(M: int, ebn0_db) -> np.ndarray | float:
@@ -283,5 +280,4 @@ def theoretical_ber(M: int, ebn0_db) -> np.ndarray | float:
     k = build_constellation(M).bits_per_symbol  # raises ConfigError for an unsupported M
     gamma_b = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
     arg = np.sqrt(3.0 * k / (M - 1) * gamma_b)
-    out = (4.0 / k) * (1.0 - 1.0 / math.sqrt(M)) * q_function(arg)
-    return float(out) if np.isscalar(ebn0_db) else out
+    return (4.0 / k) * (1.0 - 1.0 / math.sqrt(M)) * q_function(arg)

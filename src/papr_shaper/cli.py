@@ -20,7 +20,7 @@ from .analysis import (
     ccdf_empirical,
     first_crossing,
     max_papr,
-    reference_ccdf,
+    reference_crossing_db,
     theoretical_ber,
 )
 from .config import RunConfig, parse_config
@@ -52,12 +52,6 @@ def _gamma_grid(cfg: RunConfig) -> np.ndarray:
 def _labels(cfg: RunConfig) -> str:
     """The N, M and pulse labels of a summary header."""
     return f"N={cfg.n_subcarriers}, M={cfg.m}, pulse={cfg.pulse_family}, n={cfg.shape_n}"
-
-
-def _reference_crossing(N: int, level: float) -> float:
-    gamma = -np.log(1.0 - (1.0 - level) ** (1.0 / N))
-    assert abs(reference_ccdf(N, gamma) - level) < 1e-9
-    return float(10.0 * np.log10(gamma))
 
 
 def _run_xcorr(cfg: RunConfig) -> dict[str, list[str]]:
@@ -127,7 +121,7 @@ def _run_ccdf(cfg: RunConfig) -> dict[str, list[str]]:
     if crossing is not None:
         lines.append(f"gamma at P=1e-2: {_fmt(crossing)} dB")
         if get_kernel(ofdm).gram_is_identity:  # flat pulses: rect OFDM
-            ref = _reference_crossing(cfg.n_subcarriers, 1e-2)
+            ref = reference_crossing_db(cfg.n_subcarriers, 1e-2)
             lines.append(f"rect reference gamma at P=1e-2: {_fmt(ref)} dB")
             lines.append(f"horizontal deviation: {_fmt(crossing - ref)} dB")
     return {"ccdf.csv": csv, "summary.txt": lines}

@@ -127,8 +127,8 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     symbols would synthesize, so shaped and unshaped systems are compared
     at equal energy per bit. Eb/N0 = +inf is the noiseless channel:
     a_hat = a, and no normal is read. The decision ends at the label, and
-    a frame's bit errors are the Hamming distances between its sent and
-    decided labels.
+    a frame's bit errors are the set bits of its sent labels XOR its
+    decided ones.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
@@ -148,9 +148,8 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
         a = np.add(w, a, out=w)
     # the uniforms are spent: their rows are the decision's scratch
     demap_labels(a, c, out=labels_hat, scratch=u.reshape(-1))
-    labels *= c.m_order
-    labels += labels_hat
-    return c.hamming.take(labels, out=labels_hat, mode="clip").sum(axis=1)
+    labels ^= labels_hat
+    return np.bitwise_count(labels, out=labels).sum(axis=1)
 
 
 def run_ber_point(

@@ -2,8 +2,8 @@
 
 Every stage works on a batch of frames, one frame per row, and the BER
 stages can write into arrays the caller gives them. A BER frame never
-builds its waveform and never forms decided bits: it reads its bit
-errors from the sent and decided labels in ``c.hamming``. BER frame i
+builds its waveform and never forms decided bits: its bit errors are
+the set bits of each sent label XOR its decided label. BER frame i
 reads nbits + 2N draws: its bits, then the 2N normals of its ZF-output
 noise, in (re, im) pairs z (c = kern.constellation):
 
@@ -11,7 +11,7 @@ noise, in (re, im) pairs z (c = kern.constellation):
     a = c.points[labels]
     n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
     a_hat = a + kern.colour_noise(z_re + j z_im, n0, out)  # sqrt(n0 / 2) z L^T
-    errors = c.hamming[labels * M + demap_labels(a_hat, c)].sum(axis=1)
+    errors = np.bitwise_count(labels ^ demap_labels(a_hat, c)).sum(axis=1)
 
 The receiver it stands for is a matched-filter bank followed by an exact
 zero-forcing solve against the subcarrier Gram matrix G. Both are linear,
@@ -90,16 +90,14 @@ class Constellation:
     v, so labels are implicitly 0..M-1 and the demap tie-break "lowest
     point index" is also "lowest label". ``points * scale`` lies on the
     odd-integer level grid. ``label_table``, read by :func:`demap_labels`,
-    and ``hamming[i * M + j]``, the number of bits in which labels i and j
-    differ, are read-only and shared by worker threads. The package's
-    decision ends at the label; its bit form lives in ``tests/helpers.py``.
+    is read-only and shared by worker threads. The package's decision ends
+    at the label; its bit form lives in ``tests/helpers.py``.
     """
 
     m_order: int
     points: np.ndarray
     scale: float
     label_table: np.ndarray
-    hamming: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
@@ -157,10 +155,8 @@ def build_constellation(M: int) -> Constellation:
     scale = math.sqrt(float(np.mean(np.abs(pts) ** 2)))
     pts /= scale
     assert len(np.unique(pts)) == M
-    hamming = np.bitwise_count(np.arange(M)[:, None] ^ np.arange(M)).ravel().astype(np.intp)
-    for table in (pts, hamming):
-        table.setflags(write=False)
-    return Constellation(M, pts, scale, labels, hamming)
+    pts.setflags(write=False)
+    return Constellation(M, pts, scale, labels)
 
 
 def bits_to_labels(bits: np.ndarray, c: Constellation, out=None) -> np.ndarray:

@@ -113,7 +113,7 @@ def pulse_energy(samples: np.ndarray, dt: float) -> float:
 
 def squared_transform(p: np.ndarray, dt: float, q: int = 1, points=None, other=None) -> np.ndarray:
     """Transform of p * other (default p * p) over sqrt(e_p e_other) at f = i/q (units of
-    1/T), i < points (default q*S): one FFT of the product zero-padded to q*S, read periodically."""
+    1/T), i < points (default and at most q*S): one FFT of the product zero-padded to q*S."""
     other, n = p if other is None else other, q * p.size
-    spectrum = np.fft.fft(p * other, n=n).take(np.arange(points or n), mode="wrap")
+    spectrum = np.fft.fft(p * other, n=n)[:points]
     return spectrum * (dt / math.sqrt(pulse_energy(p, dt) * pulse_energy(other, dt)))

@@ -117,5 +117,5 @@ def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:
 
 
 def uniforms_to_indices(u: np.ndarray, n: int) -> np.ndarray:
-    idx = (u * n).astype(np.int64)
-    return np.minimum(idx, n - 1)
+    # u <= 1 - 2**-53, so floor(u * n) < n for every n < 2**53
+    return (u * n).astype(np.int64)

@@ -31,6 +31,12 @@ def cfg_for(N=4, M=4, pulse=RECT, L=4):
     return OfdmConfig(n_subcarriers=N, m_order=M, pulse_set=pulse_set, oversample=L)
 
 
+def reference_ccdf(N, gamma):
+    """Classic Nyquist-sampled approximation 1 - (1 - e^-gamma)^N of the
+    PAPR CCDF of rect OFDM at gamma > 0 (linear)."""
+    return -np.expm1(N * np.log1p(-np.exp(-np.asarray(gamma, dtype=float))))
+
+
 def papr(samples) -> float:
     """Peak over mean instantaneous power of one waveform (linear, >= 1)."""
     power = np.abs(np.asarray(samples)) ** 2

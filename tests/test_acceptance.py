@@ -20,7 +20,6 @@ from papr_shaper.analysis import (
     ccdf_empirical,
     max_papr,
     pulse_metrics,
-    reference_ccdf,
     theoretical_ber,
     xcorr_curve,
 )
@@ -31,7 +30,16 @@ from papr_shaper.modem import get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 from papr_shaper.seeding import mix64
 
-from helpers import RECT, TAPERED, TSINC, cfg_for, dense_synth, papr, waveform_frame_errors
+from helpers import (
+    RECT,
+    TAPERED,
+    TSINC,
+    cfg_for,
+    dense_synth,
+    papr,
+    reference_ccdf,
+    waveform_frame_errors,
+)
 
 
 def sine(n):

@@ -15,7 +15,7 @@ from papr_shaper.analysis import (
     max_papr,
     pulse_metrics,
     q_function,
-    reference_ccdf,
+    reference_crossing_db,
     theoretical_ber,
     xcorr_curve,
 )
@@ -29,7 +29,7 @@ from papr_shaper.pulses import (
     sample_pulse,
 )
 
-from helpers import RECT, SINE1, TAPERED, TSINC, cfg_for, dense_synth, papr
+from helpers import RECT, SINE1, TAPERED, TSINC, cfg_for, dense_synth, papr, reference_ccdf
 
 
 def sine_curve(n, f_max=8.0, S=1024):
@@ -216,21 +216,32 @@ class TestCcdf:
         assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2))
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 2**20 + 1])
+def test_largest_uniform_maps_to_the_last_index(n):
+    # Generator.random() returns at most 1 - 2**-53
+    assert seeding.uniforms_to_indices(np.nextafter(1.0, 0.0), n) == n - 1
+
+
 class TestReferenceCcdf:
-    def test_gamma_zero(self):
-        assert reference_ccdf(64, 0.0) == 1.0
+    """``reference_crossing_db`` inverts the rect reference CCDF of ``helpers``."""
+
+    @pytest.mark.parametrize("N", [1, 4, 64, 1024])
+    @pytest.mark.parametrize("level", [0.5, 1e-2, 1e-4])
+    def test_round_trip(self, N, level):
+        gamma = 10.0 ** (reference_crossing_db(N, level) / 10.0)
+        assert reference_ccdf(N, gamma) == pytest.approx(level, rel=1e-9)
 
     def test_n1_ln2(self):
-        assert reference_ccdf(1, math.log(2)) == pytest.approx(0.5, abs=1e-12)
+        assert reference_crossing_db(1, 0.5) == pytest.approx(10 * math.log10(math.log(2)), abs=1e-12)
 
     def test_monotone_in_gamma(self):
-        g = np.linspace(0.0, 20.0, 400)
-        vals = reference_ccdf(64, g)
-        assert np.all(np.diff(vals) <= 0)
+        # the CCDF falls as gamma grows, so a lower level crosses at a higher gamma
+        gammas = [reference_crossing_db(64, level) for level in np.geomspace(0.9, 1e-6, 50)]
+        assert np.all(np.diff(gammas) > 0)
 
     def test_needs_a_subcarrier(self):
         with pytest.raises(ConfigError, match="N must be >= 1"):
-            reference_ccdf(0, 1.0)
+            reference_crossing_db(0, 1e-2)
 
 
 class TestXcorr:

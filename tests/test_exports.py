@@ -2,18 +2,23 @@
 
 A deleted function or class must leave its module's ``__all__`` with
 it, or ``from papr_shaper.<module> import *`` fails for every caller.
-No module imports another's private (``_``-prefixed) names.
+No module imports another's private (``_``-prefixed) names. Every
+``module.name``, ``kern.name`` and ``c.name`` the README cites exists.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import papr_shaper
 from papr_shaper import errors
+from papr_shaper.modem import Constellation, ModemKernel, build_constellation, get_kernel
+
+from helpers import SINE1, cfg_for
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(papr_shaper.__path__))
 
@@ -40,3 +45,26 @@ def test_errors_export_every_error_class():
                if isinstance(v, type) and v.__module__ == errors.__name__]
     assert sorted(errors.__all__) == sorted(defined)
     assert issubclass(errors.ConfigError, ValueError)
+
+
+def _readme_references():
+    """(owner, name) of every `owner.name...` code span of the README
+    whose owner is a package module, ``kern`` or ``c``; file names such
+    as `cli.py` are skipped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    spans = re.findall(r"`([^`\n]+)`", readme.read_text(encoding="utf-8"))
+    refs = {m.groups() for m in (re.match(r"(\w+)\.(\w+)", span) for span in spans) if m}
+    return sorted((owner, name) for owner, name in refs
+                  if (owner in MODULES or owner in ("kern", "c")) and name != "py")
+
+
+def test_readme_cites_only_names_that_exist():
+    owners = {
+        "kern": (ModemKernel, get_kernel(cfg_for(N=4, pulse=SINE1))),
+        "c": (Constellation, build_constellation(4)),
+        **{m: (importlib.import_module(f"papr_shaper.{m}"),) for m in MODULES},
+    }
+    refs = _readme_references()
+    missing = [f"{owner}.{name}" for owner, name in refs
+               if not any(hasattr(o, name) for o in owners[owner])]
+    assert len(refs) > 20 and missing == []

@@ -54,6 +54,9 @@ CASES = {
     # 4^16 frames exceed the exhaustive cap: no exhaustive row
     "papr-rect-n16": ("papr", "seed=11", "n_subcarriers=16", "m=4",
                       "pulse_family=rect", "trials=2000"),
+    # 4^8 frames: the exhaustive search at its cap, on two workers
+    "papr-sine1-n8-cap": ("papr", "seed=14", "n_subcarriers=8", "m=4",
+                          "pulse_family=sine_power", "shape_n=1", "trials=2000", "workers=2"),
     # n=16 has no null below 8/T: a [partial: ...] row
     "xcorr-sine-partial": ("xcorr", "n_list=0,16", "f_max=8"),
     # no orthogonality band inside 8/T
@@ -97,6 +100,10 @@ GOLDEN = {
     "papr-rect-n16": {
         "papr.csv": "9adb397eb87593709da0f8ffadefce05a096fbb34b5470f8f0fb5f23649b26d3",
         "summary.txt": "2f03ccddc8c499d08ad6bdc7674460ff8fad46bbc462ea3e85e8c3233cd0e502",
+    },
+    "papr-sine1-n8-cap": {
+        "papr.csv": "44dfbc2b00c4a7dde95f2173c30962c4867b2e8c301c6c0db2a72da05880905c",
+        "summary.txt": "fbdd2485bbebb82ece40c80b7b6a7f80d3e7ae79a1e44f5889bffc7a40681028",
     },
     "papr-rect-n4": {
         "papr.csv": "1a04873cbe99c0fa84232bd42599aa4cdb57d59e2afaa49efd290d46b9c7d618",

@@ -279,10 +279,11 @@ class TestBatchSchedule:
 
 
 class TestFrameBatchSizes:
-    # (N, M, pulse, Eb/N0): rect's diagonal noise colour, a dense one, and
-    # a dense one with an odd bit count (N = 3, M = 8); every 2048-frame
-    # batch sees errors
+    # (N, M, pulse, Eb/N0): rect's diagonal noise colour at M = 4 and 32,
+    # a dense one, and a dense one with an odd bit count (N = 3, M = 8);
+    # every 2048-frame batch sees errors
     CASES = {
+        "rect-4": (64, 4, RECT, 6.0),
         "rect-32": (64, 32, RECT, 10.0),
         "sine1-16": (16, 16, SINE1, 14.0),
         "tapered-3": (3, 8, TAPERED, 6.0),

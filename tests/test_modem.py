@@ -131,13 +131,6 @@ class TestMapDemap:
         assert np.array_equal(c.points[out], map_bits(bits, c))
 
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
-    def test_hamming_table_is_the_label_popcount(self, M):
-        c = build_constellation(M)
-        i, j = np.divmod(np.arange(M * M), M)
-        assert np.array_equal(c.hamming, [bin(x).count("1") for x in i ^ j])
-        assert not c.hamming.flags.writeable
-
-    @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_roundtrip(self, M):
         c = build_constellation(M)
         rng = np.random.default_rng(M)
