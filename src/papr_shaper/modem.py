@@ -1,7 +1,7 @@
 """The frame pipeline: Gray M-QAM, pulse-shaped OFDM and the BER frame.
 
-Every stage works on a batch of frames, one frame per row, and the BER
-stages can write into arrays the caller gives them. A BER frame never
+Every stage works on a batch of frames, one frame per row, and each BER
+stage allocates its own temporaries and its result. A BER frame never
 builds its waveform and never forms decided bits: its bit errors are
 the set bits of each sent label XOR its decided label. BER frame i
 reads nbits + 2N draws: its bits, then the 2N normals of its ZF-output
@@ -10,7 +10,7 @@ noise, in (re, im) pairs z (c = kern.constellation):
     labels = bits_to_labels(bits, c)             # (F, N*k) -> (F, N)
     a = c.points[labels]
     n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
-    a_hat = a + kern.colour_noise(z_re + j z_im, n0, out)  # sqrt(n0 / 2) z L^T
+    a_hat = a + kern.colour_noise(z_re + j z_im, n0)  # sqrt(n0 / 2) z L^T
     errors = np.bitwise_count(labels ^ demap_labels(a_hat, c)).sum(axis=1)
 
 The receiver it stands for is a matched-filter bank followed by an exact
@@ -159,19 +159,17 @@ def build_constellation(M: int) -> Constellation:
     return Constellation(M, pts, scale, labels)
 
 
-def bits_to_labels(bits: np.ndarray, c: Constellation, out=None) -> np.ndarray:
-    """(..., N*k) bits to the (..., N) labels they spell, k = log2(M) bits
-    per symbol taken MSB first; the symbols are ``c.points[labels]``."""
+def bits_to_labels(bits: np.ndarray, c: Constellation) -> np.ndarray:
+    """(..., N*k) bits to the (..., N) intp labels they spell, k = log2(M)
+    bits per symbol taken MSB first; the symbols are ``c.points[labels]``."""
     k = c.bits_per_symbol
     if bits.shape[-1] % k:
         raise ConfigError(f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})")
-    if out is None:
-        out = np.empty((*bits.shape[:-1], bits.shape[-1] // k), dtype=np.intp)
-    np.copyto(out, bits[..., 0::k])
+    labels = bits[..., 0::k].astype(np.intp)
     for i in range(1, k):
-        out <<= 1
-        out |= bits[..., i::k]
-    return out
+        labels <<= 1
+        labels |= bits[..., i::k]
+    return labels
 
 
 def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int, h: np.ndarray, cells: np.ndarray):
@@ -185,7 +183,7 @@ def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int, h: np.ndarray, c
     return np.clip(cells, 0, n_cells - 1, out=cells)
 
 
-def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.ndarray:
+def demap_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
     """Map (..., N) symbols to (..., N) labels by minimum-distance hard
     decision on the level grid ``y * c.scale``; ties go to the lowest
     label.
@@ -194,14 +192,9 @@ def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.
     32-cross also needs the side of the diagonal: a sample in an empty
     corner cell goes to (+-3, +-5) when |x| < |y|, to (+-5, +-3) when
     |x| > |y|, and to the lower of the two labels when |x| = |y|.
-    ``out``, if given, is the intp array of y's shape that receives the
-    labels; ``scratch``, if given, a contiguous float array of at least
-    4 * y.size elements that the decision may overwrite.
     """
     y = np.asarray(y, dtype=complex)
-    if scratch is None:
-        scratch = np.empty(4 * y.size)
-    h, cell, iy, side = (p.reshape(y.shape) for p in scratch[: 4 * y.size].reshape(4, y.size))
+    h, cell, iy, side = (p.reshape(y.shape) for p in np.empty((4, y.size)))
     nx, ny, sides = c.label_table.shape
     _axis_cells(y.real, 0.5 * c.scale, nx, h, cell)
     cell *= ny
@@ -216,9 +209,7 @@ def demap_labels(y: np.ndarray, c: Constellation, out=None, scratch=None) -> np.
     # the cells are small whole floats; the spent plane `side` holds them as indices
     index = side.view(np.intp)
     np.copyto(index, cell, casting="unsafe")
-    if out is None:
-        out = np.empty(y.shape, dtype=np.intp)
-    return c.label_table.take(index, out=out, mode="clip")  # "raise" would copy `out`
+    return c.label_table.take(index, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -316,25 +307,21 @@ class ModemKernel:
             s = x if s is None else np.add(s, x, out=s)
         return s
 
-    def frame_energy(self, a: np.ndarray, scratch=None) -> np.ndarray:
+    def frame_energy(self, a: np.ndarray) -> np.ndarray:
         """(F, N) symbols -> (F,) energies sum |s|^2 dt of their waveforms,
-        by the quadratic form a^H (G o sqrt(e e^T)) a. ``scratch``, if
-        given, is a (2, F, N) complex array it may overwrite."""
-        if scratch is None:
-            scratch = np.empty((2, *a.shape), dtype=complex)
-        b = np.multiply(a, np.sqrt(self.energies), out=scratch[0])
-        gb = b if self.gram_is_identity else np.matmul(b, self.gram.T, out=scratch[1])
+        by the quadratic form a^H (G o sqrt(e e^T)) a."""
+        b = a * np.sqrt(self.energies)
+        gb = b if self.gram_is_identity else b @ self.gram.T
         # Re(conj(b) gb) summed over k, as one real dot product per frame
         return np.einsum("fk,fk->f", b.view(float), gb.view(float))
 
-    def colour_noise(self, z: np.ndarray, n0: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(F, N) complex white normals z -> the ZF-output noise
-        sqrt(n0 / 2) z L^T of (F,) noise densities n0, L = noise_colour.
-        A flat kernel's L is a vector, applied in place in z; otherwise
-        the product is written to ``out``, an (F, N) complex array, and z
-        is left as it is."""
+    def colour_noise(self, z: np.ndarray, n0: np.ndarray) -> np.ndarray:
+        """(F, N) complex white normals z -> a new array of the ZF-output
+        noise sqrt(n0 / 2) z L^T of (F,) noise densities n0, L =
+        noise_colour; a flat kernel's L is a vector, applied without a
+        matrix product. z is left as it is."""
         L = self.noise_colour
-        w = np.multiply(z, L, out=z) if self.gram_is_identity else np.matmul(z, L.T, out=out)
+        w = z * L if self.gram_is_identity else z @ L.T
         w *= np.sqrt(n0 / 2.0)[:, None]
         return w
 

@@ -103,9 +103,9 @@ def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int, out=
     return gen.random((n_trials, words), out=out)[:, :n_draws]
 
 
-def uniforms_to_bits(u: np.ndarray, out=None) -> np.ndarray:
+def uniforms_to_bits(u: np.ndarray) -> np.ndarray:
     """Bool bits, True for u < 1/2."""
-    return np.less(u, 0.5, out=out)
+    return u < 0.5
 
 
 def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:

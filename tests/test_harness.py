@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from helpers import (
     map_bits,
     waveform_frame_errors,
 )
+import papr_shaper
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import ConfigError, ConfigKeyError
@@ -276,6 +280,40 @@ class TestBatchSchedule:
             tracemalloc.stop()
         assert p.bit_errors >= 200
         assert peak < 32 * 2**20
+
+
+# Runs each BER point twice in a fresh interpreter and prints the minor
+# page faults of the second run: one (N, M, shape_n, Eb/N0, frames) per line.
+FAULT_GUARD = """
+import resource
+from papr_shaper.harness import run_ber_point
+from papr_shaper.modem import OfdmConfig
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+for N, M, n, ebn0_db, frames in [(64, 4, 0, 10.0, 1024), (64, 16, 1, 24.0, 1024),
+                                 (1024, 4, 0, 8.0, 256)]:
+    family = PulseFamily.SINE_POWER if n else PulseFamily.RECT
+    cfg = OfdmConfig(N, M, (PulseDescriptor(family=family, shape_n=n),))
+    for _ in range(2):
+        before = faults()
+        run_ber_point(cfg, ebn0_db, target_errors=10**9, max_frames=frames)
+    print(N, M, n, ebn0_db, frames, faults() - before)
+"""
+
+
+def test_ber_batches_take_no_page_faults():
+    # a repeated point takes 0-2 minor faults; a batch block that held
+    # only the uniforms took 1249, 1446 and 6656
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_GUARD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        assert int(line.split()[-1]) <= 64, line
 
 
 class TestFrameBatchSizes:
