@@ -56,7 +56,7 @@ class XcorrCurve:
 
     freq: np.ndarray
     rho: np.ndarray
-    phase_center: float = 0.0
+    phase_center: float
 
     def derotated(self) -> np.ndarray:
         return self.rho * np.exp(2j * np.pi * self.freq * self.phase_center)
@@ -70,7 +70,7 @@ class PulseMetrics:
     orthogonality_band: int | None
 
 
-def _paprs(kern: ModemKernel, n_frames: int, labels, workers: int = 1) -> np.ndarray:
+def _paprs(kern: ModemKernel, n_frames: int, labels, workers: int) -> np.ndarray:
     """PAPR of frames [0, n_frames), frames [lo, hi) carrying the symbols
     ``points[labels(lo, hi)]``, over the batches of ``seeding.map_batches``."""
     points = kern.constellation.points

@@ -174,8 +174,8 @@ def dispatch(subcommand: str, cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # single-line machine-parsable errors
-        raise PaprShaperError(f"cli: {message}")
+    def error(self, message):  # a one-line usage error, exit 2 like every input error
+        raise ConfigKeyError("cli", message)
 
 
 def _build_parser() -> _Parser:

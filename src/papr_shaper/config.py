@@ -171,26 +171,21 @@ def parse_config(file_contents: str, overrides: list[str] = ()) -> RunConfig:
     """Build a RunConfig from file text plus ``key=value`` overrides."""
     cfg = RunConfig()
 
-    def apply(key: str, raw: str, line: int | None):
+    def apply(item: str, line: int | None):
+        key, eq, raw = item.partition("=")
         key = key.strip()
+        if not (eq and key):  # the item itself is named: there is no key
+            form = "key=value" if line is None else "key = value"
+            raise ConfigKeyError(item, f"expected {form!r}", line)
         if key not in _KEY_PARSERS:
             raise ConfigKeyError(key, "unknown key", line)
         setattr(cfg, key, _coerce(key, raw, line))
 
     for lineno, text in enumerate(file_contents.splitlines(), start=1):
-        stripped = text.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigKeyError(stripped.split()[0], "expected 'key = value'", lineno)
-        key, raw = stripped.split("=", 1)
-        apply(key, raw, lineno)
-
+        if stripped := text.split("#", 1)[0].strip():
+            apply(stripped, lineno)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigKeyError(item, "expected 'key=value'")
-        key, raw = item.split("=", 1)
-        apply(key, raw, None)
+        apply(item, None)
 
     _validate(cfg)
     return cfg

@@ -172,15 +172,11 @@ def bits_to_labels(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return labels
 
 
-def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int, h: np.ndarray, cells: np.ndarray):
-    """Slicer cell (see _label_table) of each coordinate on one axis, as
-    floats written to ``cells``; ``h`` is scratch."""
-    np.multiply(u, half_scale, out=h)
-    h += 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
-    np.floor(h, out=cells)
-    cells += np.ceil(h, out=h)  # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
-    cells -= 1
-    return np.clip(cells, 0, n_cells - 1, out=cells)
+def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int) -> np.ndarray:
+    """Slicer cell (see _label_table) of each coordinate on one axis, as floats."""
+    h = u * half_scale + 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
+    # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
+    return np.clip(np.floor(h) + np.ceil(h) - 1, 0, n_cells - 1)
 
 
 def demap_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
@@ -194,22 +190,13 @@ def demap_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
     |x| > |y|, and to the lower of the two labels when |x| = |y|.
     """
     y = np.asarray(y, dtype=complex)
-    h, cell, iy, side = (p.reshape(y.shape) for p in np.empty((4, y.size)))
     nx, ny, sides = c.label_table.shape
-    _axis_cells(y.real, 0.5 * c.scale, nx, h, cell)
-    cell *= ny
-    cell += _axis_cells(y.imag, 0.5 * c.scale, ny, h, iy)
+    cell = _axis_cells(y.real, 0.5 * c.scale, nx) * ny + _axis_cells(y.imag, 0.5 * c.scale, ny)
     cell *= sides
     if c.m_order == 32:
-        ar, ai = np.abs(y.real, out=h), np.abs(y.imag, out=iy)
-        cell += np.greater(ar, ai, out=side)
-        np.less(ar, ai, out=side)
-        side *= 2
-        cell += side
-    # the cells are small whole floats; the spent plane `side` holds them as indices
-    index = side.view(np.intp)
-    np.copyto(index, cell, casting="unsafe")
-    return c.label_table.take(index, mode="clip")
+        ar, ai = np.abs(y.real), np.abs(y.imag)
+        cell += (ar > ai) + 2 * (ar < ai)
+    return c.label_table.take(cell.astype(np.intp), mode="clip")
 
 
 @dataclass(frozen=True)

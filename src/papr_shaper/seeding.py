@@ -97,9 +97,8 @@ def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int, out=
     the stream exactly. ``out``, if given, is the C-contiguous
     (n_trials, trial_words(n_draws)) array they are drawn into."""
     words = trial_words(n_draws)
-    bitgen = np.random.Philox(key=key)
-    bitgen.advance(first_trial * words // 4)  # advance steps in blocks
-    gen = np.random.Generator(bitgen)
+    # the counter steps once per 4-word block
+    gen = np.random.Generator(np.random.Philox(key=key, counter=first_trial * words // 4))
     return gen.random((n_trials, words), out=out)[:, :n_draws]
 
 

@@ -53,9 +53,16 @@ class TestParseConfig:
             # a set f_max is capped at parse time, whatever the subcommand
             ("f_max = inf", "f_max: gives f_max = inf/T, above the cap 128"),
             ("f_max = 1e9", "f_max: gives f_max = 1e+09/T, above the cap 128"),
+            ("pulse_family = gauss", "pulse_family: must be one of ['rect', 'sine_power', "
+             "'tapered_flat_top', 'truncated_sinc'], got 'gauss'"),
+            ("f_max = 0.5", "f_max: must be >= 1"),
+            ("f_max = nan", "f_max: must be >= 1"),
+            ("gamma_step_db = 0", "gamma_step_db: must be > 0"),
+            ("gamma_min_db = 5\ngamma_max_db = 4", "gamma_max_db: must be >= gamma_min_db"),
         ],
         ids=["m-7", "gamma_min-nan", "gamma_min-minus-inf", "gamma_max-inf", "f_max-inf",
-             "f_max-1e9"],
+             "f_max-1e9", "pulse_family-gauss", "f_max-0.5", "f_max-nan", "gamma_step-0",
+             "gamma_max-below-min"],
     )
     def test_out_of_range_names_key(self, text, message):
         with pytest.raises(ConfigKeyError) as exc:
@@ -72,6 +79,22 @@ class TestParseConfig:
         with pytest.raises(ConfigKeyError) as exc:
             parse_config("m = 4\nnormalize = true\n")
         assert str(exc.value) == "normalize: unknown key (line 2)"
+
+    @pytest.mark.parametrize(
+        "text,overrides,message",
+        [
+            ("= 5", [], "= 5: expected 'key = value' (line 1)"),
+            ("m = 4\nm 8", [], "m 8: expected 'key = value' (line 2)"),
+            ("", ["=5"], "=5: expected 'key=value'"),
+            ("", ["m"], "m: expected 'key=value'"),
+        ],
+        ids=["line-empty-key", "line-no-equals", "set-empty-key", "set-no-equals"],
+    )
+    def test_item_without_key_is_named_whole(self, text, overrides, message):
+        # an empty key is no key: the error names the raw item, not ""
+        with pytest.raises(ConfigKeyError) as exc:
+            parse_config(text, overrides)
+        assert str(exc.value) == message
 
     def test_malformed_value(self):
         with pytest.raises(ConfigKeyError) as exc:
@@ -231,6 +254,16 @@ class TestDispatch:
         assert flat_summary[1:] == rect_summary[1:]
         assert rect_summary[2].startswith("rect reference gamma at P=1e-2: ")
 
+    def test_ccdf_gamma_grid_spans_min_to_max_evenly(self, tmp_path):
+        # round(span / step) + 1 points from min to max: a step of 0.3 over 0..1 becomes 1/3
+        cfg = parse_config(
+            "trials = 100\nn_subcarriers = 4\ngamma_max_db = 1\ngamma_step_db = 0.3\n",
+            [f"output_path={tmp_path}"],
+        )
+        assert dispatch("ccdf", cfg) == 0
+        rows = read(tmp_path / "ccdf.csv").decode().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "0.333333333", "0.666666667", "1"]
+
     def test_xcorr_metrics_ascending(self, tmp_path):
         cfg = parse_config("n_list = 0,4,16\nf_max = 20\n", [f"output_path={tmp_path}"])
         assert dispatch("xcorr", cfg) == 0
@@ -349,6 +382,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: m:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["papr", "--bogus"], "cli: unrecognized arguments: --bogus"),
+            ([], "cli: the following arguments are required: subcommand"),
+            (["ber", "--set", "=5"], "=5: expected 'key=value'"),
+        ],
+        ids=["unknown-flag", "no-subcommand", "empty-key"],
+    )
+    def test_usage_error_exit_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+        # nothing has run: a usage error is an input error, not a run failure
+        monkeypatch.chdir(tmp_path)  # the default output_path
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
