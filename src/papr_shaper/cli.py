@@ -45,8 +45,7 @@ def _csv(header: str, rows) -> list[str]:
 
 
 def _gamma_grid(cfg: RunConfig) -> np.ndarray:
-    count = int(round((cfg.gamma_max_db - cfg.gamma_min_db) / cfg.gamma_step_db)) + 1
-    return np.linspace(cfg.gamma_min_db, cfg.gamma_max_db, count)
+    return cfg.gamma_min_db + np.arange(int(cfg.gamma_points())) * cfg.gamma_step_db
 
 
 def _labels(cfg: RunConfig) -> str:

@@ -96,6 +96,13 @@ class RunConfig:
             raise ConfigKeyError(key, f"gives f_max = {f_max:g}/T, above the cap {MAX_F_MAX}")
         return f_max
 
+    def gamma_points(self) -> float:
+        """Points of the CCDF gamma grid gamma_min_db + k * gamma_step_db,
+        k = 0..K with K = floor(span / step + 1e-9): the 1e-9 keeps the end of
+        a dividing step whose quotient rounds below K. A float: NaN for a NaN
+        or infinite quotient."""
+        return ((self.gamma_max_db - self.gamma_min_db) / self.gamma_step_db + 1e-9) // 1 + 1
+
     def pulse_descriptor(self) -> PulseDescriptor:
         return PulseDescriptor(
             family=PulseFamily(self.pulse_family),
@@ -161,9 +168,7 @@ def _validate(cfg: RunConfig) -> None:
             bad(key, "must be finite")
     if not cfg.gamma_max_db >= cfg.gamma_min_db:
         bad("gamma_max_db", "must be >= gamma_min_db")
-    # the CLI grid has round(span) + 1 points; NaN and inf spans fail too
-    span = (cfg.gamma_max_db - cfg.gamma_min_db) / cfg.gamma_step_db
-    if not span < MAX_GAMMA_POINTS - 0.5:
+    if not cfg.gamma_points() <= MAX_GAMMA_POINTS:  # NaN fails too
         bad("gamma_step_db", f"gives more than {MAX_GAMMA_POINTS} gamma grid points")
 
 

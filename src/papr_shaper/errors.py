@@ -18,5 +18,4 @@ class ConfigKeyError(ConfigError):
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{key}: {reason}{where}")
         self.key = key
-        self.reason = reason
         self.line = line

@@ -5,12 +5,13 @@ outputs are a pure function of those and the master seed. Frames are
 independent single OFDM symbols; frame i always consumes the same random
 substream slice, and stopping decisions are made at frame granularity in
 index order. A BER frame builds no waveform, but its batches follow
-``seeding.frame_batches``, which sizes them in waveform samples: 64
-frames, doubling up to ``seeding.BATCH_SAMPLES`` samples, so a point that
-stops early wastes little work. ``seeding.map_batches`` runs them, with
-several workers in waves of the next batches of the same schedule. The
-worker count never changes the batches, so outputs are byte-identical for
-any worker count.
+``seeding.frame_batches``: each holds as many frames as fit in
+``seeding.BATCH_SAMPLES`` waveform samples. ``seeding.map_batches`` runs
+them in waves of the next ``workers`` batches, so a point that stops early
+discards fewer than workers x batch frames (at most 255, about 1.3 ms at
+5 us a frame, at N = 64, oversample 4 and one worker). The worker count
+never changes the batches, so outputs are byte-identical for any worker
+count.
 
 A BER batch runs the label-domain frame sketched in ``modem``. The three
 arrays it fills in place, the uniforms, the symbols and the noise

@@ -47,8 +47,8 @@ class PulseDescriptor:
     sine-power family (n = 0 degenerates to the rectangular pulse),
     ``taper_alpha`` for the tapered flat-top, ``bandwidth_factor`` for
     the truncated sinc. Irrelevant parameters are ignored, but each is
-    range-checked on construction (ConfigKeyError naming it, NaN too), so
-    a descriptor that exists is valid.
+    range-checked on construction (ConfigKeyError naming it, NaN too), as
+    is the family (``pulse_family``), so a descriptor that exists is valid.
     """
 
     family: PulseFamily
@@ -57,6 +57,8 @@ class PulseDescriptor:
     bandwidth_factor: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.family, PulseFamily):
+            raise ConfigKeyError("pulse_family", f"must be a PulseFamily, got {self.family!r}")
         if not 0 <= self.shape_n <= MAX_SHAPE_N:
             raise ConfigKeyError("shape_n", f"must lie in [0, {MAX_SHAPE_N:g}]")
         if not 0.0 <= self.taper_alpha <= 1.0:
@@ -82,10 +84,8 @@ def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
         p = np.sin(np.pi * t) ** desc.shape_n
     elif desc.family is PulseFamily.TAPERED_FLAT_TOP:
         p = _tapered_flat_top(t, desc.taper_alpha)
-    elif desc.family is PulseFamily.TRUNCATED_SINC:
+    else:  # PulseFamily.TRUNCATED_SINC
         p = np.sinc(2.0 * desc.bandwidth_factor * (t - 0.5))
-    else:  # a family that is not a PulseFamily
-        raise ConfigError(f"unknown pulse family: {desc.family!r}")
     if pulse_energy(p, 1.0 / S) <= 0.0:  # p**2 can underflow to 0 where p does not
         if desc.family is PulseFamily.SINE_POWER:
             raise ConfigKeyError("shape_n", f"sin^{desc.shape_n} is zero at all {S} samples")

@@ -26,15 +26,12 @@ _MASK = (1 << 64) - 1
 # return exactly 0.0, which ndtri would map to -inf.
 _U_FLOOR = 2.0**-64
 
-# Batches start small, so a BER point that meets its error target early
-# computes few frames it discards, and double from there; a cap on the
-# waveform samples, not the frames, bounds a batch's memory at any N. At
-# 2**16 samples a complex (F, S) plane is 1 MB: it fits the 2 MB per-core
-# L2 of the 2-core Xeon it was measured on and comes from malloc's heap.
-# At 2**19 (8 MB planes) each PAPR batch mapped its planes afresh: 96k
-# minor faults against 611 for 100k rect N = 64 trials, and 15 MB more
-# peak RSS for the papr-ccdf benchmark.
-FIRST_BATCH_FRAMES = 64
+# A cap on the waveform samples, not the frames, bounds a batch's memory
+# at any N. At 2**16 samples a complex (F, S) plane is 1 MB: it fits the
+# 2 MB per-core L2 of the 2-core Xeon it was measured on and comes from
+# malloc's heap. At 2**19 (8 MB planes) each PAPR batch mapped its planes
+# afresh: 96k minor faults against 611 for 100k rect N = 64 trials, and
+# 15 MB more peak RSS for the papr-ccdf benchmark.
 BATCH_SAMPLES = 2**16
 
 
@@ -57,15 +54,12 @@ def mix64(*parts: int) -> int:
 def frame_batches(n_frames: int, samples_per_frame: int):
     """Lazy (first, end) frame ranges that tile [0, n_frames).
 
-    Batches start at FIRST_BATCH_FRAMES frames and double, holding at
-    most BATCH_SAMPLES waveform samples and always at least one frame.
+    Every batch but the last holds as many frames as fit in BATCH_SAMPLES
+    waveform samples, and at least one.
     """
-    cap = max(1, BATCH_SAMPLES // samples_per_frame)
-    lo, size = 0, min(FIRST_BATCH_FRAMES, cap)
-    while lo < n_frames:
-        hi = min(lo + size, n_frames)
-        yield lo, hi
-        lo, size = hi, min(2 * size, cap)
+    size = max(1, BATCH_SAMPLES // samples_per_frame)
+    for lo in range(0, n_frames, size):
+        yield lo, min(lo + size, n_frames)
 
 
 def map_batches(fn, n_frames: int, samples_per_frame: int, workers: int = 1):

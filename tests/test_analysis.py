@@ -104,7 +104,7 @@ class TestMaxPapr:
     @pytest.mark.parametrize("N", [3, 16, 64, 256])
     def test_random_paprs_independent_of_batch_size(self, N, pulse, monkeypatch):
         cfg = cfg_for(N=N, pulse=pulse)
-        default = _random_paprs(cfg, 200, seed=4)  # batches of 64 frames and up
+        default = _random_paprs(cfg, 200, seed=4)  # one batch at N <= 64, four at 256
         for frames in (1, 3, 5, 7):
             monkeypatch.setattr(seeding, "BATCH_SAMPLES", frames * cfg.samples_per_symbol)
             assert np.array_equal(_random_paprs(cfg, 200, seed=4), default)

@@ -254,15 +254,24 @@ class TestDispatch:
         assert flat_summary[1:] == rect_summary[1:]
         assert rect_summary[2].startswith("rect reference gamma at P=1e-2: ")
 
-    def test_ccdf_gamma_grid_spans_min_to_max_evenly(self, tmp_path):
-        # round(span / step) + 1 points from min to max: a step of 0.3 over 0..1 becomes 1/3
+    @pytest.mark.parametrize(
+        "step,grid",
+        [
+            ("0.3", ["0", "0.3", "0.6", "0.9"]),
+            ("0.25", ["0", "0.25", "0.5", "0.75", "1"]),
+            ("1.5", ["0"]),
+        ],
+        ids=["non-dividing", "dividing", "above-span"],
+    )
+    def test_ccdf_gamma_grid_steps_from_min(self, tmp_path, step, grid):
+        # min + k * step up to max: a step that does not divide the span stops short of it
         cfg = parse_config(
-            "trials = 100\nn_subcarriers = 4\ngamma_max_db = 1\ngamma_step_db = 0.3\n",
+            f"trials = 100\nn_subcarriers = 4\ngamma_max_db = 1\ngamma_step_db = {step}\n",
             [f"output_path={tmp_path}"],
         )
         assert dispatch("ccdf", cfg) == 0
         rows = read(tmp_path / "ccdf.csv").decode().splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["0", "0.333333333", "0.666666667", "1"]
+        assert [r.split(",")[0] for r in rows] == grid
 
     def test_xcorr_metrics_ascending(self, tmp_path):
         cfg = parse_config("n_list = 0,4,16\nf_max = 20\n", [f"output_path={tmp_path}"])

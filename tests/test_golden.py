@@ -26,8 +26,8 @@ from papr_shaper.cli import main
 BER_N16 = ("n_subcarriers=16", "target_errors=200")
 
 CASES = {
-    # 0/4/6 dB stop in the second and fourth (ramp) batches and in a
-    # full-size one
+    # 0/4/6 dB stop on frames 77 and 509 of the first 1024-frame batch
+    # and on frame 2643 of the third
     "ber-rect-m4": ("ber", "seed=3", *BER_N16, "m=4", "pulse_family=rect",
                     "ebn0_db_list=0,4,6", "max_frames=20000"),
     # 14 dB runs out of frames before the error target

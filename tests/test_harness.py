@@ -183,18 +183,18 @@ class TestBatchSchedule:
     # at seed 9 the stops fall on frames 43, 490 and 3000
     CASES = {
         "first-batch": (0.0, 100, 10_000, (1, 64)),
-        "mid-ramp": (4.0, 200, 10_000, (449, 960)),
+        "mid-run": (4.0, 200, 10_000, (449, 960)),
         "max-frames": (8.0, 10**6, 3_000, (3_000, 3_000)),
     }
 
-    def test_schedule_ramps_to_cap(self):
+    def test_schedule_has_one_batch_size(self):
         def sizes(n_frames, samples_per_frame):
             return [hi - lo for lo, hi in seeding.frame_batches(n_frames, samples_per_frame)]
 
         # BATCH_SAMPLES = 2**16: 2048 frames at S = 32, 256 at S = 256 (N = 64,
         # oversample 4) and 16 at S = 4096 (N = 1024)
-        assert sizes(10_000, 32) == [64, 128, 256, 512, 1024, 2048, 2048, 2048, 1872]
-        assert sizes(10_000, 256) == [64, 128] + [256] * 38 + [80]
+        assert sizes(10_000, 32) == [2048] * 4 + [1808]
+        assert sizes(10_000, 256) == [256] * 39 + [16]
         assert sizes(1_000, 4096) == [16] * 62 + [8]
         assert sizes(3, seeding.BATCH_SAMPLES + 1) == [1, 1, 1]
 
@@ -216,18 +216,19 @@ class TestBatchSchedule:
             for workers in (1, 2, 4):
                 assert point(workers) == ref, (batch_frames, workers)
 
-    # the frame the stop must fall on, in the batches [0, 64), [64, 192),
-    # [192, 448), ... of a 1000-frame N = 16 point; None: no stop before max_frames
+    # the frame the stop must fall on, in the 64-frame batches [0, 64),
+    # [64, 128), ... of a 1000-frame N = 16 point; None: no stop before max_frames
     STOP_FRAMES = {"in-first-batch": 30, "batch-end": 63, "second-batch-start": 64, "none": None}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(STOP_FRAMES))
-    def test_stop_frame_matches_oracle(self, case, workers):
+    def test_stop_frame_matches_oracle(self, case, workers, monkeypatch):
         # a rect frame does not depend on its batch, so one batch over all
         # frames gives every frame's errors; the stop is where their sum
         # first reaches the target
         cfg, max_frames, seed = cfg_for(N=16), 1000, 9
         kern = get_kernel(cfg)
+        monkeypatch.setattr(seeding, "BATCH_SAMPLES", 64 * cfg.samples_per_symbol)
         per_frame = harness._frame_errors_batch(kern, 0.0, 0, max_frames, seeding.mix64(seed))
         cum = np.cumsum(per_frame)
         frame = self.STOP_FRAMES[case]

@@ -73,13 +73,14 @@ class TestSamplePulse:
             (PulseFamily.TRUNCATED_SINC, "bandwidth_factor", 6e307),
             (PulseFamily.TRUNCATED_SINC, "bandwidth_factor",
              np.nextafter(MAX_BANDWIDTH_FACTOR, math.inf)),
+            ("rect", "pulse_family", None),  # a family's value, not the PulseFamily
         ],
     )
     def test_invalid_descriptor(self, bad):
         # the descriptor refuses to exist, naming the one parameter out of range
         family, key, value = bad
         with pytest.raises(ConfigKeyError, match=f"^{key}: "):
-            desc(family, **{key: value})
+            desc(family, **({} if value is None else {key: value}))
 
     @pytest.mark.parametrize("S", [8, 1024])
     def test_largest_bandwidth_factor_samples_finite(self, S):
