@@ -195,10 +195,6 @@ def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
     return XcorrCurve(freq=freq, rho=rho, phase_center=center)
 
 
-def _interp_crossing(f0, f1, y0, y1, level):
-    return f0 + (level - y0) * (f1 - f0) / (y1 - y0)
-
-
 def first_crossing(x, y, level: float) -> float | None:
     """The x at which the samples y first fall to ``level`` or below,
     linearly interpolated from the sample before; None if no sample does,
@@ -207,7 +203,8 @@ def first_crossing(x, y, level: float) -> float | None:
     if not below.size or below[0] == 0:
         return None
     i = int(below[0])
-    return float(_interp_crossing(x[i - 1], x[i], y[i - 1], y[i], level))
+    x0, y0 = x[i - 1], y[i - 1]
+    return float(x0 + (level - y0) * (x[i] - x0) / (y[i] - y0))
 
 
 def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
@@ -216,9 +213,9 @@ def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
 
     The -3 dB cutoff is where |rho|^2 first falls to 1/2 (linearly
     interpolated); the first null is the lowest f where |rho| drops
-    below 1e-6 or the real part changes sign. A feature that does not
-    occur inside the curve's band is None, as is the sidelobe of a curve
-    without a null.
+    below 1e-6 or the derotated real part first falls to 0 (likewise
+    interpolated). A feature that does not occur inside the curve's band
+    is None, as is the sidelobe of a curve without a null.
     """
     f = curve.freq
     mag = np.abs(curve.rho)
@@ -226,18 +223,10 @@ def pulse_metrics(curve: XcorrCurve) -> PulseMetrics:
 
     cutoff_3db = first_crossing(f, mag2, 0.5)  # |rho(0)| = 1 lies above it
 
-    cutoff_null = None
-    re = curve.derotated().real
+    cutoff_null = first_crossing(f, curve.derotated().real, 0.0)  # Re rho(0) = 1 lies above 0
     tiny = np.flatnonzero(mag <= NULL_THRESHOLD)
-    flips = np.flatnonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)
-    candidates = []
-    if tiny.size:
-        candidates.append(float(f[tiny[0]]))
-    if flips.size:
-        i = int(flips[0])
-        candidates.append(float(_interp_crossing(f[i], f[i + 1], re[i], re[i + 1], 0.0)))
-    if candidates:
-        cutoff_null = min(candidates)
+    if tiny.size and (cutoff_null is None or f[tiny[0]] < cutoff_null):
+        cutoff_null = float(f[tiny[0]])
 
     sidelobe_db = None
     if cutoff_null is not None:

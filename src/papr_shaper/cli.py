@@ -29,8 +29,6 @@ from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
 from .modem import get_kernel
 from .pulses import PulseFamily
 
-XCORR_GRID_SAMPLES = 1024
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -62,7 +60,7 @@ def _run_xcorr(cfg: RunConfig) -> dict[str, list[str]]:
     n_list = cfg.resolved_n_list()
     f_max = cfg.resolved_f_max()
 
-    pairs = run_xcorr_report(desc, n_list, XCORR_GRID_SAMPLES, f_max)
+    pairs = run_xcorr_report(desc, n_list, f_max)
     xcorr = _csv(
         "n,f_over_invT,rho_re,rho_im,rho_abs",
         (

@@ -39,6 +39,7 @@ __all__ = [
     "run_ber_sweep",
     "run_xcorr_report",
     "wilson_interval",
+    "XCORR_GRID_SAMPLES",
     "zf_noise_enhancement_db",
 ]
 
@@ -52,6 +53,9 @@ MAX_FRAMES = 10**9  # frames per BER point
 # Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
 # aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
 MAX_ABS_EBN0_DB = 100.0
+
+# Samples per pulse of every curve in an xcorr report.
+XCORR_GRID_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,10 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     output is a + w without any waveform: w = kern.colour_noise(z, N0).
     Eb is measured per frame, from the energy of the waveform the frame's
     symbols would synthesize, so shaped and unshaped systems are compared
-    at equal energy per bit. Eb/N0 = +inf is the noiseless channel:
-    a_hat = a, and no normal is read. The decision ends at the label, and
-    a frame's bit errors are the set bits of its sent labels XOR its
-    decided ones.
+    at equal energy per bit. Eb/N0 = +inf, the noiseless channel, is
+    N0 = 0 through the same stages: w is exact zeros, so a_hat = a. The
+    decision ends at the label, and a frame's bit errors are the set bits
+    of its sent labels XOR its decided ones.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
@@ -135,12 +139,11 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N, out=u)
     labels = bits_to_labels(seeding.uniforms_to_bits(u[:, :nbits]), c)
     c.points.take(labels, out=a, mode="clip")  # "raise" would copy `out`
-    if ebn0_db != math.inf:
-        n0 = kern.frame_energy(a)
-        n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
-        # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
-        seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=z.view(float))
-        a += kern.colour_noise(z, n0)
+    n0 = kern.frame_energy(a)
+    n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
+    # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
+    seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=z.view(float))
+    a += kern.colour_noise(z, n0)
     labels ^= demap_labels(a, c)
     return np.bitwise_count(labels, out=labels).sum(axis=1)
 
@@ -218,21 +221,21 @@ def run_ber_sweep(
 def run_xcorr_report(
     desc: PulseDescriptor,
     n_list,
-    S: int,
     f_max: float,
 ) -> list[tuple[XcorrCurve, PulseMetrics]]:
-    """Crosscorrelation curve and metrics of ``desc``, sampled at S points,
-    with each shape_n of ``n_list``: one (curve, metrics) pair per n, in
-    order, on the grid of ``xcorr_curve``.
+    """Crosscorrelation curve and metrics of ``desc``, sampled at
+    XCORR_GRID_SAMPLES points, with each shape_n of ``n_list``: one
+    (curve, metrics) pair per n, in order, on the grid of ``xcorr_curve``.
 
-    Only ``shape_n`` varies between pairs; a metric that does not occur
+    Only ``shape_n`` varies between pairs. Both cutoffs are level
+    crossings found by ``first_crossing``; a metric that does not occur
     below the curve's last frequency is None.
     """
     if not len(n_list):
         raise ConfigError("n_list must be nonempty")
     pairs = []
     for n in n_list:
-        curve = xcorr_curve(replace(desc, shape_n=int(n)), S, f_max)
+        curve = xcorr_curve(replace(desc, shape_n=int(n)), XCORR_GRID_SAMPLES, f_max)
         pairs.append((curve, pulse_metrics(curve)))
     return pairs
 

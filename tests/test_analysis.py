@@ -10,6 +10,7 @@ from scipy.stats import norm
 from papr_shaper import seeding
 from papr_shaper.analysis import (
     XCORR_POINTS_PER_T,
+    XcorrCurve,
     _random_paprs,
     ccdf_empirical,
     max_papr,
@@ -380,6 +381,16 @@ class TestPulseMetrics:
         assert m.cutoff_first_null is None
         assert m.peak_sidelobe_db is None
         assert m.orthogonality_band is None
+
+    @pytest.mark.parametrize("tail", [(-0.4, -0.3), (0.2, 0.3)],
+                             ids=["stays-negative", "turns-back"])
+    def test_null_at_a_zero_sample(self, tail):
+        # Re rho falls to exactly 0 at f = 2/128 and is negative after it:
+        # that sample is the first null, whatever follows it
+        freq = np.arange(6) / 128
+        rho = np.array([1, 0.5, 0.1j, -0.5, *tail])
+        m = pulse_metrics(XcorrCurve(freq=freq, rho=rho, phase_center=0.0))
+        assert m.cutoff_first_null == 2 / 128
 
 
 class TestTheoreticalBer:

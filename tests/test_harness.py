@@ -25,6 +25,7 @@ from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.harness import (
+    XCORR_GRID_SAMPLES,
     run_ber_point,
     run_ber_sweep,
     run_xcorr_report,
@@ -392,34 +393,32 @@ class TestPaprExperiment:
 
 
 class TestXcorrReport:
-    S = 1024
-
     def test_rect_row(self):
-        ((_, metrics),) = run_xcorr_report(SINE, [0], self.S, 8.0)
+        ((_, metrics),) = run_xcorr_report(SINE, [0], 8.0)
         assert metrics.cutoff_first_null == pytest.approx(1.0, abs=1 / 128)
 
     def test_rows_carry_their_curves(self):
-        pairs = run_xcorr_report(SINE, [0, 3], self.S, 8.0)
+        pairs = run_xcorr_report(SINE, [0, 3], 8.0)
         for n, (curve, _) in zip([0, 3], pairs, strict=True):
             desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
-            ref = xcorr_curve(desc, self.S, 8.0)
+            ref = xcorr_curve(desc, XCORR_GRID_SAMPLES, 8.0)
             assert np.array_equal(curve.freq, ref.freq)
             assert np.array_equal(curve.rho, ref.rho)
 
     def test_rows_ordered_as_n_list(self):
-        pairs = run_xcorr_report(SINE, [4, 0, 2], self.S, 8.0)
+        pairs = run_xcorr_report(SINE, [4, 0, 2], 8.0)
         for n, (curve, _) in zip([4, 0, 2], pairs, strict=True):
             desc = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=n)
-            ref = xcorr_curve(desc, self.S, 8.0)
+            ref = xcorr_curve(desc, XCORR_GRID_SAMPLES, 8.0)
             assert np.array_equal(curve.rho, ref.rho)
 
     def test_cutoff_increasing(self):
-        pairs = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], self.S, 20.0)
+        pairs = run_xcorr_report(SINE, [0, 1, 2, 4, 8, 16], 20.0)
         cutoffs = [metrics.cutoff_3db for _, metrics in pairs]
         assert all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_partial_row_marked_others_computed(self):
-        (_, m0), (_, m16) = run_xcorr_report(SINE, [0, 16], self.S, 8.0)
+        (_, m0), (_, m16) = run_xcorr_report(SINE, [0, 16], 8.0)
         assert m0.cutoff_first_null is not None
         assert m16.cutoff_first_null is None  # no null below 8/T
         assert m16.cutoff_3db is not None  # partial result kept
@@ -427,14 +426,14 @@ class TestXcorrReport:
     def test_rows_keep_the_other_parameters(self):
         # only shape_n varies; a tapered curve keeps its taper
         tapered = PulseDescriptor(family=PulseFamily.TAPERED_FLAT_TOP, taper_alpha=1.0)
-        ((curve, _),) = run_xcorr_report(tapered, [5], self.S, 8.0)
-        ref = xcorr_curve(tapered, self.S, 8.0)
+        ((curve, _),) = run_xcorr_report(tapered, [5], 8.0)
+        ref = xcorr_curve(tapered, XCORR_GRID_SAMPLES, 8.0)
         assert np.array_equal(curve.rho, ref.rho)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(f_max=st.floats(1.0, 16.0))
     def test_any_f_max_gives_metrics(self, f_max):
-        ((curve, metrics),) = run_xcorr_report(SINE, [1], self.S, f_max)
+        ((curve, metrics),) = run_xcorr_report(SINE, [1], f_max)
         f = curve.freq
         assert f[-2] < f_max <= f[-1]  # the grid ends at the first point past f_max
         assert metrics.cutoff_3db == pytest.approx(0.72, abs=0.01)
@@ -443,7 +442,7 @@ class TestXcorrReport:
 
     def test_empty_n_list(self):
         with pytest.raises(ConfigError):
-            run_xcorr_report(SINE, [], self.S, 8.0)
+            run_xcorr_report(SINE, [], 8.0)
 
 
 class TestNoiseEnhancement:

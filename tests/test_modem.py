@@ -593,19 +593,19 @@ class TestSymbolDomain:
     @pytest.mark.parametrize("name", ["rect", "sine1"])
     def test_colour_noise_is_the_explicit_product(self, name, rows):
         # bit for bit sqrt(n0 / 2) z L^T, for L the vector and the matrix,
-        # and z left as it is
+        # and z left as it is; n0 = 0, the noiseless channel, gives zeros
         N = 16
         kern = ModemKernel(cfg_for(N=N, pulse=ENGINE_PULSES[name]))
         rng = np.random.default_rng(rows)
         z = rng.standard_normal((rows, 2 * N)).view(complex)
-        n0 = rng.uniform(0.1, 2.0, rows)
         L = kern.noise_colour
         coloured = z * L if name == "rect" else z @ L.T
-        expected = coloured * np.sqrt(n0 / 2.0)[:, None]
         z_before = z.copy()
-        w = kern.colour_noise(z, n0)
-        assert np.array_equal(w, expected)
-        assert np.array_equal(z, z_before)
+        for n0 in (rng.uniform(0.1, 2.0, rows), np.zeros(rows)):
+            w = kern.colour_noise(z, n0)
+            assert np.array_equal(w, coloured * np.sqrt(n0 / 2.0)[:, None])
+            assert np.array_equal(z, z_before)
+        assert np.all(w == 0)
 
     @pytest.mark.parametrize("name", sorted(ENGINE_PULSES))
     def test_waveform_zf_noise_has_that_covariance(self, name):
