@@ -91,7 +91,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> 
     """PAPR of ``trials`` frames with uniform random constellation symbols.
 
     Trial i draws its symbols from a fixed slice of a counter-based
-    stream, so neither the batches of ``seeding.frame_batches`` it is
+    stream, so neither the batches of ``seeding.map_batches`` it is
     computed in nor the worker count change any of its draws.
     """
     if trials < 1:

@@ -24,7 +24,7 @@ from .analysis import (
     theoretical_ber,
 )
 from .config import RunConfig, parse_config
-from .errors import ConfigKeyError, PaprShaperError
+from .errors import ConfigError, ConfigKeyError
 from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
 from .modem import get_kernel
 from .pulses import PulseFamily
@@ -161,7 +161,7 @@ def dispatch(subcommand: str, cfg: RunConfig) -> int:
     """Run one subcommand, then write its CSVs and summary file: nothing is
     written, and no output directory made, until every result exists."""
     if subcommand not in RUNNERS:
-        raise PaprShaperError(f"unknown subcommand {subcommand!r}")
+        raise ConfigKeyError("cli", f"unknown subcommand {subcommand!r}")
     files = RUNNERS[subcommand](cfg)
     os.makedirs(cfg.output_path, exist_ok=True)
     for name, lines in files.items():
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except ConfigKeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PaprShaperError as exc:
+    except ConfigError as exc:
         print(f"error: run: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

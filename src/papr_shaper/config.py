@@ -16,13 +16,14 @@ from .errors import ConfigKeyError
 from .harness import check_ber_plan
 from .modem import OfdmConfig
 from .pulses import MAX_SHAPE_N, PulseDescriptor, PulseFamily
+from .seeding import check_workers
 
 __all__ = ["RunConfig", "parse_config"]
 
 # Caps on the keys only the CLI reads, so that a typo ends in a named error
 # instead of an unbounded allocation. The kernel keys are capped by
 # modem.OfdmConfig and pulses.PulseDescriptor, the BER plan by
-# harness.check_ber_plan.
+# harness.check_ber_plan and the thread count by seeding.check_workers.
 MAX_GAMMA_POINTS = 100_001
 # the PAPR array and its sorted copy: 800 MB each at 10^8 trials
 MAX_TRIALS = 10**8
@@ -152,7 +153,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.pulse_family not in families:
         bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
     cfg.ofdm_config()  # range-checks the pulse keys, n_subcarriers, m and oversample
-    check_ber_plan(cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames, cfg.workers)
+    check_ber_plan(cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames)
+    check_workers(cfg.workers)
     if not 1 <= cfg.trials <= MAX_TRIALS:
         bad("trials", f"must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
     if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):

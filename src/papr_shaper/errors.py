@@ -1,14 +1,11 @@
 """Exception types shared across the package."""
 
-__all__ = ["PaprShaperError", "ConfigError", "ConfigKeyError"]
+__all__ = ["ConfigError", "ConfigKeyError"]
 
 
-class PaprShaperError(Exception):
-    """Base class for all library errors."""
-
-
-class ConfigError(PaprShaperError, ValueError):
-    """An argument, descriptor or configuration out of range or inconsistent."""
+class ConfigError(ValueError):
+    """Base class for all library errors: an argument, descriptor or
+    configuration out of range or inconsistent."""
 
 
 class ConfigKeyError(ConfigError):

@@ -4,14 +4,13 @@ Each campaign takes plain arguments and returns only what it measured;
 outputs are a pure function of those and the master seed. Frames are
 independent single OFDM symbols; frame i always consumes the same random
 substream slice, and stopping decisions are made at frame granularity in
-index order. A BER frame builds no waveform, but its batches follow
-``seeding.frame_batches``: each holds as many frames as fit in
-``seeding.BATCH_SAMPLES`` waveform samples. ``seeding.map_batches`` runs
-them in waves of the next ``workers`` batches, so a point that stops early
-discards fewer than workers x batch frames (at most 255, about 1.3 ms at
-5 us a frame, at N = 64, oversample 4 and one worker). The worker count
-never changes the batches, so outputs are byte-identical for any worker
-count.
+index order. A BER frame builds no waveform, but its batches follow the
+schedule of ``seeding.map_batches``: each holds as many frames as fit in
+``seeding.BATCH_SAMPLES`` waveform samples, and they run in waves of the
+next ``workers`` batches, so a point that stops early discards fewer than
+workers x batch frames (at most 255, about 1.3 ms at 5 us a frame, at
+N = 64, oversample 4 and one worker). The worker count never changes the
+batches, so outputs are byte-identical for any worker count.
 
 A BER batch runs the label-domain frame sketched in ``modem``. The three
 arrays it fills in place, the uniforms, the symbols and the noise
@@ -47,8 +46,7 @@ __all__ = [
 WILSON_Z = 1.959963984540054
 
 # Caps on a BER plan, so that a typo ends in a named error instead of an
-# unbounded run or thread count.
-MAX_WORKERS = 64
+# unbounded run.
 MAX_FRAMES = 10**9  # frames per BER point
 # Largest |Eb/N0| in dB a BER point accepts (+inf, the noiseless channel,
 # aside): 10**(-Eb/N0 / 10) overflows a float near -3083 dB.
@@ -86,7 +84,7 @@ def wilson_interval(errors: int, trials_bits: int):
     return lo, hi
 
 
-def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: int) -> None:
+def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int) -> None:
     """Range-check a BER plan, raising ConfigKeyError named by its config key."""
     if not len(ebn0_db_list):
         raise ConfigKeyError("ebn0_db_list", "must be nonempty")
@@ -100,8 +98,6 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int, workers: i
         raise ConfigKeyError("target_errors", "must be >= 1")
     if not 1 <= max_frames <= MAX_FRAMES:
         raise ConfigKeyError("max_frames", f"must lie in [1, {MAX_FRAMES}], got {max_frames}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
 def _frame_arrays(kern, frames: int):
@@ -161,7 +157,7 @@ def run_ber_point(
     Stops at the first frame where the cumulative error count reaches
     ``target_errors``, or at ``max_frames``, whichever comes first.
     """
-    check_ber_plan([ebn0_db], target_errors, max_frames, workers)
+    check_ber_plan([ebn0_db], target_errors, max_frames)
     kern = get_kernel(cfg)
     # builds L before any worker thread, and raises the ZF-limit error on this one
     kern.noise_colour
@@ -208,9 +204,9 @@ def run_ber_sweep(
 ) -> list[BerPoint]:
     """One BerPoint per Eb/N0 value of an ascending list; point i runs
     ``run_ber_point`` with the seed ``seeding.mix64(seed, i)``. The plan is
-    checked first, so a point fails only on the config: a zero-energy
-    pulse or the ZF limit."""
-    check_ber_plan(ebn0_db_list, target_errors, max_frames, workers)
+    checked first, so a point fails only on the config (a zero-energy
+    pulse or the ZF limit) or on ``workers``, which ``map_batches`` checks."""
+    check_ber_plan(ebn0_db_list, target_errors, max_frames)
     return [
         run_ber_point(cfg, ebn0_db, target_errors=target_errors, max_frames=max_frames,
                       seed=seeding.mix64(seed, index), workers=workers)

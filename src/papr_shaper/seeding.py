@@ -8,8 +8,9 @@ rounded up to whole Philox blocks. BER frame i reads nbits + 2N draws:
 its bits, then the 2N normals of its ZF-output noise, in (real,
 imaginary) pairs. Every frame loop (a BER point, a random PAPR or CCDF
 run, the exhaustive PAPR search) runs its per-batch function through
-:func:`map_batches`, over the one schedule of :func:`frame_batches`, so
-the worker count changes neither a batch nor the order results arrive in.
+:func:`map_batches`, which owns the one batch schedule and the bound on
+its thread count, so the worker count changes neither a batch nor the
+order results arrive in.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
+
+from .errors import ConfigKeyError
 
 _MASK = (1 << 64) - 1
 
@@ -33,6 +36,8 @@ _U_FLOOR = 2.0**-64
 # afresh: 96k minor faults against 611 for 100k rect N = 64 trials, and
 # 15 MB more peak RSS for the papr-ccdf benchmark.
 BATCH_SAMPLES = 2**16
+# Threads a frame loop may run on, so a typo cannot ask for an unbounded pool
+MAX_WORKERS = 64
 
 
 def _splitmix64(x: int) -> int:
@@ -51,28 +56,27 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def frame_batches(n_frames: int, samples_per_frame: int):
-    """Lazy (first, end) frame ranges that tile [0, n_frames).
-
-    Every batch but the last holds as many frames as fit in BATCH_SAMPLES
-    waveform samples, and at least one.
-    """
-    size = max(1, BATCH_SAMPLES // samples_per_frame)
-    for lo in range(0, n_frames, size):
-        yield lo, min(lo + size, n_frames)
+def check_workers(workers: int) -> None:
+    """Range-check the thread count of a frame loop, named by its config key."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
 def map_batches(fn, n_frames: int, samples_per_frame: int, workers: int = 1):
-    """Lazy (first, end, fn(first, end)) for the batches of
-    :func:`frame_batches`, in batch order.
+    """Lazy (first, end, fn(first, end)) for consecutive frame ranges that
+    tile [0, n_frames), in order, each of max(1, BATCH_SAMPLES //
+    samples_per_frame) frames but the last, which may be shorter.
 
-    Each wave of the next ``workers`` batches is computed on a pool of
-    that many threads before its first result is yielded, so a caller
-    that stops early discards the rest of its wave. ``workers=1``
-    computes on the calling thread: a pool thread gets a malloc arena of
-    its own, which made the peak RSS differ from run to run.
+    ``workers`` is checked before any batch. Each wave of the next
+    ``workers`` batches is computed on a pool of that many threads before
+    its first result is yielded, so a caller that stops early discards the
+    rest of its wave. ``workers=1`` computes on the calling thread: a pool
+    thread gets a malloc arena of its own, which made the peak RSS differ
+    from run to run.
     """
-    batches = frame_batches(n_frames, samples_per_frame)
+    check_workers(workers)
+    size = max(1, BATCH_SAMPLES // samples_per_frame)
+    batches = ((lo, min(lo + size, n_frames)) for lo in range(0, n_frames, size))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         while wave := list(itertools.islice(batches, workers)):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import papr_shaper
 from papr_shaper.cli import RUNNERS, dispatch, main
 from papr_shaper.config import RunConfig, parse_config
-from papr_shaper.errors import ConfigKeyError, PaprShaperError
+from papr_shaper.errors import ConfigKeyError
 from papr_shaper.pulses import PulseFamily
 
 
@@ -331,8 +331,21 @@ class TestDispatch:
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self):
-        with pytest.raises(PaprShaperError):
+        with pytest.raises(ConfigKeyError) as exc:
             dispatch("frobnicate", RunConfig())
+        assert exc.value.key == "cli"
+
+    @pytest.mark.parametrize("workers", [0, -3, 65])
+    def test_bad_workers_writes_nothing(self, tmp_path, workers):
+        # one 500-trial batch: without the bound, workers=0 wrote a 2893 dB PAPR
+        out = tmp_path / "out"
+        cfg = RunConfig(n_subcarriers=16, trials=500, workers=workers, output_path=str(out))
+        with pytest.raises(ConfigKeyError) as exc:
+            dispatch("papr", cfg)
+        with pytest.raises(ConfigKeyError) as parsed:
+            parse_config("", [f"workers={workers}"])
+        assert (exc.value.key, str(exc.value)) == ("workers", str(parsed.value))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "f_max,band,note",

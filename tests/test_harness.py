@@ -23,6 +23,7 @@ from helpers import (
 import papr_shaper
 from papr_shaper import harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
+from papr_shaper.config import parse_config
 from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.harness import (
     XCORR_GRID_SAMPLES,
@@ -190,7 +191,8 @@ class TestBatchSchedule:
 
     def test_schedule_has_one_batch_size(self):
         def sizes(n_frames, samples_per_frame):
-            return [hi - lo for lo, hi in seeding.frame_batches(n_frames, samples_per_frame)]
+            batches = seeding.map_batches(lambda lo, hi: hi - lo, n_frames, samples_per_frame)
+            return [size for _, _, size in batches]
 
         # BATCH_SAMPLES = 2**16: 2048 frames at S = 32, 256 at S = 256 (N = 64,
         # oversample 4) and 16 at S = 4096 (N = 1024)
@@ -241,6 +243,27 @@ class TestBatchSchedule:
             cfg, 0.0, target_errors=target, max_frames=max_frames, seed=seed, workers=workers
         )
         assert (p.bits_sent, p.bit_errors) == ((stop + 1) * cfg.bits_per_frame, int(cum[stop]))
+
+    # every frame loop bounds its thread count as the parser does; each case
+    # is one batch, so a loop without the bound starts at most one thread
+    @pytest.mark.parametrize("workers", [0, -3, 65])
+    def test_every_frame_loop_checks_workers(self, workers):
+        with pytest.raises(ConfigKeyError) as parsed:
+            parse_config("", [f"workers={workers}"])
+        rect4, rect16 = cfg_for(N=4), cfg_for(N=16)
+        calls = []
+        loops = {
+            "exhaustive": lambda: max_papr(rect4, "exhaustive", workers=workers),
+            "random": lambda: max_papr(rect16, "random", trials=1000, workers=workers),
+            "ccdf": lambda: ccdf_empirical(rect16, 1000, 1, np.linspace(0, 12, 13), workers),
+            "map_batches": lambda: list(seeding.map_batches(
+                lambda lo, hi: calls.append(lo), 1000, rect16.samples_per_symbol, workers)),
+        }
+        for name, loop in loops.items():
+            with pytest.raises(ConfigKeyError) as exc:
+                loop()
+            assert (exc.value.key, str(exc.value)) == ("workers", str(parsed.value)), name
+        assert calls == []
 
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)
@@ -489,12 +512,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("N,M,name,ebn0_list,frames", CELLS)
     def test_error_rates_agree_with_waveform_oracle(self, N, M, name, ebn0_list, frames):
         kern = get_kernel(cfg_for(N=N, M=M, pulse=ENGINE_PULSES[name]))
-        batches = list(seeding.frame_batches(frames, kern.cfg.samples_per_symbol))
 
         def per_frame(frame_errors, ebn0_db, key):
-            return np.concatenate(
-                [frame_errors(kern, ebn0_db, lo, hi - lo, key) for lo, hi in batches]
-            )
+            def errors(lo, hi):
+                return frame_errors(kern, ebn0_db, lo, hi - lo, key)
+
+            batches = seeding.map_batches(errors, frames, kern.cfg.samples_per_symbol)
+            return np.concatenate([per_batch for _, _, per_batch in batches])
 
         for i, ebn0_db in enumerate(ebn0_list):
             engine = per_frame(harness._frame_errors_batch, ebn0_db, seeding.mix64(N, M, i, 0))
