@@ -27,8 +27,10 @@ __all__ = ["RunConfig", "parse_config"]
 MAX_GAMMA_POINTS = 100_001
 # the PAPR array and its sorted copy: 800 MB each at 10^8 trials
 MAX_TRIALS = 10**8
-# xcorr's frequency grid and CSV grow with f_max: 16385 points per n at the cap
+# xcorr's CSV grows with f_max (16385 points per n at the cap) and with
+# n_list, one curve per entry: 1.05M rows at both caps
 MAX_F_MAX = 128
+MAX_N_LIST = 64
 
 
 def _default_seed() -> int:
@@ -159,6 +161,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("trials", f"must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
     if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):
         bad("n_list", f"must be a nonempty list of integers in [0, {MAX_SHAPE_N:g}]")
+    if cfg.n_list is not None and len(cfg.n_list) > MAX_N_LIST:
+        bad("n_list", f"must hold at most {MAX_N_LIST} entries, got {len(cfg.n_list)}")
     if cfg.f_max is not None:
         if not cfg.f_max >= 1.0:
             bad("f_max", "must be >= 1")

@@ -57,7 +57,9 @@ def mix64(*parts: int) -> int:
 
 
 def check_workers(workers: int) -> None:
-    """Range-check the thread count of a frame loop, named by its config key."""
+    """Check the thread count of a frame loop, an int in range, named by its config key."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ConfigKeyError("workers", f"must be an integer, got {workers!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import papr_shaper
-from papr_shaper.cli import RUNNERS, dispatch, main
+from papr_shaper.cli import RUNNERS, _csv, _fmt, dispatch, main
 from papr_shaper.config import RunConfig, parse_config
 from papr_shaper.errors import ConfigKeyError
 from papr_shaper.pulses import PulseFamily
@@ -197,6 +197,38 @@ class TestParseConfig:
     )
     def test_serialize_roundtrip_property(self, cfg):
         assert parse_config(cfg.serialize()) == cfg
+
+
+class TestFormat:
+    # 2**40 stands for ber.csv's bits column, which can pass 1e9: "%.9g" would
+    # print it as 1.09951163e+12
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+            (5e-324, "4.94065646e-324"), (1e300, "1e+300"), (0.1, "0.1"),
+            (2**40, "1099511627776"), (np.int64(7), "7"), (None, "nan"), ("sine_power", "sine_power"),
+        ],
+    )
+    def test_csv_column_and_summary_value_share_one_rule(self, value, text):
+        assert _fmt(value) == text
+        if isinstance(value, float):
+            assert text == f"{value:.9g}"
+        assert _csv("x", [value]) == ["x", text]
+        assert _csv("x", [value, value]) == ["x", text, text]
+        assert _csv("x,y", value, [1, 2]) == ["x,y", f"{text},1", f"{text},2"]  # a repeated label
+        if isinstance(value, (int, float, np.integer)):  # an int or float array, by its dtype
+            column = np.array([value, value])
+            assert column.dtype.kind == ("f" if isinstance(value, float) else "i")
+            assert _csv("x", column) == ["x", text, text]
+
+    def test_array_columns_match_the_value_by_value_rule(self):
+        # the reference: _fmt on each value of each row
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
+        ints = rng.integers(-(2**62), 2**62, 2000)
+        rows = [f"{_fmt(f)},{_fmt(i)},7" for f, i in zip(floats, ints)]
+        assert _csv("f,i,n", floats, ints, 7) == ["f,i,n", *rows]
 
 
 class TestDispatch:
@@ -460,6 +492,20 @@ class TestMain:
         assert err.startswith(f"error: {key}: gives f_max = ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_n_list_cap_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # without the cap, 10^5 entries at f_max = 128 meant 1.6e9 CSV rows held in memory
+        def no_curve(*args):
+            raise AssertionError("an over-cap n_list was run")
+
+        monkeypatch.setattr("papr_shaper.harness.xcorr_curve", no_curve)
+        out = tmp_path / "out"
+        n_list = "n_list=" + ",".join(["0"] * 100_000)
+        assert main(["xcorr", "--output", str(out), "--set", n_list, "--set", "f_max=128"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n_list: must hold at most 64 entries, got 100000\n"
+        assert not out.exists()
+        assert len(parse_config("", ["n_list=" + ",".join(["0"] * 64)]).n_list) == 64
 
     BIG = str(10**400)
 

@@ -62,6 +62,12 @@ CASES = {
     # no orthogonality band inside 8/T
     "xcorr-sinc": ("xcorr", "pulse_family=truncated_sinc", "bandwidth_factor=1",
                    "n_list=0,16", "f_max=8"),
+    # the xcorr-report benchmark campaign: 6406 rows, |rho| down to 1.4e-18 and 0
+    "xcorr-bench": ("xcorr", "n_list=0,1,2,4,8", "f_max=10"),
+    # negative gamma on a finer step than the default grid
+    "ccdf-rect-n16-fine-gamma": ("ccdf", "seed=15", "n_subcarriers=16", "m=4",
+                                 "pulse_family=rect", "trials=2000", "gamma_min_db=-1",
+                                 "gamma_step_db=0.05"),
 }
 
 GOLDEN = {
@@ -93,6 +99,10 @@ GOLDEN = {
         "ccdf.csv": "b5509eeb761b27bb17009a882dd82bdc5178e567a726a7860122b4518ddbdb67",
         "summary.txt": "4570ecccefbeeded6db29c3a331590fd9e6050b79b3e1f26ad0100b8650faa00",
     },
+    "ccdf-rect-n16-fine-gamma": {
+        "ccdf.csv": "c345d8d5b2d7813ee9ed28beb99c3bbb4e385bf6c21287a455a9803ee6597c50",
+        "summary.txt": "6a28a834ae0701feaa2869b24421dcf09e026480e5ffadaf7d8f041a3a2952aa",
+    },
     "ccdf-sine1-n16": {
         "ccdf.csv": "8903541d6ed69916b3be5679513f2d144b09c48e2519e0acd965257478e0053b",
         "summary.txt": "6e5acd76bc7d58a697c6a9964141d7d0d53618bb37e1b502fa36753336fd229b",
@@ -113,6 +123,11 @@ GOLDEN = {
         "metrics.csv": "8417666754d6df8814766b8bf21efcd90c406c375f419035c45f697d88b5a2ff",
         "summary.txt": "3d349cb71b754f42adbb9f6ef3f95479007b1f8bf1d3522ec99efcf075e38917",
         "xcorr.csv": "9717fb9ba7b4c1965d6192f11a74b6467f383131f50b5e97f2de18d5a972a560",
+    },
+    "xcorr-bench": {
+        "metrics.csv": "14f089bb965e7478457c099dc88224a58f827fb9f0a9ac580ee64008f3e2fe6b",
+        "summary.txt": "9772ce9d5a4c1ae90b26e032ed85c046d53005ec4c90ea1c13f62bae3fb19963",
+        "xcorr.csv": "831f1145654316dfa5a50d1c1258ac4137af016eec5cf808443d13766a281c9b",
     },
     "xcorr-sine-partial": {
         "metrics.csv": "a5844f65564fd2073503c5e7bc1e82dbf6f56716a0035d7863630ab5817a1bab",

@@ -265,6 +265,27 @@ class TestBatchSchedule:
             assert (exc.value.key, str(exc.value)) == ("workers", str(parsed.value)), name
         assert calls == []
 
+    # a library caller's float or bool is refused before any batch
+    @pytest.mark.parametrize("workers", [2.5, True], ids=["float", "bool"])
+    def test_every_frame_loop_requires_integer_workers(self, workers):
+        rect16 = cfg_for(N=16)
+        calls = []
+        loops = {
+            "random": lambda: max_papr(rect16, "random", trials=100, workers=workers),
+            "ccdf": lambda: ccdf_empirical(rect16, 100, 1, np.linspace(0, 12, 13), workers),
+            "ber": lambda: run_ber_point(rect16, 0.0, max_frames=10, seed=1, workers=workers),
+            "map_batches": lambda: list(seeding.map_batches(
+                lambda lo, hi: calls.append(lo), 1000, rect16.samples_per_symbol, workers)),
+        }
+        for name, loop in loops.items():
+            with pytest.raises(ConfigKeyError) as exc:
+                loop()
+            assert str(exc.value) == f"workers: must be an integer, got {workers!r}", name
+        assert calls == []
+        # a numpy integer is an integer
+        assert max_papr(rect16, "random", trials=100, workers=np.int64(2)) == max_papr(
+            rect16, "random", trials=100)
+
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)
         get_kernel(cfg).noise_colour  # kernel allocations are not the point's
