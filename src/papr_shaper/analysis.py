@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modem import ModemKernel, OfdmConfig, build_constellation, get_kernel
-from .pulses import PulseDescriptor, sample_pulse, squared_transform
+from .pulses import PulseDescriptor, chirp_z, pulse_energy, sample_pulse
 from . import seeding
 
 __all__ = [
@@ -177,9 +177,9 @@ def reference_crossing_db(N: int, level: float) -> float:
 def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
     """rho(f) = transform of p^2 at separation f, over the pulse energy,
     at f = i/128 (units of 1/T) up to the first such point >= f_max: bin
-    i of one FFT of p^2, sampled at S points, zero-padded to 128 S. The
-    transform of S samples is periodic in S/T, so the curve must end
-    below S/2."""
+    i of the 128 S-point DFT of p^2 sampled at S points, of which
+    ``chirp_z`` computes only these first bins. The transform of S
+    samples is periodic in S/T, so the curve must end below S/2."""
     if not 1.0 <= f_max < math.inf:  # NaN fails too
         raise ConfigError(f"f_max must be finite and at least 1/T, got {f_max}")
     points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
@@ -190,8 +190,9 @@ def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
     p = sample_pulse(desc, S)
     dt = 1.0 / S
     freq = np.arange(points) / XCORR_POINTS_PER_T
-    rho = squared_transform(p, dt, XCORR_POINTS_PER_T, points)
-    center = float(np.average(np.arange(S) * dt, weights=np.square(p)))
+    p2 = np.square(p)
+    rho = chirp_z(p2, XCORR_POINTS_PER_T * S, points) * (dt / pulse_energy(p, dt))
+    center = float(np.average(np.arange(S) * dt, weights=p2))
     return XcorrCurve(freq=freq, rho=rho, phase_center=center)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "sample_pulse",
     "pulse_energy",
     "squared_transform",
+    "chirp_z",
 ]
 
 
@@ -111,9 +112,24 @@ def pulse_energy(samples: np.ndarray, dt: float) -> float:
     return float(np.sum(np.square(samples)) * dt)
 
 
-def squared_transform(p: np.ndarray, dt: float, q: int = 1, points=None, other=None) -> np.ndarray:
-    """Transform of p * other (default p * p) over sqrt(e_p e_other) at f = i/q (units of
-    1/T), i < points (default and at most q*S): one FFT of the product zero-padded to q*S."""
-    other, n = p if other is None else other, q * p.size
-    spectrum = np.fft.fft(p * other, n=n)[:points]
+def squared_transform(p: np.ndarray, dt: float, other=None) -> np.ndarray:
+    """Transform of p * other (default p * p) over sqrt(e_p e_other) at the S frequencies
+    i/T, i < S: one S-point FFT of the product, whose bin (k - l) mod S is G[k, l]."""
+    other = p if other is None else other
+    spectrum = np.fft.fft(p * other)
     return spectrum * (dt / math.sqrt(pulse_energy(p, dt) * pulse_energy(other, dt)))
+
+
+def chirp_z(x: np.ndarray, n: int, points: int) -> np.ndarray:
+    """Bins i < ``points`` of the n-point DFT of x zero-padded to n, by the chirp-z
+    transform (Rabiner, Schafer and Rader, 1969): sum_m x_m w^(i m), w = exp(-2j pi / n),
+    as i m = (i^2 + m^2 - (i - m)^2) / 2, one convolution with the chirp w^(k^2/2) taken by
+    three FFTs of the next power of two >= x.size + points - 1, however large n is."""
+    k = np.arange(max(x.size, points))
+    chirp = np.exp(-1j * np.pi / n * ((k * k) % (2 * n)))  # k^2 reduced exactly: w^n = 1
+    m = 1 << (x.size + points - 2).bit_length()
+    kernel = np.zeros(m, dtype=complex)  # conj(chirp) at k = 1 - x.size .. points - 1
+    kernel[:points] = chirp[:points].conj()
+    kernel[m - x.size + 1:] = chirp[x.size - 1:0:-1].conj()
+    y = np.fft.ifft(np.fft.fft(x * chirp[:x.size], m) * np.fft.fft(kernel))
+    return y[:points] * chirp[:points]

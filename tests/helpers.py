@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from papr_shaper import seeding
+from papr_shaper.analysis import XCORR_POINTS_PER_T
 from papr_shaper.modem import OfdmConfig, demap_labels
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
@@ -41,6 +42,14 @@ def papr(samples) -> float:
     """Peak over mean instantaneous power of one waveform (linear, >= 1)."""
     power = np.abs(np.asarray(samples)) ** 2
     return float(power.max() / power.mean())
+
+
+def padded_fft_xcorr(p, points, q=XCORR_POINTS_PER_T) -> np.ndarray:
+    """rho_i, i < points, as xcorr_curve took it before its chirp-z: bins of one FFT of
+    p^2 zero-padded to q S samples, over the pulse energy; p may hold one pulse per row."""
+    dt = 1.0 / p.shape[-1]
+    energy = np.sum(np.square(p), axis=-1, keepdims=True) * dt
+    return np.fft.fft(np.square(p), n=q * p.shape[-1])[..., :points] * (dt / energy)
 
 
 def map_bits(bits, c) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -23,14 +24,19 @@ from papr_shaper.analysis import (
 from papr_shaper.errors import ConfigError
 from papr_shaper.harness import run_ber_point
 from papr_shaper.modem import ModemKernel, get_kernel
-from papr_shaper.pulses import (
-    PulseDescriptor,
-    PulseFamily,
-    pulse_energy,
-    sample_pulse,
-)
+from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse
 
-from helpers import RECT, SINE1, TAPERED, TSINC, cfg_for, dense_synth, papr, reference_ccdf
+from helpers import (
+    RECT,
+    SINE1,
+    TAPERED,
+    TSINC,
+    cfg_for,
+    dense_synth,
+    padded_fft_xcorr,
+    papr,
+    reference_ccdf,
+)
 
 
 def sine_curve(n, f_max=8.0, S=1024):
@@ -293,25 +299,44 @@ class TestXcorr:
         assert curve.freq[-1] == 3.9921875
 
 
+# The oracles take the (K, S) samples of K pulses at once and build their
+# phase matrices a block of rows at a time, so the 16385-point curves at
+# S = 1024 need no 268 MB matrix.
+ORACLE_ROWS = 2048
+
+
 def dense_xcorr(p, freq):
     """The product with a (points x S) phase matrix that xcorr_curve used
-    before its FFT."""
-    dt = 1.0 / p.size
-    e = pulse_energy(p, dt)
-    return (np.exp(-2j * np.pi * np.outer(freq, np.arange(p.size) * dt)) @ np.square(p)) * dt / e
+    before its FFT, one matrix-vector product per pulse: (K, points) curves
+    of the (K, S) pulses ``p``."""
+    dt = 1.0 / p.shape[-1]
+    e = np.sum(np.square(p), axis=-1, keepdims=True) * dt
+    t = np.arange(p.shape[-1]) * dt
+    rho = np.empty((p.shape[0], freq.size), dtype=complex)
+    for i in range(0, freq.size, ORACLE_ROWS):
+        phase = np.exp(-2j * np.pi * np.outer(freq[i : i + ORACLE_ROWS], t))
+        for row, pulse in zip(rho, p):
+            row[i : i + ORACLE_ROWS] = phase @ np.square(pulse)
+    return rho * dt / e
 
 
 def longdouble_xcorr(p, points, q=XCORR_POINTS_PER_T):
     """The same discrete sum in long double: rho_i = sum_m p_m^2
     exp(-2j pi i m / (q S)) / sum_m p_m^2, the phase index i m reduced
-    modulo q S exactly in integers."""
-    n = q * p.size
+    modulo q S exactly in integers; (K, points) real and imaginary parts."""
+    S = p.shape[-1]
+    n = q * S
     turns = np.arange(n, dtype=np.longdouble) / n
     two_pi = 2 * np.arccos(np.longdouble(-1))
     cos, sin = np.cos(two_pi * turns), np.sin(two_pi * turns)
     p2 = np.square(p.astype(np.longdouble))
-    k = np.outer(np.arange(points), np.arange(p.size)) % n
-    return (cos[k] @ p2) / p2.sum(), -(sin[k] @ p2) / p2.sum()
+    re, im = [], []
+    for i in range(0, points, ORACLE_ROWS):
+        k = np.outer(np.arange(i, min(i + ORACLE_ROWS, points)), np.arange(S)) % n
+        re.append(cos[k] @ p2.T)
+        im.append(-(sin[k] @ p2.T))
+    energy = p2.sum(axis=-1, keepdims=True)
+    return np.concatenate(re).T / energy, np.concatenate(im).T / energy
 
 
 class TestXcorrOracle:
@@ -319,27 +344,60 @@ class TestXcorrOracle:
         "rect": RECT,
         "sine1": SINE1,
         "sine8": PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=8),
+        "sine64": PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=64),
         "tapered": TAPERED,
         "tsinc": TSINC,
     }
+    # (S, f_max): the report's grid at f_max = 10, 1 and the cap 128 (16385
+    # points), then S = 8 and 64 at f_max = 1 and at the last f_max below S/2
+    GRIDS = {
+        "S1024-f10": (1024, 10.0),
+        "S1024-f1": (1024, 1.0),
+        "S1024-f128": (1024, 128.0),
+        "S64-f31.99": (64, 31.99),
+        "S64-f1": (64, 1.0),
+        "S8-f3.99": (8, 3.99),
+        "S8-f1": (8, 1.0),
+    }
 
-    @pytest.mark.parametrize("name", sorted(PULSES))
-    def test_fft_at_least_as_close_as_dense(self, name):
-        # the max over the grid: at single points either method can be
-        # the closer one by rounding noise
-        curve = xcorr_curve(self.PULSES[name], 1024, 10.0)
-        p = sample_pulse(self.PULSES[name], 1024)
-        re, im = longdouble_xcorr(p, curve.freq.size)
+    @staticmethod
+    @functools.cache
+    def curves(grid):
+        """Per pulse, sorted by name: the names, samples, xcorr_curve's rho,
+        and the largest error of that rho from the long-double sum."""
+        S, f_max = TestXcorrOracle.GRIDS[grid]
+        names = sorted(TestXcorrOracle.PULSES)
+        descs = [TestXcorrOracle.PULSES[name] for name in names]
+        p = np.stack([sample_pulse(desc, S) for desc in descs])
+        rho = np.stack([xcorr_curve(desc, S, f_max).rho for desc in descs])
+        re, im = longdouble_xcorr(p, rho.shape[-1])
+        error = np.max(np.hypot(rho.real - re, rho.imag - im), axis=-1)
+        return names, p, rho, error, (re, im)
 
-        def max_error(rho):
-            return float(np.max(np.hypot(rho.real - re, rho.imag - im)))
+    # The grids of 8 and 64 samples at f_max <= 3.99 are left out: a dense
+    # sum of so few terms and turns is as close as rounding allows (1.5e-16
+    # to 1.4e-15), and neither the chirp-z (3-11e-16) nor the zero-padded
+    # FFT (1.62e-16 against 1.48e-16 for rect at S = 8, f_max = 1) is
+    # closer on every pulse.
+    @pytest.mark.parametrize("grid", ["S1024-f10", "S1024-f1", "S1024-f128", "S64-f31.99"])
+    def test_chirp_z_at_least_as_close_as_dense(self, grid):
+        # the max over the grid: at single points either method can be the
+        # closer one by rounding noise
+        names, p, rho, error, (re, im) = self.curves(grid)
+        dense = dense_xcorr(p, np.arange(rho.shape[-1]) / XCORR_POINTS_PER_T)
+        dense_error = np.max(np.hypot(dense.real - re, dense.imag - im), axis=-1)
+        assert np.all(error <= 1e-14), dict(zip(names, error))
+        assert np.all(error <= dense_error), dict(zip(names, zip(error, dense_error)))
 
-        fft_error = max_error(curve.rho)
-        assert fft_error <= 1e-14
-        assert fft_error <= max_error(dense_xcorr(p, curve.freq))
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_chirp_z_matches_zero_padded_fft(self, grid):
+        names, p, rho, error, _ = self.curves(grid)
+        delta = np.max(np.abs(rho - padded_fft_xcorr(p, rho.shape[-1])), axis=-1)
+        assert np.all(error <= 1e-14), dict(zip(names, error))
+        assert np.all(delta <= 1e-14), dict(zip(names, delta))
 
     def test_memory_independent_of_points(self):
-        # O(S) memory: a (points x S) phase matrix would take 512 MB here
+        # memory grows with S + points: a (points x S) phase matrix would take 512 MB here
         tracemalloc.start()
         try:
             curve = xcorr_curve(SINE1, 1024, 128.0)

@@ -122,22 +122,22 @@ GOLDEN = {
     "xcorr-sine": {
         "metrics.csv": "8417666754d6df8814766b8bf21efcd90c406c375f419035c45f697d88b5a2ff",
         "summary.txt": "3d349cb71b754f42adbb9f6ef3f95479007b1f8bf1d3522ec99efcf075e38917",
-        "xcorr.csv": "9717fb9ba7b4c1965d6192f11a74b6467f383131f50b5e97f2de18d5a972a560",
+        "xcorr.csv": "f4208df55fef808fa292a1e47a746bd12903c8db335569374eb1eb48accd3fc0",
     },
     "xcorr-bench": {
         "metrics.csv": "14f089bb965e7478457c099dc88224a58f827fb9f0a9ac580ee64008f3e2fe6b",
         "summary.txt": "9772ce9d5a4c1ae90b26e032ed85c046d53005ec4c90ea1c13f62bae3fb19963",
-        "xcorr.csv": "831f1145654316dfa5a50d1c1258ac4137af016eec5cf808443d13766a281c9b",
+        "xcorr.csv": "52a9578ef6c80ce93040c21e0c66c380a133f410a0731d8dab6d43e7de34bc33",
     },
     "xcorr-sine-partial": {
         "metrics.csv": "a5844f65564fd2073503c5e7bc1e82dbf6f56716a0035d7863630ab5817a1bab",
         "summary.txt": "501232174b4a61d947f7b8f44f985b03af38e661f64a137992b0462f91b294d9",
-        "xcorr.csv": "cb33ee178ced8862a9bfd33f98ac37d40e741773d806a6e095d533d2b0d762bd",
+        "xcorr.csv": "781da7ff58b0f9b276bd89f4c1ba4f2c876033307eaea383059c38dfdaf8231d",
     },
     "xcorr-sinc": {
         "metrics.csv": "0d43b935ada2e9c57634361cf67b0d2363c18e29a7a4a4d81ae37e0d7894219a",
         "summary.txt": "1d63aee5cbc2efa925462770a9e208c62d71a36710e322b39174f8471336ec33",
-        "xcorr.csv": "855d49613e83e52e79d785a1919ad9856103a1b3cf428e2c354b4c7ac425d9bc",
+        "xcorr.csv": "cbf977790b27957aef0434b58baa6a3e2ebb8fc2ee13b11b7361bab8f48380c6",
     },
 }
 

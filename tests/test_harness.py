@@ -350,16 +350,45 @@ for N, M, n, ebn0_db, frames in [(64, 4, 0, 10.0, 1024), (64, 16, 1, 24.0, 1024)
 """
 
 
+def run_fresh(script):
+    """The lines a script prints when run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_ber_batches_take_no_page_faults():
     # a repeated point takes 0-2 minor faults; a batch block that held
     # only the uniforms took 1249, 1446 and 6656
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_GUARD], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    for line in proc.stdout.splitlines():
+    for line in run_fresh(FAULT_GUARD):
         assert int(line.split()[-1]) <= 64, line
+
+
+# The xcorr report's campaign, run twice in a fresh interpreter: prints the
+# minor page faults of the second run.
+XCORR_FAULT_GUARD = """
+import resource
+from papr_shaper.harness import run_xcorr_report
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+for _ in range(2):
+    before = faults()
+    run_xcorr_report(PulseDescriptor(family=PulseFamily.SINE_POWER), [0, 1, 2, 4, 8], 10.0)
+print(faults() - before)
+"""
+
+
+def test_xcorr_report_takes_no_page_faults():
+    # a repeated report takes 0 minor faults; with one 128 S-point FFT of
+    # p^2 per curve it took 4960, about 4 MB mapped and unmapped per curve
+    (line,) = run_fresh(XCORR_FAULT_GUARD)
+    assert int(line) <= 64, line
 
 
 class TestFrameBatchSizes:
