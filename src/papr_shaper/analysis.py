@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .modem import ModemKernel, OfdmConfig, build_constellation, get_kernel
 from .pulses import PulseDescriptor, chirp_z, pulse_energy, sample_pulse
 from . import seeding
@@ -23,6 +23,7 @@ __all__ = [
     "PulseMetrics",
     "max_papr",
     "EXHAUSTIVE_FRAME_CAP",
+    "MAX_TRIALS",
     "ccdf_empirical",
     "reference_crossing_db",
     "XCORR_POINTS_PER_T",
@@ -35,6 +36,9 @@ __all__ = [
 
 # Largest M**N frame space the exhaustive search will enumerate.
 EXHAUSTIVE_FRAME_CAP = 2**16
+# Random frames per PAPR or CCDF run; a CCDF holds the PAPR array and its
+# sorted copy, 800 MB each at 10^8 trials.
+MAX_TRIALS = 10**8
 
 # |rho| below this counts as a null / orthogonal separation.
 NULL_THRESHOLD = 1e-6
@@ -94,8 +98,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> 
     stream, so neither the batches of ``seeding.map_batches`` it is
     computed in nor the worker count change any of its draws.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    check_count("trials", trials, 1, MAX_TRIALS)
     M, N = cfg.m_order, cfg.n_subcarriers
     key = seeding.mix64(seed)
 

@@ -26,8 +26,8 @@ from .analysis import (
 )
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ConfigKeyError
-from .harness import run_ber_sweep, run_xcorr_report, zf_noise_enhancement_db
-from .modem import get_kernel
+from .harness import run_ber_sweep, run_xcorr_report
+from .modem import get_kernel, zf_noise_enhancement_db
 from .pulses import PulseFamily
 
 FLOAT_SPEC = "%.9g"

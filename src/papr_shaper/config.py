@@ -12,21 +12,21 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigKeyError
+from .analysis import MAX_TRIALS
+from .errors import ConfigKeyError, check_count
 from .harness import check_ber_plan
 from .modem import OfdmConfig
 from .pulses import MAX_SHAPE_N, PulseDescriptor, PulseFamily
-from .seeding import check_workers
+from .seeding import MAX_WORKERS
 
 __all__ = ["RunConfig", "parse_config"]
 
 # Caps on the keys only the CLI reads, so that a typo ends in a named error
 # instead of an unbounded allocation. The kernel keys are capped by
 # modem.OfdmConfig and pulses.PulseDescriptor, the BER plan by
-# harness.check_ber_plan and the thread count by seeding.check_workers.
+# harness.check_ber_plan, and trials and workers, which the library's
+# campaigns read too, by analysis.MAX_TRIALS and seeding.MAX_WORKERS.
 MAX_GAMMA_POINTS = 100_001
-# the PAPR array and its sorted copy: 800 MB each at 10^8 trials
-MAX_TRIALS = 10**8
 # xcorr's CSV grows with f_max (16385 points per n at the cap) and with
 # n_list, one curve per entry: 1.05M rows at both caps
 MAX_F_MAX = 128
@@ -156,9 +156,8 @@ def _validate(cfg: RunConfig) -> None:
         bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
     cfg.ofdm_config()  # range-checks the pulse keys, n_subcarriers, m and oversample
     check_ber_plan(cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames)
-    check_workers(cfg.workers)
-    if not 1 <= cfg.trials <= MAX_TRIALS:
-        bad("trials", f"must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
+    check_count("workers", cfg.workers, 1, MAX_WORKERS)
+    check_count("trials", cfg.trials, 1, MAX_TRIALS)
     if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):
         bad("n_list", f"must be a nonempty list of integers in [0, {MAX_SHAPE_N:g}]")
     if cfg.n_list is not None and len(cfg.n_list) > MAX_N_LIST:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a count."""
 
-__all__ = ["ConfigError", "ConfigKeyError"]
+import numbers
+
+__all__ = ["ConfigError", "ConfigKeyError", "check_count"]
 
 
 class ConfigError(ValueError):
@@ -16,3 +18,12 @@ class ConfigKeyError(ConfigError):
         super().__init__(f"{key}: {reason}{where}")
         self.key = key
         self.line = line
+
+
+def check_count(key: str, value, lo, hi) -> None:
+    """Check a count: an integer (numpy's too), not a bool, in [lo, hi],
+    raising ConfigKeyError named by its config key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigKeyError(key, f"must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ConfigKeyError(key, f"must lie in [{lo}, {hi}], got {value}")

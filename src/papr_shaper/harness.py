@@ -27,7 +27,7 @@ import numpy as np
 
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
-from .errors import ConfigError, ConfigKeyError
+from .errors import ConfigError, ConfigKeyError, check_count
 from .modem import OfdmConfig, bits_to_labels, demap_labels, get_kernel
 from .pulses import PulseDescriptor
 
@@ -39,7 +39,6 @@ __all__ = [
     "run_xcorr_report",
     "wilson_interval",
     "XCORR_GRID_SAMPLES",
-    "zf_noise_enhancement_db",
 ]
 
 # z of the 95% two-sided Wilson interval: float(scipy.special.ndtri(0.975))
@@ -94,10 +93,8 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int) -> None:
     if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in ebn0_db_list):
         raise ConfigKeyError("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, "
                              f"{MAX_ABS_EBN0_DB:g}] dB or be inf (the noiseless channel)")
-    if target_errors < 1:
-        raise ConfigKeyError("target_errors", "must be >= 1")
-    if not 1 <= max_frames <= MAX_FRAMES:
-        raise ConfigKeyError("max_frames", f"must lie in [1, {MAX_FRAMES}], got {max_frames}")
+    check_count("target_errors", target_errors, 1, math.inf)
+    check_count("max_frames", max_frames, 1, MAX_FRAMES)
 
 
 def _frame_arrays(kern, frames: int):
@@ -231,19 +228,6 @@ def run_xcorr_report(
         raise ConfigError("n_list must be nonempty")
     pairs = []
     for n in n_list:
-        curve = xcorr_curve(replace(desc, shape_n=int(n)), XCORR_GRID_SAMPLES, f_max)
+        curve = xcorr_curve(replace(desc, shape_n=n), XCORR_GRID_SAMPLES, f_max)
         pairs.append((curve, pulse_metrics(curve)))
     return pairs
-
-
-def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
-    """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
-    orthogonal (rectangular-pulse) system. Raises ConfigError beyond the
-    ZF limit."""
-    kern = get_kernel(cfg)
-    L = kern.noise_colour  # checks the ZF limit
-    if kern.gram_is_identity:
-        return 0.0
-    # L L^H = G^-1 / sqrt(e_k e_l), so (G^-1)_kk = e_k sum_j |L_kj|^2
-    rows = np.einsum("kj,kj->k", L.view(float), L.view(float))
-    return float(10.0 * np.log10(np.dot(kern.energies, rows) / cfg.n_subcarriers))

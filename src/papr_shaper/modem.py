@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConfigKeyError
-from .pulses import PulseDescriptor, sample_pulse, squared_transform
+from .errors import ConfigError, ConfigKeyError, check_count
+from .pulses import PulseDescriptor, sample_pulse
 
 __all__ = [
     "Constellation",
@@ -60,6 +60,7 @@ __all__ = [
     "bits_to_labels",
     "build_constellation",
     "demap_labels",
+    "zf_noise_enhancement_db",
 ]
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
@@ -215,13 +216,11 @@ class OfdmConfig:
     oversample: int = 4
 
     def __post_init__(self):
-        if not 1 <= self.n_subcarriers <= MAX_SUBCARRIERS:
-            raise ConfigKeyError("n_subcarriers", f"must lie in [1, {MAX_SUBCARRIERS}], "
-                                 f"got {self.n_subcarriers}")
+        check_count("n_subcarriers", self.n_subcarriers, 1, MAX_SUBCARRIERS)
+        check_count("m", self.m_order, -math.inf, math.inf)  # its range is SUPPORTED_ORDERS
         if self.m_order not in SUPPORTED_ORDERS:
             raise ConfigKeyError("m", f"must be one of {list(SUPPORTED_ORDERS)}, got {self.m_order}")
-        if not 4 <= self.oversample <= MAX_OVERSAMPLE:
-            raise ConfigKeyError("oversample", f"must lie in [4, {MAX_OVERSAMPLE}], got {self.oversample}")
+        check_count("oversample", self.oversample, 4, MAX_OVERSAMPLE)
         ps = self.pulse_set
         if not (isinstance(ps, tuple) and 1 <= len(ps) <= self.n_subcarriers
                 and all(isinstance(desc, PulseDescriptor) for desc in ps)):
@@ -317,9 +316,11 @@ class ModemKernel:
         N = self.cfg.n_subcarriers
         k = np.arange(N)
         g = np.empty((N, N), dtype=complex)
+        p, e = self.samples, self.energies  # group g holds row g and carrier g first
         for (ci, _), (cj, _) in itertools.product(self.groups, repeat=2):
             # G[k, l] = c[(k - l) mod S], c the DFT of p_k p_l over sqrt(e_k e_l)
-            c = squared_transform(self.samples[ci.start], self.dt, other=self.samples[cj.start])
+            i, j = ci.start, cj.start
+            c = np.fft.fft(p[i] * p[j]) * (self.dt / math.sqrt(e[i] * e[j]))
             g[ci, cj] = c.take(k[ci, None] - k[cj], mode="wrap")
         g += g.conj().T  # symmetrized in place, without a third N x N array
         g *= 0.5
@@ -345,3 +346,16 @@ class ModemKernel:
 @functools.lru_cache(maxsize=64)
 def get_kernel(cfg: OfdmConfig) -> ModemKernel:
     return ModemKernel(cfg)
+
+
+def zf_noise_enhancement_db(cfg: OfdmConfig) -> float:
+    """Mean diagonal of G^-1 in dB: the ZF noise penalty versus an
+    orthogonal (rectangular-pulse) system. Raises ConfigError beyond the
+    ZF limit."""
+    kern = get_kernel(cfg)
+    L = kern.noise_colour  # checks the ZF limit
+    if kern.gram_is_identity:
+        return 0.0
+    # L L^H = G^-1 / sqrt(e_k e_l), so (G^-1)_kk = e_k sum_j |L_kj|^2
+    rows = np.einsum("kj,kj->k", L.view(float), L.view(float))
+    return float(10.0 * np.log10(np.dot(kern.energies, rows) / cfg.n_subcarriers))

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConfigKeyError
+from .errors import ConfigKeyError, check_count
 
 __all__ = [
     "PulseFamily",
     "PulseDescriptor",
     "sample_pulse",
     "pulse_energy",
-    "squared_transform",
     "chirp_z",
 ]
 
@@ -72,11 +71,10 @@ class PulseDescriptor:
 def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:
     """The (S,) samples p(t_i) of a pulse at t_i = i * (1/S), i = 0..S-1.
 
-    The descriptor checked its parameters when it was built; a pulse of
-    zero discrete energy raises ConfigKeyError naming its family's
-    parameter."""
-    if S < 1:
-        raise ConfigError(f"samples_per_symbol must be >= 1, got {S}")
+    The descriptor checked its parameters when it was built, and S is a
+    count named ``samples_per_symbol``; a pulse of zero discrete energy
+    raises ConfigKeyError naming its family's parameter."""
+    check_count("samples_per_symbol", S, 1, math.inf)
     t = np.arange(S) * (1.0 / S)
 
     if desc.family is PulseFamily.RECT:
@@ -110,14 +108,6 @@ def _tapered_flat_top(t: np.ndarray, alpha: float) -> np.ndarray:
 def pulse_energy(samples: np.ndarray, dt: float) -> float:
     """Discrete energy sum(p_i^2) * dt."""
     return float(np.sum(np.square(samples)) * dt)
-
-
-def squared_transform(p: np.ndarray, dt: float, other=None) -> np.ndarray:
-    """Transform of p * other (default p * p) over sqrt(e_p e_other) at the S frequencies
-    i/T, i < S: one S-point FFT of the product, whose bin (k - l) mod S is G[k, l]."""
-    other = p if other is None else other
-    spectrum = np.fft.fft(p * other)
-    return spectrum * (dt / math.sqrt(pulse_energy(p, dt) * pulse_energy(other, dt)))
 
 
 def chirp_z(x: np.ndarray, n: int, points: int) -> np.ndarray:

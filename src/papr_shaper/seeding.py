@@ -21,7 +21,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import ConfigKeyError
+from .errors import check_count
 
 _MASK = (1 << 64) - 1
 
@@ -56,14 +56,6 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def check_workers(workers: int) -> None:
-    """Check the thread count of a frame loop, an int in range, named by its config key."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ConfigKeyError("workers", f"must be an integer, got {workers!r}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ConfigKeyError("workers", f"must lie in [1, {MAX_WORKERS}], got {workers}")
-
-
 def map_batches(fn, n_frames: int, samples_per_frame: int, workers: int = 1):
     """Lazy (first, end, fn(first, end)) for consecutive frame ranges that
     tile [0, n_frames), in order, each of max(1, BATCH_SAMPLES //
@@ -76,7 +68,7 @@ def map_batches(fn, n_frames: int, samples_per_frame: int, workers: int = 1):
     thread gets a malloc arena of its own, which made the peak RSS differ
     from run to run.
     """
-    check_workers(workers)
+    check_count("workers", workers, 1, MAX_WORKERS)
     size = max(1, BATCH_SAMPLES // samples_per_frame)
     batches = ((lo, min(lo + size, n_frames)) for lo in range(0, n_frames, size))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from papr_shaper import seeding
 from papr_shaper.analysis import (
+    MAX_TRIALS,
     XCORR_POINTS_PER_T,
     XcorrCurve,
     _random_paprs,
@@ -21,7 +22,8 @@ from papr_shaper.analysis import (
     theoretical_ber,
     xcorr_curve,
 )
-from papr_shaper.errors import ConfigError
+from papr_shaper.config import parse_config
+from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.harness import run_ber_point
 from papr_shaper.modem import ModemKernel, get_kernel
 from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse
@@ -178,8 +180,12 @@ class TestMaxPapr:
             max_papr(cfg_for(), method="simulated-annealing")
 
     def test_random_needs_a_trial(self):
-        with pytest.raises(ConfigError, match="trials must be >= 1"):
+        # the library and the parser share the rule and its message
+        with pytest.raises(ConfigKeyError) as parsed:
+            parse_config("", ["trials=0"])
+        with pytest.raises(ConfigKeyError) as exc:
             max_papr(cfg_for(), method="random", trials=0)
+        assert str(exc.value) == str(parsed.value) == f"trials: must lie in [1, {MAX_TRIALS}], got 0"
 
 
 class TestCcdf:

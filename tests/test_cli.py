@@ -59,10 +59,12 @@ class TestParseConfig:
             ("f_max = nan", "f_max: must be >= 1"),
             ("gamma_step_db = 0", "gamma_step_db: must be > 0"),
             ("gamma_min_db = 5\ngamma_max_db = 4", "gamma_max_db: must be >= gamma_min_db"),
+            # a count without a cap reads its range as [1, inf]
+            ("target_errors = 0", "target_errors: must lie in [1, inf], got 0"),
         ],
         ids=["m-7", "gamma_min-nan", "gamma_min-minus-inf", "gamma_max-inf", "f_max-inf",
              "f_max-1e9", "pulse_family-gauss", "f_max-0.5", "f_max-nan", "gamma_step-0",
-             "gamma_max-below-min"],
+             "gamma_max-below-min", "target_errors-0"],
     )
     def test_out_of_range_names_key(self, text, message):
         with pytest.raises(ConfigKeyError) as exc:

@@ -31,10 +31,9 @@ from papr_shaper.harness import (
     run_ber_sweep,
     run_xcorr_report,
     wilson_interval,
-    zf_noise_enhancement_db,
 )
-from papr_shaper.modem import get_kernel
-from papr_shaper.pulses import PulseDescriptor, PulseFamily
+from papr_shaper.modem import get_kernel, zf_noise_enhancement_db
+from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse
 
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
 
@@ -265,26 +264,50 @@ class TestBatchSchedule:
             assert (exc.value.key, str(exc.value)) == ("workers", str(parsed.value)), name
         assert calls == []
 
-    # a library caller's float or bool is refused before any batch
-    @pytest.mark.parametrize("workers", [2.5, True], ids=["float", "bool"])
-    def test_every_frame_loop_requires_integer_workers(self, workers):
-        rect16 = cfg_for(N=16)
-        calls = []
-        loops = {
-            "random": lambda: max_papr(rect16, "random", trials=100, workers=workers),
-            "ccdf": lambda: ccdf_empirical(rect16, 100, 1, np.linspace(0, 12, 13), workers),
-            "ber": lambda: run_ber_point(rect16, 0.0, max_frames=10, seed=1, workers=workers),
-            "map_batches": lambda: list(seeding.map_batches(
-                lambda lo, hi: calls.append(lo), 1000, rect16.samples_per_symbol, workers)),
-        }
-        for name, loop in loops.items():
+    # a library caller's float or bool count is refused with ConfigKeyError
+    # naming its key before any batch draws a uniform: one row per (entry
+    # point, count)
+    @pytest.mark.parametrize("value", [2.5, True, 1e4, np.bool_(True)],
+                             ids=["float", "bool", "float-1e4", "numpy-bool"])
+    def test_every_frame_loop_requires_integer_workers(self, value, monkeypatch):
+        rect16, gamma = cfg_for(N=16), np.linspace(0, 12, 13)
+        draws, calls = [], []
+        trial_uniforms = seeding.trial_uniforms
+
+        def counted_uniforms(key, first, *args, **kw):
+            draws.append(first)
+            return trial_uniforms(key, first, *args, **kw)
+
+        monkeypatch.setattr(seeding, "trial_uniforms", counted_uniforms)
+        counts = [
+            ("random", "trials", lambda v: max_papr(rect16, "random", trials=v)),
+            ("random", "workers", lambda v: max_papr(rect16, "random", trials=100, workers=v)),
+            ("ccdf", "trials", lambda v: ccdf_empirical(rect16, v, 1, gamma)),
+            ("ccdf", "workers", lambda v: ccdf_empirical(rect16, 100, 1, gamma, v)),
+            ("ber", "max_frames", lambda v: run_ber_point(rect16, 0.0, max_frames=v)),
+            ("ber", "target_errors",
+             lambda v: run_ber_point(rect16, 0.0, target_errors=v, max_frames=10)),
+            ("ber", "workers", lambda v: run_ber_point(rect16, 0.0, max_frames=10, workers=v)),
+            ("map_batches", "workers", lambda v: list(seeding.map_batches(
+                lambda lo, hi: calls.append(lo), 1000, rect16.samples_per_symbol, v))),
+            ("OfdmConfig", "n_subcarriers", lambda v: modem.OfdmConfig(v, 4, (RECT,))),
+            ("OfdmConfig", "m", lambda v: modem.OfdmConfig(16, v, (RECT,))),
+            ("OfdmConfig", "oversample", lambda v: modem.OfdmConfig(16, 4, (RECT,), v)),
+            ("sample_pulse", "samples_per_symbol", lambda v: sample_pulse(RECT, v)),
+        ]
+        for name, key, call in counts:
             with pytest.raises(ConfigKeyError) as exc:
-                loop()
-            assert str(exc.value) == f"workers: must be an integer, got {workers!r}", name
-        assert calls == []
+                call(value)
+            assert exc.value.key == key, name
+            assert str(exc.value) == f"{key}: must be an integer, got {value!r}", name
+        assert draws == calls == []
         # a numpy integer is an integer
-        assert max_papr(rect16, "random", trials=100, workers=np.int64(2)) == max_papr(
+        n = np.int64
+        assert max_papr(rect16, "random", trials=n(100), workers=n(2)) == max_papr(
             rect16, "random", trials=100)
+        assert run_ber_point(rect16, 0.0, target_errors=n(5), max_frames=n(10), workers=n(2)) \
+            == run_ber_point(rect16, 0.0, target_errors=5, max_frames=10)
+        assert modem.OfdmConfig(n(16), n(4), (RECT,), n(4)) == rect16
 
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)
@@ -516,6 +539,13 @@ class TestXcorrReport:
     def test_empty_n_list(self):
         with pytest.raises(ConfigError):
             run_xcorr_report(SINE, [], 8.0)
+
+    def test_fractional_n_is_not_truncated(self):
+        # n = 0.5 gives the sin^0.5 curve, not the rect one of int(0.5)
+        ((curve, _),) = run_xcorr_report(SINE, [0.5], 8.0)
+        half = PulseDescriptor(family=PulseFamily.SINE_POWER, shape_n=0.5)
+        assert np.array_equal(curve.rho, xcorr_curve(half, XCORR_GRID_SAMPLES, 8.0).rho)
+        assert not np.array_equal(curve.rho, xcorr_curve(SINE, XCORR_GRID_SAMPLES, 8.0).rho)
 
 
 class TestNoiseEnhancement:
