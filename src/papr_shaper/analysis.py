@@ -9,11 +9,12 @@ bit-error-rate theory curves over AWGN.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 from .modem import ModemKernel, OfdmConfig, build_constellation, get_kernel
 from .pulses import PulseDescriptor, chirp_z, pulse_energy, sample_pulse
 from . import seeding
@@ -183,8 +184,7 @@ def xcorr_curve(desc: PulseDescriptor, S: int, f_max: float) -> XcorrCurve:
     i of the 128 S-point DFT of p^2 sampled at S points, of which
     ``chirp_z`` computes only these first bins. The transform of S
     samples is periodic in S/T, so the curve must end below S/2."""
-    if not 1.0 <= f_max < math.inf:  # NaN fails too
-        raise ConfigError(f"f_max must be finite and at least 1/T, got {f_max}")
+    check_real("f_max", f_max, 1, sys.float_info.max)
     points = math.ceil(XCORR_POINTS_PER_T * f_max) + 1
     if (points - 1) / XCORR_POINTS_PER_T >= S / 2:
         raise ConfigError(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 from .analysis import MAX_TRIALS
-from .errors import ConfigKeyError, check_count
+from .errors import ConfigKeyError, check_count, check_real
 from .harness import check_ber_plan
 from .modem import OfdmConfig
 from .pulses import MAX_SHAPE_N, PulseDescriptor, PulseFamily
@@ -91,10 +92,10 @@ class RunConfig:
 
     def resolved_f_max(self) -> float:
         if self.f_max is not None:
-            key, f_max = "f_max", self.f_max
-        else:
-            key = "n_list" if self.n_list is not None else "shape_n"
-            f_max = float(max(8, max(self.resolved_n_list()) + 2))
+            check_real("f_max", self.f_max, 1, MAX_F_MAX)
+            return self.f_max
+        key = "n_list" if self.n_list is not None else "shape_n"
+        f_max = float(max(8, max(self.resolved_n_list()) + 2))
         if f_max > MAX_F_MAX:
             raise ConfigKeyError(key, f"gives f_max = {f_max:g}/T, above the cap {MAX_F_MAX}")
         return f_max
@@ -148,33 +149,28 @@ def _coerce(key: str, raw: str, line: int | None):
 
 
 def _validate(cfg: RunConfig) -> None:
-    def bad(key, reason):
-        raise ConfigKeyError(key, reason)
-
     families = sorted(f.value for f in PulseFamily)
     if cfg.pulse_family not in families:
-        bad("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
+        raise ConfigKeyError("pulse_family", f"must be one of {families}, got {cfg.pulse_family!r}")
     cfg.ofdm_config()  # range-checks the pulse keys, n_subcarriers, m and oversample
     check_ber_plan(cfg.ebn0_db_list, cfg.target_errors, cfg.max_frames)
     check_count("workers", cfg.workers, 1, MAX_WORKERS)
     check_count("trials", cfg.trials, 1, MAX_TRIALS)
-    if cfg.n_list is not None and not (cfg.n_list and all(0 <= n <= MAX_SHAPE_N for n in cfg.n_list)):
-        bad("n_list", f"must be a nonempty list of integers in [0, {MAX_SHAPE_N:g}]")
-    if cfg.n_list is not None and len(cfg.n_list) > MAX_N_LIST:
-        bad("n_list", f"must hold at most {MAX_N_LIST} entries, got {len(cfg.n_list)}")
+    if cfg.n_list is not None:
+        if not cfg.n_list:
+            raise ConfigKeyError("n_list", "must be nonempty")
+        if len(cfg.n_list) > MAX_N_LIST:
+            raise ConfigKeyError("n_list", f"must hold at most {MAX_N_LIST} entries, "
+                                 f"got {len(cfg.n_list)}")
+        for n in cfg.n_list:
+            check_real("n_list", n, 0, MAX_SHAPE_N)
     if cfg.f_max is not None:
-        if not cfg.f_max >= 1.0:
-            bad("f_max", "must be >= 1")
-        cfg.resolved_f_max()  # checks the cap; a derived f_max is checked by xcorr alone
-    if not cfg.gamma_step_db > 0:
-        bad("gamma_step_db", "must be > 0")
-    for key in ("gamma_min_db", "gamma_max_db"):
-        if not math.isfinite(getattr(cfg, key)):
-            bad(key, "must be finite")
-    if not cfg.gamma_max_db >= cfg.gamma_min_db:
-        bad("gamma_max_db", "must be >= gamma_min_db")
+        cfg.resolved_f_max()  # checks a set f_max; a derived one is checked by xcorr alone
+    check_real("gamma_step_db", cfg.gamma_step_db, math.ulp(0.0), sys.float_info.max)
+    check_real("gamma_min_db", cfg.gamma_min_db, -sys.float_info.max, sys.float_info.max)
+    check_real("gamma_max_db", cfg.gamma_max_db, cfg.gamma_min_db, sys.float_info.max)
     if not cfg.gamma_points() <= MAX_GAMMA_POINTS:  # NaN fails too
-        bad("gamma_step_db", f"gives more than {MAX_GAMMA_POINTS} gamma grid points")
+        raise ConfigKeyError("gamma_step_db", f"gives more than {MAX_GAMMA_POINTS} gamma grid points")
 
 
 def parse_config(file_contents: str, overrides: list[str] = ()) -> RunConfig:

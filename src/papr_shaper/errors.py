@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one check of a count."""
+"""Exception types shared across the package, and the checks of a real number and of a count."""
 
+import math
 import numbers
 
-__all__ = ["ConfigError", "ConfigKeyError", "check_count"]
+__all__ = ["ConfigError", "ConfigKeyError", "check_count", "check_real"]
 
 
 class ConfigError(ValueError):
@@ -20,10 +21,20 @@ class ConfigKeyError(ConfigError):
         self.line = line
 
 
+def check_real(key: str, value, lo, hi) -> None:
+    """Check a real number (numpy's too, not a bool) in [lo, hi], raising ConfigKeyError(key)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigKeyError(key, f"must be a real number, got {value!r}")
+    if not lo <= value <= hi:
+        # the str() of a Python int has no bound on its length: past 20 digits, e-notation
+        if isinstance(value, int) and abs(value) >= 10**20:
+            e = int(math.log10(abs(value)))
+            value = f"{value / 10**e:g}e+{e}"
+        raise ConfigKeyError(key, f"must lie in [{lo}, {hi}], got {value}")
+
+
 def check_count(key: str, value, lo, hi) -> None:
-    """Check a count: an integer (numpy's too), not a bool, in [lo, hi],
-    raising ConfigKeyError named by its config key."""
+    """``check_real`` for a count: an integer (numpy's too), not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigKeyError(key, f"must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise ConfigKeyError(key, f"must lie in [{lo}, {hi}], got {value}")
+    check_real(key, value, lo, hi)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
-from .errors import ConfigError, ConfigKeyError, check_count
+from .errors import ConfigKeyError, check_count, check_real
 from .modem import OfdmConfig, bits_to_labels, demap_labels, get_kernel
 from .pulses import PulseDescriptor
 
@@ -68,10 +68,8 @@ class BerPoint:
 
 def wilson_interval(errors: int, trials_bits: int):
     """95% Wilson score interval for a binomial proportion."""
-    if trials_bits < 1:
-        raise ConfigError("trials_bits must be >= 1")
-    if not 0 <= errors <= trials_bits:
-        raise ConfigError("errors must lie in [0, trials_bits]")
+    check_count("trials_bits", trials_bits, 1, math.inf)
+    check_count("errors", errors, 0, trials_bits)
     z = WILSON_Z
     n = trials_bits
     p = errors / n
@@ -87,12 +85,11 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int) -> None:
     """Range-check a BER plan, raising ConfigKeyError named by its config key."""
     if not len(ebn0_db_list):
         raise ConfigKeyError("ebn0_db_list", "must be nonempty")
+    for x in ebn0_db_list:
+        if x != math.inf:  # +inf is the noiseless channel
+            check_real("ebn0_db_list", x, -MAX_ABS_EBN0_DB, MAX_ABS_EBN0_DB)
     if any(b < a for a, b in zip(ebn0_db_list, ebn0_db_list[1:])):
         raise ConfigKeyError("ebn0_db_list", "must be ascending")
-    # +inf is the noiseless channel; NaN and -inf fail the test
-    if not all(abs(x) <= MAX_ABS_EBN0_DB or x == math.inf for x in ebn0_db_list):
-        raise ConfigKeyError("ebn0_db_list", f"must lie in [-{MAX_ABS_EBN0_DB:g}, "
-                             f"{MAX_ABS_EBN0_DB:g}] dB or be inf (the noiseless channel)")
     check_count("target_errors", target_errors, 1, math.inf)
     check_count("max_frames", max_frames, 1, MAX_FRAMES)
 
@@ -225,9 +222,7 @@ def run_xcorr_report(
     below the curve's last frequency is None.
     """
     if not len(n_list):
-        raise ConfigError("n_list must be nonempty")
-    pairs = []
-    for n in n_list:
-        curve = xcorr_curve(replace(desc, shape_n=n), XCORR_GRID_SAMPLES, f_max)
-        pairs.append((curve, pulse_metrics(curve)))
-    return pairs
+        raise ConfigKeyError("n_list", "must be nonempty")
+    descs = [replace(desc, shape_n=n) for n in n_list]  # checks every n before any curve
+    curves = [xcorr_curve(d, XCORR_GRID_SAMPLES, f_max) for d in descs]
+    return [(curve, pulse_metrics(curve)) for curve in curves]

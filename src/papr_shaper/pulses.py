@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigKeyError, check_count
+from .errors import ConfigKeyError, check_count, check_real
 
 __all__ = [
     "PulseFamily",
@@ -59,13 +59,10 @@ class PulseDescriptor:
     def __post_init__(self):
         if not isinstance(self.family, PulseFamily):
             raise ConfigKeyError("pulse_family", f"must be a PulseFamily, got {self.family!r}")
-        if not 0 <= self.shape_n <= MAX_SHAPE_N:
-            raise ConfigKeyError("shape_n", f"must lie in [0, {MAX_SHAPE_N:g}]")
-        if not 0.0 <= self.taper_alpha <= 1.0:
-            raise ConfigKeyError("taper_alpha", "must lie in [0, 1]")
-        if not 0 < self.bandwidth_factor <= MAX_BANDWIDTH_FACTOR:
-            raise ConfigKeyError("bandwidth_factor", f"must lie in (0, {MAX_BANDWIDTH_FACTOR:g}], "
-                                 f"got {self.bandwidth_factor}")
+        check_real("shape_n", self.shape_n, 0, MAX_SHAPE_N)
+        check_real("taper_alpha", self.taper_alpha, 0, 1)
+        # ulp(0.0), the least positive float: a factor must be > 0
+        check_real("bandwidth_factor", self.bandwidth_factor, math.ulp(0.0), MAX_BANDWIDTH_FACTOR)
 
 
 def sample_pulse(desc: PulseDescriptor, S: int) -> np.ndarray:

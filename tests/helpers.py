@@ -1,9 +1,14 @@
 """Oracles shared by the test modules."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 
+import papr_shaper
 from papr_shaper import seeding
 from papr_shaper.analysis import XCORR_POINTS_PER_T
 from papr_shaper.modem import OfdmConfig, demap_labels
@@ -24,6 +29,25 @@ ENGINE_PULSES = {
     "tapered": (TAPERED,),
     "rect-sine2": (RECT, SINE2),
 }
+
+
+def run_fresh(script):
+    """The lines a script prints when run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def traced_peak(fn):
+    """fn() and the peak in bytes of the Python memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cfg_for(N=4, M=4, pulse=RECT, L=4):

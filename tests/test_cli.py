@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 import warnings
 
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import papr_shaper
+from helpers import run_fresh
 from papr_shaper.cli import RUNNERS, _csv, _fmt, dispatch, main
 from papr_shaper.config import RunConfig, parse_config
 from papr_shaper.errors import ConfigKeyError
@@ -47,24 +45,35 @@ class TestParseConfig:
         [
             ("m = 7", "m: must be one of [4, 8, 16, 32], got 7"),
             # a non-finite gamma bound is named, not blamed on the other bound or the step
-            ("gamma_min_db = nan", "gamma_min_db: must be finite"),
-            ("gamma_min_db = -inf", "gamma_min_db: must be finite"),
-            ("gamma_max_db = inf", "gamma_max_db: must be finite"),
+            ("gamma_min_db = nan", "gamma_min_db: must lie in "
+             "[-1.7976931348623157e+308, 1.7976931348623157e+308], got nan"),
+            ("gamma_min_db = -inf", "gamma_min_db: must lie in "
+             "[-1.7976931348623157e+308, 1.7976931348623157e+308], got -inf"),
+            ("gamma_max_db = inf", "gamma_max_db: must lie in [0.0, 1.7976931348623157e+308], "
+             "got inf"),
             # a set f_max is capped at parse time, whatever the subcommand
-            ("f_max = inf", "f_max: gives f_max = inf/T, above the cap 128"),
-            ("f_max = 1e9", "f_max: gives f_max = 1e+09/T, above the cap 128"),
+            ("f_max = inf", "f_max: must lie in [1, 128], got inf"),
+            ("f_max = 1e9", "f_max: must lie in [1, 128], got 1000000000.0"),
             ("pulse_family = gauss", "pulse_family: must be one of ['rect', 'sine_power', "
              "'tapered_flat_top', 'truncated_sinc'], got 'gauss'"),
-            ("f_max = 0.5", "f_max: must be >= 1"),
-            ("f_max = nan", "f_max: must be >= 1"),
-            ("gamma_step_db = 0", "gamma_step_db: must be > 0"),
-            ("gamma_min_db = 5\ngamma_max_db = 4", "gamma_max_db: must be >= gamma_min_db"),
+            ("f_max = 0.5", "f_max: must lie in [1, 128], got 0.5"),
+            ("f_max = nan", "f_max: must lie in [1, 128], got nan"),
+            ("gamma_step_db = 0", "gamma_step_db: must lie in [5e-324, 1.7976931348623157e+308], "
+             "got 0.0"),
+            # an infinite step once made a one-point grid at gamma_min_db + 0 * inf = NaN
+            ("gamma_step_db = inf", "gamma_step_db: must lie in "
+             "[5e-324, 1.7976931348623157e+308], got inf"),
+            ("gamma_min_db = 5\ngamma_max_db = 4", "gamma_max_db: must lie in "
+             "[5.0, 1.7976931348623157e+308], got 4.0"),
             # a count without a cap reads its range as [1, inf]
             ("target_errors = 0", "target_errors: must lie in [1, inf], got 0"),
+            # an integer past 20 digits is shown in e-notation
+            (f"shape_n = {10**400}", "shape_n: must lie in [0, 1.7976931348623157e+308], "
+             "got 1e+400"),
         ],
         ids=["m-7", "gamma_min-nan", "gamma_min-minus-inf", "gamma_max-inf", "f_max-inf",
              "f_max-1e9", "pulse_family-gauss", "f_max-0.5", "f_max-nan", "gamma_step-0",
-             "gamma_max-below-min", "target_errors-0"],
+             "gamma_step-inf", "gamma_max-below-min", "target_errors-0", "shape_n-huge"],
     )
     def test_out_of_range_names_key(self, text, message):
         with pytest.raises(ConfigKeyError) as exc:
@@ -480,10 +489,13 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: PAPR_SHAPER_SEED:")
 
     @pytest.mark.parametrize(
-        "key,override",
-        [("f_max", "f_max=129"), ("n_list", "n_list=0,127"), ("shape_n", "shape_n=127")],
+        "key,override,reason",
+        [("f_max", "f_max=129", "must lie in [1, 128], got 129.0"),
+         ("n_list", "n_list=0,127", "gives f_max = "), ("shape_n", "shape_n=127", "gives f_max = ")],
+        ids=["f_max-f_max=129", "n_list-n_list=0,127", "shape_n-shape_n=127"],
     )
-    def test_xcorr_f_max_cap_writes_nothing(self, tmp_path, capsys, monkeypatch, key, override):
+    def test_xcorr_f_max_cap_writes_nothing(self, tmp_path, capsys, monkeypatch, key, override,
+                                            reason):
         def no_curve(*args):
             raise AssertionError("an over-cap xcorr grid was built")
 
@@ -491,7 +503,7 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["xcorr", "--output", str(out), "--set", override]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: gives f_max = ")
+        assert err.startswith(f"error: {key}: {reason}")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -527,6 +539,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ")
         assert err.count("\n") == 1 and len(err) < 200
+        assert not out.exists()
+
+    def test_infinite_gamma_step_writes_nothing(self, tmp_path, capsys):
+        # the step's finite cap: an infinite step once wrote the ccdf.csv row nan,0,32
+        out = tmp_path / "out"
+        rc = main(["ccdf", "--output", str(out), "--set", "n_subcarriers=4", "--set", "trials=32",
+                   "--set", "gamma_step_db=inf"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma_step_db: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["ber", "xcorr", "papr", "ccdf"])
@@ -639,8 +662,4 @@ with tempfile.TemporaryDirectory() as tmp:
 def test_cold_start_loads_scipy_only_for_ber():
     # a fresh interpreter: papr, ccdf and xcorr must not import scipy,
     # and a two-worker first BER call must match workers=1 byte for byte
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(COLD_START)

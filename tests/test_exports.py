@@ -43,7 +43,7 @@ def test_no_module_imports_a_private_name():
 def test_errors_export_every_error_class():
     defined = [n for n, v in vars(errors).items()
                if isinstance(v, type) and v.__module__ == errors.__name__]
-    assert sorted(errors.__all__) == sorted(defined + ["check_count"])
+    assert sorted(errors.__all__) == sorted(defined + ["check_count", "check_real"])
     assert issubclass(errors.ConfigError, ValueError)
 
 

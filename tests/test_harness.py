@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +10,17 @@ from helpers import (
     ENGINE_PULSES,
     RECT,
     SINE1,
+    SINE2,
     TAPERED,
+    TSINC,
     cfg_for,
     demap_bits,
     map_bits,
+    run_fresh,
+    traced_peak,
     waveform_frame_errors,
 )
-import papr_shaper
-from papr_shaper import harness, modem, seeding
+from papr_shaper import analysis, harness, modem, seeding
 from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
 from papr_shaper.config import parse_config
 from papr_shaper.errors import ConfigError, ConfigKeyError
@@ -309,15 +308,73 @@ class TestBatchSchedule:
             == run_ber_point(rect16, 0.0, target_errors=5, max_frames=10)
         assert modem.OfdmConfig(n(16), n(4), (RECT,), n(4)) == rect16
 
+    # a library caller's bool, string, None or complex number for a real-valued
+    # key is refused with ConfigKeyError naming the key before any batch draws
+    # a uniform or any curve is transformed: one row per (entry point, key)
+    @pytest.mark.parametrize("value", [True, np.True_, "2", None, 1j],
+                             ids=["bool", "numpy-bool", "str", "none", "complex"])
+    def test_every_real_key_requires_a_real_number(self, value, monkeypatch):
+        rect16 = cfg_for(N=16)
+        draws, transforms = [], []
+        trial_uniforms, chirp_z = seeding.trial_uniforms, analysis.chirp_z
+
+        def counted_uniforms(key, first, *args, **kw):
+            draws.append(first)
+            return trial_uniforms(key, first, *args, **kw)
+
+        def counted_chirp_z(*args):
+            transforms.append(args[1])
+            return chirp_z(*args)
+
+        monkeypatch.setattr(seeding, "trial_uniforms", counted_uniforms)
+        monkeypatch.setattr(analysis, "chirp_z", counted_chirp_z)
+        reals = [
+            ("PulseDescriptor", "shape_n",
+             lambda v: PulseDescriptor(PulseFamily.SINE_POWER, shape_n=v)),
+            ("PulseDescriptor", "taper_alpha",
+             lambda v: PulseDescriptor(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=v)),
+            ("PulseDescriptor", "bandwidth_factor",
+             lambda v: PulseDescriptor(PulseFamily.TRUNCATED_SINC, bandwidth_factor=v)),
+            ("run_ber_point", "ebn0_db_list", lambda v: run_ber_point(rect16, v, max_frames=10)),
+            ("run_ber_sweep", "ebn0_db_list",
+             lambda v: run_ber_sweep(rect16, [0.0, v], max_frames=10)),
+            ("xcorr_curve", "f_max", lambda v: xcorr_curve(SINE, XCORR_GRID_SAMPLES, v)),
+            # an n_list entry is the shape_n of its curve's descriptor
+            ("run_xcorr_report", "shape_n", lambda v: run_xcorr_report(SINE, [0, v], 8.0)),
+        ]
+        for name, key, call in reals:
+            with pytest.raises(ConfigKeyError) as exc:
+                call(value)
+            assert exc.value.key == key, name
+            assert str(exc.value) == f"{key}: must be a real number, got {value!r}", name
+        assert draws == transforms == []
+        # numpy's floats and integers are real numbers
+        f, n = np.float64, np.int64
+        assert PulseDescriptor(PulseFamily.SINE_POWER, shape_n=n(2)) == SINE2
+        assert PulseDescriptor(PulseFamily.TAPERED_FLAT_TOP, taper_alpha=f(0.5)) == TAPERED
+        assert PulseDescriptor(PulseFamily.TRUNCATED_SINC, bandwidth_factor=f(2.0)) == TSINC
+        assert run_ber_point(rect16, f(4.0), max_frames=10) \
+            == run_ber_point(rect16, 4.0, max_frames=10)
+        assert run_ber_sweep(rect16, [n(2), f(4.0)], max_frames=10) \
+            == run_ber_sweep(rect16, [2.0, 4.0], max_frames=10)
+        assert np.array_equal(xcorr_curve(SINE, XCORR_GRID_SAMPLES, f(8.0)).rho,
+                              xcorr_curve(SINE, XCORR_GRID_SAMPLES, 8.0).rho)
+
+    def test_huge_count_is_named_in_e_notation(self):
+        # str() of an integer past 4300 digits raises; the message shows its magnitude
+        with pytest.raises(ConfigKeyError) as exc:
+            run_ber_point(cfg_for(N=16), 0.0, max_frames=-10**5000)
+        assert str(exc.value) == "max_frames: must lie in [1, 1000000000], got -1e+5000"
+        # a numpy integer is printed whole: abs() of the least int64 overflows
+        with pytest.raises(ConfigKeyError) as exc:
+            run_ber_point(cfg_for(N=16), 0.0, max_frames=np.int64(-2**63))
+        assert str(exc.value) == "max_frames: must lie in [1, 1000000000], got -9223372036854775808"
+
     def test_huge_max_frames_allocates_only_what_it_computes(self):
         cfg = cfg_for(N=16)
         get_kernel(cfg).noise_colour  # kernel allocations are not the point's
-        tracemalloc.start()
-        try:
-            p = run_ber_point(cfg, 0.0, target_errors=50, max_frames=10**9, seed=9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(
+            lambda: run_ber_point(cfg, 0.0, target_errors=50, max_frames=10**9, seed=9))
         assert p.bits_sent < 64 * cfg.bits_per_frame
         assert peak < 4 * 2**20
 
@@ -327,12 +384,7 @@ class TestBatchSchedule:
         # cap of 2**19 samples, would need 12 MB
         cfg = cfg_for(N=1024)
         get_kernel(cfg).noise_colour  # kernel allocations are not the point's
-        tracemalloc.start()
-        try:
-            p = run_ber_point(cfg, 8.0, target_errors=200, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(lambda: run_ber_point(cfg, 8.0, target_errors=200, seed=3))
         assert p.bits_sent > 400 * cfg.bits_per_frame
         assert peak < 4 * 2**20
 
@@ -341,12 +393,7 @@ class TestBatchSchedule:
         # point holds no N x N array (G alone would be 268 MB)
         cfg = cfg_for(N=modem.MAX_SUBCARRIERS)
         get_kernel.cache_clear()
-        tracemalloc.start()
-        try:
-            p = run_ber_point(cfg, 0.0, target_errors=200, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(lambda: run_ber_point(cfg, 0.0, target_errors=200, seed=5))
         assert p.bit_errors >= 200
         assert peak < 32 * 2**20
 
@@ -371,16 +418,6 @@ for N, M, n, ebn0_db, frames in [(64, 4, 0, 10.0, 1024), (64, 16, 1, 24.0, 1024)
         run_ber_point(cfg, ebn0_db, target_errors=10**9, max_frames=frames)
     print(N, M, n, ebn0_db, frames, faults() - before)
 """
-
-
-def run_fresh(script):
-    """The lines a script prints when run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papr_shaper.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
 
 
 def test_ber_batches_take_no_page_faults():
@@ -537,8 +574,13 @@ class TestXcorrReport:
         assert metrics.orthogonality_band == (2 if f[-1] >= 2 else None)
 
     def test_empty_n_list(self):
-        with pytest.raises(ConfigError):
+        # the library and the parser share the key and the message
+        with pytest.raises(ConfigKeyError) as parsed:
+            parse_config("", ["n_list="])
+        with pytest.raises(ConfigKeyError) as exc:
             run_xcorr_report(SINE, [], 8.0)
+        assert exc.value.key == "n_list"
+        assert str(exc.value) == str(parsed.value) == "n_list: must be nonempty"
 
     def test_fractional_n_is_not_truncated(self):
         # n = 0.5 gives the sin^0.5 curve, not the rect one of int(0.5)
