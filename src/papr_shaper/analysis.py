@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_count, check_real
-from .modem import ModemKernel, OfdmConfig, build_constellation, get_kernel
+from .modem import MAX_SUBCARRIERS, ModemKernel, OfdmConfig, build_constellation, get_kernel
 from .pulses import PulseDescriptor, chirp_z, pulse_energy, sample_pulse
 from . import seeding
 
@@ -162,6 +162,10 @@ def ccdf_empirical(
 ) -> np.ndarray:
     """Empirical P(PAPR > gamma) over random frames, one per threshold
     of the ascending dB grid ``gamma_db``, computed by ``workers`` threads."""
+    gamma_db = np.asarray(gamma_db)
+    if gamma_db.size:  # an array holds one type; a NaN carries through min
+        check_real("gamma_db", gamma_db.flat[0], -math.inf, math.inf)
+        check_real("gamma_db", gamma_db.min(), -math.inf, math.inf)
     papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed, workers)))
     # strict inequality: count of samples > gamma
     exceed = trials - np.searchsorted(papr_db, gamma_db, side="right")
@@ -172,8 +176,8 @@ def reference_crossing_db(N: int, level: float) -> float:
     """The gamma in dB at which the classic Nyquist-sampled approximation
     1 - (1 - e^-gamma)^N of rectangular OFDM falls to ``level``; a sanity
     oracle, not a fit."""
-    if N < 1:
-        raise ConfigError("N must be >= 1")
+    check_count("n_subcarriers", N, 1, MAX_SUBCARRIERS)
+    check_real("level", level, 1e-12, math.nextafter(1.0, 0.0))
     gamma = -np.log(1.0 - (1.0 - level) ** (1.0 / N))
     return float(10.0 * np.log10(gamma))
 

@@ -66,27 +66,6 @@ class RunConfig:
     gamma_step_db: float = 0.1
     workers: int = 1
 
-    def serialize(self) -> str:
-        """Config-file text that parses back to an equal RunConfig.
-
-        The format has no escapes, so a string holding ``#``, a line break
-        or leading or trailing whitespace raises ConfigKeyError.
-        """
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, str) and ("#" in v or v != v.strip() or len(f"{v}.".splitlines()) > 1):
-                raise ConfigKeyError(f.name, f"{v!r} cannot be written back: the format has no "
-                                     "escape for '#', line breaks or edge whitespace")
-            if isinstance(v, list):
-                v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
     def resolved_n_list(self) -> list[int]:
         return self.n_list if self.n_list is not None else [self.shape_n]
 

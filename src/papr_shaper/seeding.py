@@ -16,6 +16,7 @@ order results arrive in.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -49,9 +50,10 @@ def _splitmix64(x: int) -> int:
 
 
 def mix64(*parts: int) -> int:
-    """Stable 64-bit mix of integer parts (order-sensitive)."""
+    """Stable 64-bit mix of integer parts (order-sensitive), the first a campaign's seed."""
     acc = 0x243F6A8885A308D3
     for p in parts:
+        check_count("seed", p, -math.inf, math.inf)
         acc = _splitmix64(acc ^ (int(p) & _MASK))
     return acc
 

@@ -11,6 +11,7 @@ import numpy as np
 import papr_shaper
 from papr_shaper import seeding
 from papr_shaper.analysis import XCORR_POINTS_PER_T
+from papr_shaper.cli import main
 from papr_shaper.modem import OfdmConfig, demap_labels
 from papr_shaper.pulses import PulseDescriptor, PulseFamily
 
@@ -39,6 +40,17 @@ def run_fresh(script):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def cli_error(capsys, argv, code, out=None):
+    """The stderr of ``main(argv)``, which must exit ``code`` and print one
+    line starting ``error: ``, newline included; ``out``, if given, is an
+    output path the run must not create."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert out is None or not out.exists()
+    return err
 
 
 def traced_peak(fn):

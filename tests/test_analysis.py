@@ -195,6 +195,33 @@ class TestCcdf:
         assert np.all(np.diff(prob) <= 0)
         assert np.all((prob >= 0) & (prob <= 1))
 
+    # a NaN threshold once read probability 0; each is refused before any
+    # batch draws a uniform
+    @pytest.mark.parametrize(
+        "gamma,message",
+        [
+            ([math.nan, 0.0], "must lie in [-inf, inf], got nan"),
+            ([0.0, math.nan], "must lie in [-inf, inf], got nan"),
+            ([1j, 0.0], f"must be a real number, got {np.complex128(1j)!r}"),
+            ([True, False], f"must be a real number, got {np.True_!r}"),
+            (["2", "0"], f"must be a real number, got {np.str_('2')!r}"),
+        ],
+        ids=["nan-first", "nan-last", "complex", "bool", "str"],
+    )
+    def test_threshold_must_be_a_real_number(self, gamma, message, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a uniform was drawn")
+
+        monkeypatch.setattr(seeding, "trial_uniforms", no_draw)
+        with pytest.raises(ConfigKeyError) as exc:
+            ccdf_empirical(cfg_for(N=8), 100, 1, np.array(gamma))
+        assert (exc.value.key, str(exc.value)) == ("gamma_db", f"gamma_db: {message}")
+
+    def test_infinite_thresholds_and_empty_grid(self):
+        prob = ccdf_empirical(cfg_for(N=8), 100, 1, np.array([-math.inf, math.inf]))
+        assert prob.tolist() == [1.0, 0.0]
+        assert ccdf_empirical(cfg_for(N=8), 100, 1, np.array([])).shape == (0,)
+
     def test_seed_determinism(self):
         gamma = np.linspace(0, 12, 25)
         a = ccdf_empirical(cfg_for(N=16), 500, seed=9, gamma_db=gamma)
@@ -236,9 +263,33 @@ class TestReferenceCcdf:
         gammas = [reference_crossing_db(64, level) for level in np.geomspace(0.9, 1e-6, 50)]
         assert np.all(np.diff(gammas) > 0)
 
-    def test_needs_a_subcarrier(self):
-        with pytest.raises(ConfigError, match="N must be >= 1"):
-            reference_crossing_db(0, 1e-2)
+    LEVELS = "level: must lie in [1e-12, 0.9999999999999999], got"
+
+    @pytest.mark.parametrize(
+        "N,level,message",
+        [
+            (0, 1e-2, "n_subcarriers: must lie in [1, 4096], got 0"),
+            (4097, 1e-2, "n_subcarriers: must lie in [1, 4096], got 4097"),
+            (64, 0.0, f"{LEVELS} 0.0"),
+            (64, 1.0, f"{LEVELS} 1.0"),
+            (64, 2.0, f"{LEVELS} 2.0"),
+            (64, math.nan, f"{LEVELS} nan"),
+            (4096, 1e-14, f"{LEVELS} 1e-14"),
+        ],
+        ids=["N-0", "N-4097", "level-0", "level-1", "level-2", "level-nan", "level-1e-14"],
+    )
+    def test_out_of_range(self, N, level, message):
+        # 0 and 1 divided by zero, 2 took a fractional power of a negative
+        # float, and NaN read NaN
+        with pytest.raises(ConfigKeyError) as exc:
+            reference_crossing_db(N, level)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("N", [1, 4096])
+    def test_level_bounds_read_finite(self, N):
+        # the suite turns a RuntimeWarning or ComplexWarning into an error
+        for level in (1e-12, math.nextafter(1.0, 0.0)):
+            assert math.isfinite(reference_crossing_db(N, level))
 
 
 class TestXcorr:

@@ -21,7 +21,13 @@ from helpers import (
     waveform_frame_errors,
 )
 from papr_shaper import analysis, harness, modem, seeding
-from papr_shaper.analysis import ccdf_empirical, max_papr, theoretical_ber, xcorr_curve
+from papr_shaper.analysis import (
+    ccdf_empirical,
+    max_papr,
+    reference_crossing_db,
+    theoretical_ber,
+    xcorr_curve,
+)
 from papr_shaper.config import parse_config
 from papr_shaper.errors import ConfigError, ConfigKeyError
 from papr_shaper.harness import (
@@ -281,18 +287,24 @@ class TestBatchSchedule:
         counts = [
             ("random", "trials", lambda v: max_papr(rect16, "random", trials=v)),
             ("random", "workers", lambda v: max_papr(rect16, "random", trials=100, workers=v)),
+            ("random", "seed", lambda v: max_papr(rect16, "random", trials=100, seed=v)),
             ("ccdf", "trials", lambda v: ccdf_empirical(rect16, v, 1, gamma)),
             ("ccdf", "workers", lambda v: ccdf_empirical(rect16, 100, 1, gamma, v)),
+            ("ccdf", "seed", lambda v: ccdf_empirical(rect16, 100, v, gamma)),
             ("ber", "max_frames", lambda v: run_ber_point(rect16, 0.0, max_frames=v)),
             ("ber", "target_errors",
              lambda v: run_ber_point(rect16, 0.0, target_errors=v, max_frames=10)),
             ("ber", "workers", lambda v: run_ber_point(rect16, 0.0, max_frames=10, workers=v)),
+            ("ber", "seed", lambda v: run_ber_point(rect16, 0.0, max_frames=10, seed=v)),
+            ("run_ber_sweep", "seed",
+             lambda v: run_ber_sweep(rect16, [0.0, 4.0], max_frames=10, seed=v)),
             ("map_batches", "workers", lambda v: list(seeding.map_batches(
                 lambda lo, hi: calls.append(lo), 1000, rect16.samples_per_symbol, v))),
             ("OfdmConfig", "n_subcarriers", lambda v: modem.OfdmConfig(v, 4, (RECT,))),
             ("OfdmConfig", "m", lambda v: modem.OfdmConfig(16, v, (RECT,))),
             ("OfdmConfig", "oversample", lambda v: modem.OfdmConfig(16, 4, (RECT,), v)),
             ("sample_pulse", "samples_per_symbol", lambda v: sample_pulse(RECT, v)),
+            ("reference_crossing_db", "n_subcarriers", lambda v: reference_crossing_db(v, 1e-2)),
         ]
         for name, key, call in counts:
             with pytest.raises(ConfigKeyError) as exc:
@@ -302,11 +314,17 @@ class TestBatchSchedule:
         assert draws == calls == []
         # a numpy integer is an integer
         n = np.int64
-        assert max_papr(rect16, "random", trials=n(100), workers=n(2)) == max_papr(
-            rect16, "random", trials=100)
-        assert run_ber_point(rect16, 0.0, target_errors=n(5), max_frames=n(10), workers=n(2)) \
-            == run_ber_point(rect16, 0.0, target_errors=5, max_frames=10)
+        assert max_papr(rect16, "random", trials=n(100), seed=n(7), workers=n(2)) == max_papr(
+            rect16, "random", trials=100, seed=7)
+        assert np.array_equal(ccdf_empirical(rect16, 100, n(-7), gamma),
+                              ccdf_empirical(rect16, 100, -7, gamma))
+        assert run_ber_point(rect16, 0.0, target_errors=n(5), max_frames=n(10), seed=n(7),
+                             workers=n(2)) \
+            == run_ber_point(rect16, 0.0, target_errors=5, max_frames=10, seed=7)
+        assert run_ber_sweep(rect16, [0.0], max_frames=10, seed=n(7)) \
+            == run_ber_sweep(rect16, [0.0], max_frames=10, seed=7)
         assert modem.OfdmConfig(n(16), n(4), (RECT,), n(4)) == rect16
+        assert reference_crossing_db(n(64), 1e-2) == reference_crossing_db(64, 1e-2)
 
     # a library caller's bool, string, None or complex number for a real-valued
     # key is refused with ConfigKeyError naming the key before any batch draws
@@ -341,6 +359,7 @@ class TestBatchSchedule:
             ("xcorr_curve", "f_max", lambda v: xcorr_curve(SINE, XCORR_GRID_SAMPLES, v)),
             # an n_list entry is the shape_n of its curve's descriptor
             ("run_xcorr_report", "shape_n", lambda v: run_xcorr_report(SINE, [0, v], 8.0)),
+            ("reference_crossing_db", "level", lambda v: reference_crossing_db(64, v)),
         ]
         for name, key, call in reals:
             with pytest.raises(ConfigKeyError) as exc:
@@ -359,6 +378,7 @@ class TestBatchSchedule:
             == run_ber_sweep(rect16, [2.0, 4.0], max_frames=10)
         assert np.array_equal(xcorr_curve(SINE, XCORR_GRID_SAMPLES, f(8.0)).rho,
                               xcorr_curve(SINE, XCORR_GRID_SAMPLES, 8.0).rho)
+        assert reference_crossing_db(64, f(1e-2)) == reference_crossing_db(64, 1e-2)
 
     def test_huge_count_is_named_in_e_notation(self):
         # str() of an integer past 4300 digits raises; the message shows its magnitude
