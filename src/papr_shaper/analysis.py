@@ -163,8 +163,9 @@ def ccdf_empirical(
     """Empirical P(PAPR > gamma) over random frames, one per threshold
     of the ascending dB grid ``gamma_db``, computed by ``workers`` threads."""
     gamma_db = np.asarray(gamma_db)
-    if gamma_db.size:  # an array holds one type; a NaN carries through min
-        check_real("gamma_db", gamma_db.flat[0], -math.inf, math.inf)
+    for x in gamma_db.flat if gamma_db.dtype == object else gamma_db.flat[:1]:  # mixed types
+        check_real("gamma_db", x, -math.inf, math.inf)
+    if gamma_db.size:  # an array of one type carries a NaN through min
         check_real("gamma_db", gamma_db.min(), -math.inf, math.inf)
     papr_db = np.sort(10.0 * np.log10(_random_paprs(cfg, trials, seed, workers)))
     # strict inequality: count of samples > gamma

@@ -12,10 +12,10 @@ workers x batch frames (at most 255, about 1.3 ms at 5 us a frame, at
 N = 64, oversample 4 and one worker). The worker count never changes the
 batches, so outputs are byte-identical for any worker count.
 
-A BER batch runs the label-domain frame sketched in ``modem``. The three
-arrays it fills in place, the uniforms, the symbols and the noise
-normals, are views of one block per batch; every other array is a
-stage's own.
+A BER batch runs the label-domain frame sketched in ``modem``, where a
+flat kernel screens its noise. The three arrays it fills in place, the
+uniforms, the symbols and the noise normals, are views of one block per
+batch; every other array is a stage's own.
 """
 
 from __future__ import annotations
@@ -111,16 +111,13 @@ def _frame_arrays(kern, frames: int):
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     """Bit errors per frame for frames [first_frame, first_frame + n_frames).
 
-    BER frame i reads nbits + 2N draws: its bits, then the 2N normals of
-    its ZF-output noise, in (real, imaginary) pairs, from its own slice of
-    the substream. The matched filter and ZF are linear, so the receiver's
-    output is a + w without any waveform: w = kern.colour_noise(z, N0).
+    The matched filter and ZF are linear, so the receiver's output is a + w
+    without any waveform: w = kern.colour_noise(z, N0), drawn for a flat
+    kernel only where ``kern.screen_noise`` finds it may move a decision.
     Eb is measured per frame, from the energy of the waveform the frame's
     symbols would synthesize, so shaped and unshaped systems are compared
-    at equal energy per bit. Eb/N0 = +inf, the noiseless channel, is
-    N0 = 0 through the same stages: w is exact zeros, so a_hat = a. The
-    decision ends at the label, and a frame's bit errors are the set bits
-    of its sent labels XOR its decided ones.
+    at equal energy per bit. Eb/N0 = +inf, the noiseless channel, is N0 = 0
+    through the same stages, so a_hat = a.
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
@@ -131,6 +128,10 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     c.points.take(labels, out=a, mode="clip")  # "raise" would copy `out`
     n0 = kern.frame_energy(a)
     n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
+    if screened := kern.screen_noise(u[:, nbits : nbits + 2 * N], n0):
+        f, k, w = screened
+        errors = np.bitwise_count(labels[f, k] ^ demap_labels(a[f, k] + w, c))
+        return np.bincount(f, errors, n_frames).astype(np.int64)  # weights count as floats
     # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
     seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=z.view(float))
     a += kern.colour_noise(z, n0)

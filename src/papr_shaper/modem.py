@@ -2,10 +2,9 @@
 
 Every stage works on a batch of frames, one frame per row, and each BER
 stage allocates its own temporaries and its result. A BER frame never
-builds its waveform and never forms decided bits: its bit errors are
-the set bits of each sent label XOR its decided label. BER frame i
-reads nbits + 2N draws: its bits, then the 2N normals of its ZF-output
-noise, in (re, im) pairs z (c = kern.constellation):
+builds its waveform and never forms decided bits. Frame i reads nbits +
+2N draws: its bits, then the 2N normals of its ZF-output noise, in
+(re, im) pairs z (c = kern.constellation):
 
     labels = bits_to_labels(bits, c)             # (F, N*k) -> (F, N)
     a = c.points[labels]
@@ -23,7 +22,11 @@ of that covariance over N0; a shaped kernel keeps G and L, and no
 inverse. ``kern.colour_noise`` is the one stage that applies L. A kernel
 of flat (rect) pulses has G = I by construction: it builds no G, skips
 the condition number and the inverse, and its L is the diagonal
-1/sqrt(e), applied without a matrix product.
+1/sqrt(e), applied without a matrix product. Its frame colours and
+demaps only the symbols ``kern.screen_noise`` finds their noise may
+move: one whose two normals are below t = d / (sqrt(n0 / 2) max L), d =
+1 / c.scale half the minimum distance, stays in the square of half-width
+d about its point, inside its decision cell (32-cross corners too).
 
 The demapper never measures the distance to every point. Minimum-distance
 detection on a rectangular QAM grid separates per axis, so each axis is
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .errors import ConfigError, ConfigKeyError, check_count
 from .pulses import PulseDescriptor, sample_pulse
 
@@ -310,6 +314,19 @@ class ModemKernel:
         w = z * L if self.gram_is_identity else z @ L.T
         w *= np.sqrt(n0 / 2.0)[:, None]
         return w
+
+    def screen_noise(self, u: np.ndarray, n0: np.ndarray):
+        """A flat kernel's (f, k, w): the symbols a[f, k] whose noise may move their decision,
+        and that noise from their pairs of the (F, 2N) uniforms u as ``colour_noise`` draws it.
+        None for a dense kernel, whose noise mixes every normal."""
+        if not self.gram_is_identity:
+            return None
+        L, s = self.noise_colour, np.sqrt(n0 / 2.0)[:, None]
+        with np.errstate(divide="ignore"):  # n0 = 0: t = inf, and no symbol moves
+            far = seeding.normals_may_reach(u, 1.0 / (self.constellation.scale * L.max() * s))
+        f, k = np.divmod(np.flatnonzero(far[:, 0::2] | far[:, 1::2]), self.cfg.n_subcarriers)
+        z = seeding.uniforms_to_normals(u.reshape(len(u), -1, 2)[f, k]).view(complex)[:, 0]
+        return f, k, z * L[k] * s[f, 0]  # colour_noise's products, in its order
 
     @functools.cached_property
     def gram(self) -> np.ndarray:

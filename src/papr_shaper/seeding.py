@@ -109,6 +109,12 @@ def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:
     return ndtri(z, out=z)
 
 
+def normals_may_reach(u: np.ndarray, t) -> np.ndarray:
+    """True where ``uniforms_to_normals(u)`` may reach |z| >= t, with margins for rounding."""
+    from scipy.special import ndtr
+    return np.abs(u - 0.5) >= 0.5 - (ndtr(-t) * (1.0 + 1e-6) + 2.0**-52)
+
+
 def uniforms_to_indices(u: np.ndarray, n: int) -> np.ndarray:
     # u <= 1 - 2**-53, so floor(u * n) < n for every n < 2**53
     return (u * n).astype(np.int64)

@@ -195,8 +195,8 @@ class TestCcdf:
         assert np.all(np.diff(prob) <= 0)
         assert np.all((prob >= 0) & (prob <= 1))
 
-    # a NaN threshold once read probability 0; each is refused before any
-    # batch draws a uniform
+    # a NaN threshold once read probability 0, and a None an unnamed
+    # TypeError; each is refused before any batch draws a uniform
     @pytest.mark.parametrize(
         "gamma,message",
         [
@@ -205,8 +205,13 @@ class TestCcdf:
             ([1j, 0.0], f"must be a real number, got {np.complex128(1j)!r}"),
             ([True, False], f"must be a real number, got {np.True_!r}"),
             (["2", "0"], f"must be a real number, got {np.str_('2')!r}"),
+            # a mixed list: numpy holds [0.0, None] as an object array
+            ([0.0, None], "must be a real number, got None"),
+            ([0.0, "1"], f"must be a real number, got {np.str_('0.0')!r}"),
+            ([0.0, 1j], f"must be a real number, got {np.complex128(0j)!r}"),
         ],
-        ids=["nan-first", "nan-last", "complex", "bool", "str"],
+        ids=["nan-first", "nan-last", "complex", "bool", "str", "mixed-none", "mixed-str",
+             "mixed-complex"],
     )
     def test_threshold_must_be_a_real_number(self, gamma, message, monkeypatch):
         def no_draw(*args, **kwargs):

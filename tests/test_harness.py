@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from helpers import (
     ENGINE_PULSES,
@@ -472,31 +472,74 @@ def test_xcorr_report_takes_no_page_faults():
 
 
 class TestFrameBatchSizes:
-    # (N, M, pulse, Eb/N0): rect's diagonal noise colour at M = 4 and 32,
-    # a dense one, and a dense one with an odd bit count (N = 3, M = 8);
-    # every 2048-frame batch sees errors
+    # (N, M, pulse, Eb/N0, frames of the first batch): rect's diagonal noise
+    # colour, whose screen skips most symbols, at M = 4, 8, 16 and 32 and at
+    # N = 1024, a dense one, and a dense one with an odd bit count (N = 3,
+    # M = 8); every first batch sees errors
     CASES = {
-        "rect-4": (64, 4, RECT, 6.0),
-        "rect-32": (64, 32, RECT, 10.0),
-        "sine1-16": (16, 16, SINE1, 14.0),
-        "tapered-3": (3, 8, TAPERED, 6.0),
+        "rect-4": (64, 4, RECT, 6.0, 2048),
+        "rect-8": (64, 8, RECT, 10.0, 2048),
+        "rect-16": (64, 16, RECT, 10.0, 2048),
+        "rect-32": (64, 32, RECT, 10.0, 2048),
+        "rect-1024": (1024, 4, RECT, 8.0, 256),
+        "sine1-16": (16, 16, SINE1, 14.0, 2048),
+        "tapered-3": (3, 8, TAPERED, 6.0, 2048),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_batch_size_matches_bit_count(self, case):
-        N, M, pulse, ebn0_db = self.CASES[case]
+        N, M, pulse, ebn0_db, frames = self.CASES[case]
         kern = get_kernel(cfg_for(N=N, M=M, pulse=pulse))
         key = seeding.mix64(N, M)
-        for ebn0 in (ebn0_db, math.inf):
+        # a rect frame's screen marks nearly every symbol at -20 dB and
+        # nearly none at 30 dB
+        for ebn0 in (ebn0_db, -20.0, 30.0, math.inf):
             lo = 0
-            for n in (2048, 64, 7, 1):
+            for n in (frames, 64, 7, 1):
                 errors = harness._frame_errors_batch(kern, ebn0, lo, n, key)
-                assert np.array_equal(errors, bit_frame_errors(kern, ebn0, lo, n, key)), (ebn0, n)
+                oracle = bit_frame_errors(kern, ebn0, lo, n, key)
+                assert np.array_equal(errors, oracle) and errors.dtype == oracle.dtype, (ebn0, n)
                 if ebn0 == math.inf:
                     assert errors.sum() == 0
-                elif n == 2048:
+                elif n == frames and ebn0 <= ebn0_db:
                     assert errors.sum() > 0
                 lo += n
+
+    # t runs up to 9, near 9.08, the largest |normal| a uniform gives;
+    # u is drawn a few ulps about ndtr(-t) and ndtr(t), and among the
+    # smallest and largest uniforms a Philox word gives
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        t=st.floats(1e-3, 9.0),
+        at=st.sampled_from(["ndtr(-t)", "ndtr(t)", "0", "1"]),
+        step=st.integers(-8, 8),
+    )
+    def test_screen_marks_every_uniform_whose_normal_reaches_t(self, t, at, step):
+        if at.startswith("ndtr"):
+            edge = ndtr(-t if at == "ndtr(-t)" else t)
+            u = edge + step * np.spacing(edge)
+        else:
+            u = (step + 8) * 2.0**-53 if at == "0" else 1.0 - (step + 9) * 2.0**-53
+        assume(0.0 <= u < 1.0)
+        if abs(ndtri(max(u, 2.0**-64))) >= t:
+            assert seeding.normals_may_reach(np.array(u), t), (u, t)
+
+    def test_screen_engages_on_flat_kernels_only(self, monkeypatch):
+        raw, seen = seeding.uniforms_to_normals, []
+
+        def counted(u, out=None):
+            seen.append(np.size(u))
+            return raw(u, out=out)
+
+        def normals_drawn(pulse):  # by one 2048-frame batch at 10 dB
+            seen.clear()
+            kern = get_kernel(cfg_for(N=64, M=4, pulse=pulse))
+            harness._frame_errors_batch(kern, 10.0, 0, 2048, seeding.mix64(64))
+            return sum(seen)
+
+        monkeypatch.setattr(seeding, "uniforms_to_normals", counted)
+        assert normals_drawn(RECT) < 0.01 * 2 * 64 * 2048
+        assert normals_drawn(SINE1) == 2 * 64 * 2048
 
 
 class TestBerSweep:
