@@ -262,10 +262,8 @@ def _orthogonality_band(mag: np.ndarray) -> int | None:
 
 
 def q_function(x) -> np.ndarray | float:
-    """Standard normal tail probability via the complementary error function."""
-    from scipy.special import erfc  # scipy loads on first use: only the BER path needs it
-
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Q(x) = 0.5 erfc(x / sqrt 2) by ``math.erfc``: a float for a scalar, an array for an array."""
+    return np.vectorize(math.erfc, otypes=[float])(np.asarray(x, dtype=float) / math.sqrt(2.0)) / 2
 
 
 def theoretical_ber(M: int, ebn0_db) -> np.ndarray | float:

@@ -156,8 +156,6 @@ def run_ber_point(
     kern = get_kernel(cfg)
     # builds L before any worker thread, and raises the ZF-limit error on this one
     kern.noise_colour
-    # the noise normals' ndtri: scipy is imported here, not by a worker thread
-    import scipy.special  # noqa: F401
 
     key = seeding.mix64(seed)
     nbits = cfg.bits_per_frame

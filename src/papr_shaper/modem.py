@@ -181,7 +181,7 @@ def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int) -> np.ndarray:
     """Slicer cell (see _label_table) of each coordinate on one axis, as floats."""
     h = u * half_scale + 0.25 * (n_cells + 1)  # level j at j + 1/2, thresholds at integers
     # floor + ceil - 1 is 2j inside level j, 2j - 1 on a threshold
-    return np.clip(np.floor(h) + np.ceil(h) - 1, 0, n_cells - 1)
+    return np.minimum(np.maximum(np.floor(h) + np.ceil(h) - 1, 0), n_cells - 1)
 
 
 def demap_labels(y: np.ndarray, c: Constellation) -> np.ndarray:

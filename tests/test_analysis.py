@@ -2,9 +2,11 @@ import functools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 from scipy.stats import norm
 
 from papr_shaper import seeding
@@ -545,6 +547,20 @@ class TestQFunction:
     def test_matches_normal_tail(self):
         x = np.linspace(0, 8, 33)
         assert np.allclose(q_function(x), norm.sf(x), rtol=1e-10)
+
+    def test_matches_erfc(self):
+        # erfc at the same rounded x / sqrt(2): math.erfc is within 2 ulps
+        # of mpmath, and scipy's erfc drifts from both as x grows, by up to
+        # 500 ulps past x = 14
+        x = np.linspace(-8.0, 37.0, 901)
+        mpmath.mp.dps = 30
+        exact = np.array([float(mpmath.erfc(v) / 2) for v in (x / math.sqrt(2.0)).tolist()])
+        q = q_function(x)
+        assert (np.abs(q - exact) <= 2 * np.spacing(exact)).all()
+        assert np.allclose(q, 0.5 * erfc(x / math.sqrt(2.0)), rtol=2e-13, atol=0)
+        assert isinstance(q_function(1.0), float) and isinstance(theoretical_ber(4, 3.0), float)
+        assert q_function(x.reshape(17, 53)).shape == (17, 53)
+        assert theoretical_ber(4, [3.0, 4.0]).shape == (2,)
 
 
 class TestLazyGram:

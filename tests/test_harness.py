@@ -1,5 +1,8 @@
 import math
+import statistics
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -521,8 +524,21 @@ class TestFrameBatchSizes:
         else:
             u = (step + 8) * 2.0**-53 if at == "0" else 1.0 - (step + 9) * 2.0**-53
         assume(0.0 <= u < 1.0)
-        if abs(ndtri(max(u, 2.0**-64))) >= t:
+        if abs(seeding.uniforms_to_normals(np.array([u]))[0]) >= t:
             assert seeding.normals_may_reach(np.array(u), t), (u, t)
+
+    def test_tail_bound_holds_and_is_tight(self):
+        # Q(t) by mpmath wherever it is a normal double, then t = 0 and inf
+        mpmath.mp.dps = 30
+        t = np.append(np.linspace(0.0, 37.5, 3751), [0.0, np.inf])
+        q = np.array([float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2) for x in t[:-1]] + [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = seeding._q_bound(t)
+        assert (bound >= q).all(), t[bound < q]
+        # Mills' phi(t) / t reads 8-53% above Q(t) on [1, 3.5]
+        assert (bound[t >= 1.0] <= 1.017 * q[t >= 1.0]).all()
+        assert seeding._q_bound(np.inf) == 0.0
 
     def test_screen_engages_on_flat_kernels_only(self, monkeypatch):
         raw, seen = seeding.uniforms_to_normals, []
@@ -540,6 +556,55 @@ class TestFrameBatchSizes:
         monkeypatch.setattr(seeding, "uniforms_to_normals", counted)
         assert normals_drawn(RECT) < 0.01 * 2 * 64 * 2048
         assert normals_drawn(SINE1) == 2 * 64 * 2048
+
+
+def ulps(z, ref):
+    return np.abs(z - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalKernel:
+    # uniforms_to_normals is AS241 in numpy; scipy's ndtri and the standard
+    # library's AS241 are its oracles, each to 8 ulps
+    @staticmethod
+    def grid():
+        """10**6 fixed-seed draws, deep tails both sides, and the extremes."""
+        tails = np.geomspace(1e-19, 0.075, 20001)
+        draws = np.random.default_rng(43).random(10**6)
+        extremes = [0.0, 2.0**-64, 0.5, 1.0 - 2.0**-53]
+        return np.concatenate([draws, tails, 1.0 - tails[tails > 2.0**-53], extremes])
+
+    # 64 ulps about where AS241 changes formula: |u - 1/2| = 0.425 and s = 5 at u = e**-25
+    EDGES = [e + np.arange(-64, 65) * np.spacing(e) for e in (0.075, 0.925, math.exp(-25.0))]
+
+    def test_matches_ndtri_and_normal_dist(self):
+        u = np.concatenate([*self.EDGES, self.grid()])
+        floored = np.maximum(u, 2.0**-64)
+        z = seeding.uniforms_to_normals(u)
+        assert ulps(z, ndtri(floored)).max() <= 8
+        inv_cdf = statistics.NormalDist().inv_cdf
+        assert ulps(z, np.array([inv_cdf(x) for x in floored.tolist()])).max() <= 8
+        assert z[-4] == z[-3] and z[-2] == 0.0  # 0 is floored to 2**-64
+
+    def test_monotone_and_odd(self):
+        # a few ulps apart, rounding makes neither AS241 nor ndtri monotone
+        # about u = 0.075; on the grid z never steps down
+        z = seeding.uniforms_to_normals(np.sort(self.grid()))
+        assert (np.diff(z) >= 0.0).all()
+        # Philox uniforms are multiples of 2**-53, so 1 - u is exact
+        u = seeding.trial_uniforms(seeding.mix64(43), 0, 1, 10**5)[0]
+        lattice = [(np.round(e * 2.0**53) + np.arange(-64, 65)) * 2.0**-53
+                   for e in (0.075, 0.925, math.exp(-25.0))]
+        u = np.concatenate([u[u > 0.0], *lattice, [2.0**-53, 0.5]])
+        assert (1.0 - (1.0 - u) == u).all()
+        assert np.array_equal(seeding.uniforms_to_normals(u), -seeding.uniforms_to_normals(1.0 - u))
+
+    def test_empty_and_strided_with_out(self):
+        assert seeding.uniforms_to_normals(np.empty((0, 2))).shape == (0, 2)
+        # the frame's call: a strided column block, drawn into a C-contiguous out
+        u = seeding.trial_uniforms(seeding.mix64(7), 0, 300, 40)[:, 8:40]
+        out = np.empty((300, 32))
+        assert seeding.uniforms_to_normals(u, out=out) is out
+        assert np.array_equal(out, seeding.uniforms_to_normals(np.ascontiguousarray(u)))
 
 
 class TestBerSweep:
