@@ -553,8 +553,8 @@ class TestQFunction:
         # of mpmath, and scipy's erfc drifts from both as x grows, by up to
         # 500 ulps past x = 14
         x = np.linspace(-8.0, 37.0, 901)
-        mpmath.mp.dps = 30
-        exact = np.array([float(mpmath.erfc(v) / 2) for v in (x / math.sqrt(2.0)).tolist()])
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.erfc(v) / 2) for v in (x / math.sqrt(2.0)).tolist()])
         q = q_function(x)
         assert (np.abs(q - exact) <= 2 * np.spacing(exact)).all()
         assert np.allclose(q, 0.5 * erfc(x / math.sqrt(2.0)), rtol=2e-13, atol=0)

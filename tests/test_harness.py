@@ -528,10 +528,10 @@ class TestFrameBatchSizes:
             assert seeding.normals_may_reach(np.array(u), t), (u, t)
 
     def test_tail_bound_holds_and_is_tight(self):
-        # Q(t) by mpmath wherever it is a normal double, then t = 0 and inf
-        mpmath.mp.dps = 30
-        t = np.append(np.linspace(0.0, 37.5, 3751), [0.0, np.inf])
-        q = np.array([float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2) for x in t[:-1]] + [0.0])
+        # Q(t) by mpmath from t = 0 to where it stops being a normal double, then t = inf
+        t = np.append(np.linspace(0.0, 37.5, 3751), np.inf)
+        with mpmath.workdps(30):
+            q = np.array([float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2) for x in t[:-1]] + [0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bound = seeding._q_bound(t)
