@@ -141,33 +141,45 @@ def test_01_noiseless_end_to_end_identity(report):
     )
 
 
+# test_02 runs its sweep at seeds 0 .. BER_SEEDS - 1 and passes while at
+# most BER_MISSES_ALLOWED of the 5 x BER_SEEDS Wilson intervals miss theory.
+# A correct engine misses 5.1-5.2% of such points (over 1000 and 2000
+# points of other seeds), so the count is Binomial(200, p): P(count > 24)
+# is 4e-5 at p = 5.15% and stays <= 1e-3 for any p up to 6.3%. A planted
+# Eb/N0 error of +-0.1 dB in the frame made 51-53 of 200 intervals miss.
+BER_SEEDS = 40
+BER_MISSES_ALLOWED = 24
+
+
 def test_02_ber_matches_theory(report):
     """Rectangular-pulse QPSK Monte-Carlo BER agrees with the closed-form
-    AWGN expression: theory lies inside every Wilson 95% interval."""
+    AWGN expression: theory lies inside the Wilson 95% intervals of a
+    0-8 dB sweep at BER_SEEDS seeds, bar at most BER_MISSES_ALLOWED."""
     t0 = time.perf_counter()
-    points = run_ber_sweep(
-        cfg_for(64),
-        [0.0, 2.0, 4.0, 6.0, 8.0],
-        target_errors=200,
-        max_frames=200_000,
-        seed=2,
-    )
-    misses = []
-    for p in points:
-        theory = theoretical_ber(4, p.ebn0_db)
-        if not (p.ci_lo <= theory <= p.ci_hi):
-            misses.append(f"{p.ebn0_db} dB: theory {theory:.3e} outside "
-                          f"[{p.ci_lo:.3e}, {p.ci_hi:.3e}]")
+    points = [
+        p
+        for seed in range(BER_SEEDS)
+        for p in run_ber_sweep(
+            cfg_for(64),
+            [0.0, 2.0, 4.0, 6.0, 8.0],
+            target_errors=200,
+            max_frames=200_000,
+            seed=seed,
+        )
+    ]
+    misses = [p for p in points if not p.ci_lo <= theoretical_ber(4, p.ebn0_db) <= p.ci_hi]
     enough = all(p.bit_errors >= 200 for p in points)
     elapsed = time.perf_counter() - t0
-    ok = not misses and enough and elapsed < 120.0
-    detail = (
-        f"theory inside Wilson CI at all {len(points)} Eb/N0 points, "
-        f">=200 errors each, {elapsed:.1f}s"
-        if ok
-        else f"misses: {misses}; enough_errors={enough}; {elapsed:.1f}s"
+    ok = len(misses) <= BER_MISSES_ALLOWED and enough and elapsed < 120.0
+    by_ebn0 = ", ".join(
+        f"{x:g} dB: {sum(p.ebn0_db == x for p in misses)}" for x in (0.0, 2.0, 4.0, 6.0, 8.0)
     )
-    report("02 ber-vs-theory", ok, detail)
+    report(
+        "02 ber-vs-theory",
+        ok,
+        f"theory outside the Wilson CI at {len(misses)} of {len(points)} points "
+        f"(<= {BER_MISSES_ALLOWED} allowed; {by_ebn0}), enough_errors={enough}, {elapsed:.1f}s",
+    )
 
 
 def test_03_ber_ordering_in_m(report):
