@@ -135,8 +135,11 @@ def _horner(c, x: np.ndarray) -> np.ndarray:
 
 def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:
     """Phi^-1(max(u, 2**-64)) by AS241, into ``out`` if given (C-contiguous): the
-    central formula on every entry, then a tail one where |u - 1/2| > 0.425."""
+    central formula on every entry, then a tail one where |u - 1/2| > 0.425.
+    Each stage runs whole or not at all, so every entry gets the same floats."""
     z = np.subtract(u, 0.5, out=out)
+    if not z.size:
+        return z
     q = z.reshape(-1)
     tail = (np.abs(q) > 0.425).nonzero()[0]
     for lo in range(0, q.size, 2**13):  # 128 kB complex temporaries, from malloc's heap
@@ -144,6 +147,8 @@ def uniforms_to_normals(u: np.ndarray, out=None) -> np.ndarray:
         nd = _horner(_CENTRAL, np.subtract(0.180625, qb * qb, dtype=complex))
         qb *= nd.real
         qb /= nd.imag
+    if not tail.size:
+        return z
     p = u.take(tail)
     s = np.sqrt(-np.log(np.maximum(np.minimum(p, 1.0 - p), 2.0**-64)))  # random() may give 0.0
     nd = _horner(_NEAR, np.subtract(s, 1.6, dtype=complex))

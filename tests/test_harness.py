@@ -598,6 +598,26 @@ class TestNormalKernel:
         assert (1.0 - (1.0 - u) == u).all()
         assert np.array_equal(seeding.uniforms_to_normals(u), -seeding.uniforms_to_normals(1.0 - u))
 
+    def test_stages_run_only_where_an_entry_needs_them(self, monkeypatch):
+        # an empty input runs no stage, one without a tail entry no tail stage,
+        # and an entry's normal does not depend on the others in its call
+        u = seeding.trial_uniforms(seeding.mix64(11), 0, 1, 4000)[0]
+        ref = seeding.uniforms_to_normals(u)
+        horner, stages = seeding._horner, []
+
+        def counted(c, x):
+            stages.append(c is seeding._CENTRAL)
+            return horner(c, x)
+
+        monkeypatch.setattr(seeding, "_horner", counted)
+        assert seeding.uniforms_to_normals(np.empty((3, 0))).shape == (3, 0)
+        assert stages == []
+        central = np.abs(u - 0.5) <= 0.425
+        assert np.array_equal(seeding.uniforms_to_normals(u[central]), ref[central])
+        assert stages == [True]
+        for i in [*np.flatnonzero(central)[:20], *np.flatnonzero(~central)[:20]]:
+            assert seeding.uniforms_to_normals(u[i : i + 1])[0] == ref[i]
+
     def test_empty_and_strided_with_out(self):
         assert seeding.uniforms_to_normals(np.empty((0, 2))).shape == (0, 2)
         # the frame's call: a strided column block, drawn into a C-contiguous out
