@@ -95,18 +95,19 @@ def _paprs(kern: ModemKernel, n_frames: int, labels, workers: int) -> np.ndarray
 def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> np.ndarray:
     """PAPR of ``trials`` frames with uniform random constellation symbols.
 
-    Trial i draws its symbols from a fixed slice of a counter-based
-    stream, so neither the batches of ``seeding.map_batches`` it is
-    computed in nor the worker count change any of its draws.
+    Trial i reads its labels from a fixed slice of a counter-based stream
+    (``seeding.trial_labels``), so neither the batches of
+    ``seeding.map_batches`` it is computed in nor the worker count change
+    any of its draws.
     """
     check_count("trials", trials, 1, MAX_TRIALS)
-    M, N = cfg.m_order, cfg.n_subcarriers
-    key = seeding.mix64(seed)
+    kern, key = get_kernel(cfg), seeding.mix64(seed)
+    N, bits = cfg.n_subcarriers, kern.constellation.bits_per_symbol
 
     def labels(lo, hi):
-        return seeding.uniforms_to_indices(seeding.trial_uniforms(key, lo, hi - lo, N), M)
+        return seeding.trial_labels(key, lo, hi - lo, N, bits)
 
-    return _paprs(get_kernel(cfg), trials, labels, workers)
+    return _paprs(kern, trials, labels, workers)
 
 
 def max_papr(

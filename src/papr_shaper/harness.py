@@ -13,9 +13,11 @@ N = 64, oversample 4 and one worker). The worker count never changes the
 batches, so outputs are byte-identical for any worker count.
 
 A BER batch runs the label-domain frame sketched in ``modem``, where a
-flat kernel screens its noise. The three arrays it fills in place, the
-uniforms, the symbols and the noise normals, are views of one block per
-batch; every other array is a stage's own.
+flat kernel screens its noise. Frame i reads its N labels from whole
+Philox words and its 2N noise uniforms from a second substream (stream
+layout 2, ``seeding``). The four arrays a batch fills in place, the
+noise uniforms, the symbols, the noise normals and the labels, are views
+of one block per batch; every other array is a stage's own.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import seeding
 from .analysis import PulseMetrics, XcorrCurve, pulse_metrics, xcorr_curve
 from .errors import ConfigKeyError, check_count, check_real
-from .modem import OfdmConfig, bits_to_labels, demap_labels, get_kernel
+from .modem import OfdmConfig, demap_labels, get_kernel
 from .pulses import PulseDescriptor
 
 __all__ = [
@@ -95,17 +97,26 @@ def check_ber_plan(ebn0_db_list, target_errors: int, max_frames: int) -> None:
 
 
 def _frame_arrays(kern, frames: int):
-    """The uniform words u (F, W) of one BER batch of ``frames`` frames and
-    its (2, F, N) complex symbols and noise normals (a, z), views of one
-    float block of F (W + 4N) words; W = ``seeding.trial_words(...)`` is a
-    multiple of 4, so the complex view is aligned. A block of u alone,
-    with a and z allocated apart, took 1.2k-6.7k minor page faults per
-    repeated point against 0-2 (``test_ber_batches_take_no_page_faults``)."""
-    N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-    W = seeding.trial_words(nbits + 2 * N)
-    block = np.empty(frames * (W + 4 * N))
+    """The arrays one BER batch of ``frames`` frames fills in place, views
+    of one float block of F (W + 5N) words: its noise uniforms u (F, W),
+    W = ``seeding.trial_words(2N)``, its (2, F, N) complex symbols and
+    noise normals (a, z), and its (F, N) intp labels. W is a multiple of
+    4, so the complex view is aligned.
+
+    The block holds more than the batch's other arrays at once (4-5 FN
+    words against 7 FN), and that keeps its pages mapped: glibc's malloc
+    returns the top of its heap to the system once a free leaves more
+    there than twice the largest block it has unmapped. With the labels
+    apart (6 FN against 5-6 FN) a repeated sine n = 1 N = 64 point took
+    1.4k minor page faults against 0, and with u alone 1.2k-6.7k
+    (``test_ber_batches_take_no_page_faults``). A flat kernel far below
+    its BER range, whose screen marks nearly every symbol, holds 12 FN."""
+    N = kern.cfg.n_subcarriers
+    W = seeding.trial_words(2 * N)
+    block = np.empty(frames * (W + 5 * N))
     u = block[: frames * W].reshape(frames, W)
-    return u, block[frames * W :].view(complex).reshape(2, frames, N)
+    a, z = block[frames * W : frames * (W + 4 * N)].view(complex).reshape(2, frames, N)
+    return u, a, z, block[frames * (W + 4 * N) :].view(np.intp).reshape(frames, N)
 
 
 def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
@@ -121,19 +132,19 @@ def _frame_errors_batch(kern, ebn0_db, first_frame, n_frames, key):
     """
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
     c = kern.constellation
-    u, (a, z) = _frame_arrays(kern, n_frames)
+    u, a, z, labels = _frame_arrays(kern, n_frames)
 
-    seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N, out=u)
-    labels = bits_to_labels(seeding.uniforms_to_bits(u[:, :nbits]), c)
+    seeding.trial_labels(key, first_frame, n_frames, N, c.bits_per_symbol, out=labels)
+    u = seeding.trial_uniforms(key, first_frame, n_frames, 2 * N, out=u)  # (F, 2N) of u
     c.points.take(labels, out=a, mode="clip")  # "raise" would copy `out`
     n0 = kern.frame_energy(a)
     n0 *= 10.0 ** (-ebn0_db / 10.0) / nbits
-    if screened := kern.screen_noise(u[:, nbits : nbits + 2 * N], n0):
+    if screened := kern.screen_noise(u, n0):
         f, k, w = screened
         errors = np.bitwise_count(labels[f, k] ^ demap_labels(a[f, k] + w, c))
         return np.bincount(f, errors, n_frames).astype(np.int64)  # weights count as floats
     # (F, 2N) normals in (re, im) pairs, read as (F, N) complex
-    seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * N], out=z.view(float))
+    seeding.uniforms_to_normals(u, out=z.view(float))
     a += kern.colour_noise(z, n0)
     labels ^= demap_labels(a, c)
     return np.bitwise_count(labels, out=labels).sum(axis=1)

@@ -2,11 +2,12 @@
 
 Every stage works on a batch of frames, one frame per row, and each BER
 stage allocates its own temporaries and its result. A BER frame never
-builds its waveform and never forms decided bits. Frame i reads nbits +
-2N draws: its bits, then the 2N normals of its ZF-output noise, in
-(re, im) pairs z (c = kern.constellation):
+builds its waveform and never forms bits. Frame i reads its N k-bit
+labels from whole Philox words and 2N uniforms, made the normals z of
+its ZF-output noise in (re, im) pairs (c = kern.constellation; the
+stream layout is ``seeding``'s):
 
-    labels = bits_to_labels(bits, c)             # (F, N*k) -> (F, N)
+    labels = seeding.trial_labels(key, first, F, N, k)  # (F, N), k = log2 M
     a = c.points[labels]
     n0 = kern.frame_energy(a) / nbits * 10 ** (-ebn0_db / 10)
     a_hat = a + kern.colour_noise(z_re + j z_im, n0)  # sqrt(n0 / 2) z L^T
@@ -61,7 +62,6 @@ from .pulses import PulseDescriptor, sample_pulse
 __all__ = [
     "Constellation",
     "OfdmConfig",
-    "bits_to_labels",
     "build_constellation",
     "demap_labels",
     "zf_noise_enhancement_db",
@@ -162,19 +162,6 @@ def build_constellation(M: int) -> Constellation:
     assert len(np.unique(pts)) == M
     pts.setflags(write=False)
     return Constellation(M, pts, scale, labels)
-
-
-def bits_to_labels(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """(..., N*k) bits to the (..., N) intp labels they spell, k = log2(M)
-    bits per symbol taken MSB first; the symbols are ``c.points[labels]``."""
-    k = c.bits_per_symbol
-    if bits.shape[-1] % k:
-        raise ConfigError(f"bit count {bits.shape[-1]} is not a multiple of {k} (M={c.m_order})")
-    labels = bits[..., 0::k].astype(np.intp)
-    for i in range(1, k):
-        labels <<= 1
-        labels |= bits[..., i::k]
-    return labels
 
 
 def _axis_cells(u: np.ndarray, half_scale: float, n_cells: int) -> np.ndarray:

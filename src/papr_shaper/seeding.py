@@ -1,17 +1,22 @@
 """Counter-based random substreams for reproducible Monte-Carlo runs.
 
-Every trial (an OFDM frame) consumes a fixed number of 64-bit draws, so
-trial i always reads the same slice of a Philox stream no matter how
-trials are batched or spread over workers. That is what makes harness
-output byte-identical for any worker count; the slice is the draw count
-rounded up to whole Philox blocks. BER frame i reads nbits + 2N draws:
-its bits, then the 2N uniforms of its ZF-output noise in (real,
-imaginary) pairs, made normal by Wichura's AS241 in numpy; Sampford's
-bound on the normal tail tells a flat kernel which need it. Every frame
-loop (a BER point, a random PAPR or CCDF run, the exhaustive PAPR
-search) runs its per-batch function through :func:`map_batches`, which
-owns the one batch schedule and the bound on its thread count, so the
-worker count changes neither a batch nor the order results arrive in.
+Every trial (an OFDM frame) owns a fixed number of 64-bit words of each
+substream it reads, so trial i always reads the same slices of a Philox
+stream no matter how trials are batched or spread over workers. That is
+what makes harness output byte-identical for any worker count; a slice
+is rounded up to whole Philox blocks of four words. Stream layout 2: a
+campaign's key gives two substreams, the Philox keys (key, UNIFORMS) and
+(key, LABELS). :func:`trial_uniforms` reads UNIFORMS as one uniform per
+word, and :func:`trial_labels` reads LABELS as k-bit symbol labels,
+64 // k to a raw word. A BER frame reads its N labels and the 2N
+uniforms of its ZF-output noise in (real, imaginary) pairs, made normal
+by Wichura's AS241 in numpy; Sampford's bound on the normal tail tells
+a flat kernel which need it. A random PAPR trial reads its N labels
+only. Every frame loop (a BER point, a random PAPR or CCDF run, the
+exhaustive PAPR search) runs its per-batch function through
+:func:`map_batches`, which owns the one batch schedule and the bound on
+its thread count, so the worker count changes neither a batch nor the
+order results arrive in.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ BATCH_SAMPLES = 2**16
 # Threads a frame loop may run on, so a typo cannot ask for an unbounded pool
 MAX_WORKERS = 64
 
+# The substreams of a campaign's key, the second word of their Philox key
+UNIFORMS, LABELS = 0, 1
 # A Philox per thread, set to each call's key and counter: a new one reads OS entropy, 8 us
 _local = threading.local()
 
@@ -105,24 +112,48 @@ def trial_words(n_draws: int) -> int:
     return 4 * -(-n_draws // 4)
 
 
-def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int, out=None) -> np.ndarray:
-    """(n_trials, n_draws) uniforms from the fixed-offset substream; each
-    trial owns ``trial_words(n_draws)`` words, so consecutive calls tile
-    the stream exactly. ``out``, if given, is the C-contiguous
-    (n_trials, trial_words(n_draws)) array they are drawn into."""
-    words = trial_words(n_draws)
+def _philox(key: int, substream: int, first_trial: int, words: int) -> np.random.Generator:
+    """The thread's Philox, set to the first block of trial ``first_trial``
+    of a substream whose trials own ``words`` words each."""
     if not hasattr(_local, "gen"):
         _local.gen = np.random.Generator(np.random.Philox())
     counter = first_trial * words // 4  # it steps once per 4-word block
     _local.gen.bit_generator.state = {"bit_generator": "Philox", "state": {
-        "counter": np.array([counter, 0, 0, 0], np.uint64), "key": np.array([key, 0], np.uint64)},
+        "counter": np.array([counter, 0, 0, 0], np.uint64),
+        "key": np.array([key, substream], np.uint64)},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _local.gen.random((n_trials, words), out=out)[:, :n_draws]
+    return _local.gen
 
 
-def uniforms_to_bits(u: np.ndarray) -> np.ndarray:
-    """Bool bits, True for u < 1/2."""
-    return u < 0.5
+def trial_uniforms(key: int, first_trial: int, n_trials: int, n_draws: int, out=None) -> np.ndarray:
+    """(n_trials, n_draws) uniforms from the UNIFORMS substream; each
+    trial owns ``trial_words(n_draws)`` words, so consecutive calls tile
+    the stream exactly. ``out``, if given, is the C-contiguous
+    (n_trials, trial_words(n_draws)) array they are drawn into."""
+    words = trial_words(n_draws)
+    return _philox(key, UNIFORMS, first_trial, words).random((n_trials, words), out=out)[:, :n_draws]
+
+
+def trial_labels(key: int, first_trial: int, n_trials: int, n_labels: int, bits: int,
+                 out=None) -> np.ndarray:
+    """(n_trials, n_labels) intp labels of ``bits`` bits each from the LABELS
+    substream, P = 64 // bits to a raw word: label q P + r of a trial is
+    bits [r bits, (r + 1) bits) of its word q, counted from the least
+    significant bit. Each trial owns ``trial_words(ceil(n_labels / P))``
+    words, and no temporary is larger than the labels or those words.
+    ``out``, if given, is the C-contiguous intp array they are read into."""
+    per_word = 64 // bits
+    full, rest = divmod(n_labels, per_word)
+    words = trial_words(full + (rest > 0))
+    raw = _philox(key, LABELS, first_trial, words).bit_generator.random_raw(n_trials * words)
+    raw = raw.reshape(n_trials, words)
+    shifts = np.arange(0, per_word * bits, bits, dtype=np.uint64)
+    labels = np.empty((n_trials, n_labels), np.uint64) if out is None else out.view(np.uint64)
+    whole = labels[:, : full * per_word].reshape(n_trials, full, per_word)  # a view
+    np.right_shift(raw[:, :full, None], shifts, out=whole)
+    np.right_shift(raw[:, full : full + 1], shifts[:rest], out=labels[:, full * per_word :])
+    labels &= np.uint64((1 << bits) - 1)
+    return labels.view(np.intp)
 
 
 def _horner(c, x: np.ndarray) -> np.ndarray:
@@ -167,8 +198,3 @@ def _q_bound(t):
 def normals_may_reach(u: np.ndarray, t) -> np.ndarray:
     """True where ``uniforms_to_normals(u)`` may reach |z| >= t, with margins for rounding."""
     return np.abs(u - 0.5) >= 0.5 - (_q_bound(t) * (1.0 + 1e-6) + 2.0**-52)
-
-
-def uniforms_to_indices(u: np.ndarray, n: int) -> np.ndarray:
-    # u <= 1 - 2**-53, so floor(u * n) < n for every n < 2**53
-    return (u * n).astype(np.int64)

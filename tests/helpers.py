@@ -90,7 +90,7 @@ def padded_fft_xcorr(p, points, q=XCORR_POINTS_PER_T) -> np.ndarray:
 
 def map_bits(bits, c) -> np.ndarray:
     """Map (..., N*k) bits to (..., N) symbols, k = log2(M) bits per
-    symbol taken MSB first: the oracle of ``modem.bits_to_labels``."""
+    symbol taken MSB first: the bit form of ``c.points[labels]``."""
     bits = np.asarray(bits, dtype=np.int64)
     k = c.bits_per_symbol
     values = bits.reshape(*bits.shape[:-1], -1, k) @ (1 << np.arange(k - 1, -1, -1))
@@ -99,7 +99,7 @@ def map_bits(bits, c) -> np.ndarray:
 
 def label_bits(labels, k) -> np.ndarray:
     """(..., N) labels to the (..., N*k) bits that spell them, MSB first:
-    the inverse of ``modem.bits_to_labels``."""
+    the inverse of ``map_bits``'s reading."""
     labels = np.asarray(labels)
     bits = (labels[..., None] >> np.arange(k - 1, -1, -1)) & 1
     return bits.reshape(*labels.shape[:-1], -1)
@@ -184,13 +184,14 @@ def solve_zf(kern, y):
 def waveform_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
     """Bit errors per frame through the waveform chain.
 
-    Frame i reads nbits uniforms for its bits, then 2S for its noise
-    normals, from its own slice of the substream.
+    Frame i reads nbits uniforms for its bits, 1 for u < 1/2, then 2S for
+    its noise normals, from its own slice of the uniforms substream: the
+    layout the ``GOLDEN`` BER digests were recorded with.
     """
     S, nbits = kern.cfg.samples_per_symbol, kern.cfg.bits_per_frame
     u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * S)
 
-    bits = seeding.uniforms_to_bits(u[:, :nbits])
+    bits = u[:, :nbits] < 0.5
     s = kern.synthesize(map_bits(bits, kern.constellation))
     noiseless = ebn0_db == math.inf
     z = None if noiseless else seeding.uniforms_to_normals(u[:, nbits : nbits + 2 * S])

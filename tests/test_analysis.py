@@ -217,9 +217,9 @@ class TestCcdf:
     )
     def test_threshold_must_be_a_real_number(self, gamma, message, monkeypatch):
         def no_draw(*args, **kwargs):
-            raise AssertionError("a uniform was drawn")
+            raise AssertionError("a label was drawn")
 
-        monkeypatch.setattr(seeding, "trial_uniforms", no_draw)
+        monkeypatch.setattr(seeding, "trial_labels", no_draw)
         with pytest.raises(ConfigKeyError) as exc:
             ccdf_empirical(cfg_for(N=8), 100, 1, np.array(gamma))
         assert (exc.value.key, str(exc.value)) == ("gamma_db", f"gamma_db: {message}")
@@ -245,12 +245,6 @@ class TestCcdf:
         assert peak < 4 * 2**20
         monkeypatch.setattr(seeding, "BATCH_SAMPLES", 37 * cfg.samples_per_symbol)
         assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2))
-
-
-@pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 2**20 + 1])
-def test_largest_uniform_maps_to_the_last_index(n):
-    # Generator.random() returns at most 1 - 2**-53
-    assert seeding.uniforms_to_indices(np.nextafter(1.0, 0.0), n) == n - 1
 
 
 class TestReferenceCcdf:

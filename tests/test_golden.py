@@ -8,11 +8,13 @@ fails here. Regenerate the table only for a change that is meant to
 alter outputs, and say so where the change is recorded.
 
 The BER digests of ``GOLDEN`` were recorded through the waveform frame
-(synthesis, AWGN, matched filter, ZF), which reads nbits + 2S draws per
-frame. They are checked with that frame, ``helpers.waveform_frame_errors``,
-put in place of the symbol-domain one, so the oracle is the recorded
-pipeline bit for bit. ``SYMBOL_GOLDEN`` holds what the CLI writes for the
-same cases today, with nbits + 2N draws per frame.
+(synthesis, AWGN, matched filter, ZF), which reads nbits + 2S uniforms per
+frame, its bits first. They are checked with that frame,
+``helpers.waveform_frame_errors``, put in place of the symbol-domain one,
+so the oracle is the recorded pipeline bit for bit. ``SYMBOL_GOLDEN``
+holds what the CLI writes for the same cases today, on stream layout 2
+(``seeding``): N labels from whole words and 2N noise uniforms per frame.
+The PAPR and CCDF digests of ``GOLDEN`` were re-recorded for layout 2.
 """
 
 import hashlib
@@ -96,24 +98,24 @@ GOLDEN = {
         "summary.txt": "576dfa1f6768c18245b0c14e269515db0e489b08d0538c4fa4761d6e649a533b",
     },
     "ccdf-rect-n16": {
-        "ccdf.csv": "b5509eeb761b27bb17009a882dd82bdc5178e567a726a7860122b4518ddbdb67",
-        "summary.txt": "4570ecccefbeeded6db29c3a331590fd9e6050b79b3e1f26ad0100b8650faa00",
+        "ccdf.csv": "9f86312239f7f05379393a71ca43bd06f59b14a6c71fc2d35628420581df7fe1",
+        "summary.txt": "70ac1f5c65527bf5037e689eafd3f356d31d3913c4dff93288f3c1e5f1d34a8f",
     },
     "ccdf-rect-n16-fine-gamma": {
-        "ccdf.csv": "c345d8d5b2d7813ee9ed28beb99c3bbb4e385bf6c21287a455a9803ee6597c50",
-        "summary.txt": "6a28a834ae0701feaa2869b24421dcf09e026480e5ffadaf7d8f041a3a2952aa",
+        "ccdf.csv": "8f627d1d99693f36796f5597c69926df3a08cc06df5124003963edafa5862338",
+        "summary.txt": "f48b5b66ca71e28f79f1c7d65784e5272f723b6b65f5fb6754c308a3396aeb8f",
     },
     "ccdf-sine1-n16": {
-        "ccdf.csv": "8903541d6ed69916b3be5679513f2d144b09c48e2519e0acd965257478e0053b",
-        "summary.txt": "6e5acd76bc7d58a697c6a9964141d7d0d53618bb37e1b502fa36753336fd229b",
+        "ccdf.csv": "eae8544299397c24f9a3e7cde2e2b111a490bec64bf6605def40202e51443cef",
+        "summary.txt": "8894eb1473bbed62253e6f51d241e29f31ef944992991bf637b2e4ae5ab39d1d",
     },
     "papr-rect-n16": {
-        "papr.csv": "9adb397eb87593709da0f8ffadefce05a096fbb34b5470f8f0fb5f23649b26d3",
-        "summary.txt": "2f03ccddc8c499d08ad6bdc7674460ff8fad46bbc462ea3e85e8c3233cd0e502",
+        "papr.csv": "89a5c7b6cd12c8423667239eec6efd248e4bbb62e476ef2be01d942081a07704",
+        "summary.txt": "76b69e9a3534ac90c62e8441386210f9ddf8431002522137f00bfa90f12c48cb",
     },
     "papr-sine1-n8-cap": {
-        "papr.csv": "44dfbc2b00c4a7dde95f2173c30962c4867b2e8c301c6c0db2a72da05880905c",
-        "summary.txt": "fbdd2485bbebb82ece40c80b7b6a7f80d3e7ae79a1e44f5889bffc7a40681028",
+        "papr.csv": "73f05ecd181292bfa1ab7dd1eb1223eb606b9eba36b020c24697e479ec389db4",
+        "summary.txt": "d8b27ba121011691d73233b9d2569bf52a3eb97f6163c505086613dfb809f8ae",
     },
     "papr-rect-n4": {
         "papr.csv": "1a04873cbe99c0fa84232bd42599aa4cdb57d59e2afaa49efd290d46b9c7d618",
@@ -144,24 +146,24 @@ GOLDEN = {
 
 SYMBOL_GOLDEN = {
     "ber-rect-m8-inf": {
-        "ber.csv": "4ad6bedc111b66942a6680b33e084a5446b23bfffd78d60dda0a7823545033e2",
-        "summary.txt": "a0b75a96039c886ecb4ace035f5b1f4fd58f16d956c3fd3a1a7c0553aa0f43be",
+        "ber.csv": "997c5180a171e809779b435104d57486207ef89d7757930b1babec6e104ba3d3",
+        "summary.txt": "79a433e3246c8b0dbc2539447a8f8079b3d8edffd63c1a7a5ee7a216648635b4",
     },
     "ber-rect-m32": {
-        "ber.csv": "845c167fb6caf2ee66f0987bc047fedd0d43eb0b8631fae1fa3ead5305708a64",
-        "summary.txt": "d0858653f87a5baab412522656108373586b04e41e4146a8aa0e5bf6c2541f1b",
+        "ber.csv": "54298eea2053bf1ce1c12d3f059d71c9286bb9789e8bbce883d000a4def98f9a",
+        "summary.txt": "0a36861f8fb72413363eece585c489daf616c432b1066ab8b3e96dcdd140f3c5",
     },
     "ber-rect-m4": {
-        "ber.csv": "d837be1473bfcba3799c68f55c68752d1224e2cea23bb5d8b1ced37f0ed6a25b",
-        "summary.txt": "6784b8812100bc9d13990d86f27c73ef4f41a0ee2edbd01d0623c8ce80f0b2d3",
+        "ber.csv": "683f7ed58c5242b7393f60fb76118dc931cee60a7cb4e2e3450bba9f432e46a6",
+        "summary.txt": "19f22c1ff00551b2985359f6e698729925e81ef914cefe7b51ceb8c1cb3ae1d0",
     },
     "ber-rect-m4-workers2": {
-        "ber.csv": "f8aa9659330df9f403a4762bc52f53cda18534298c0fb8ba4dce059c2776036e",
-        "summary.txt": "ef9a4484ab666a7b4375f1f59ad39e83bed79f0a3f2b5d48553613e8c7a3b958",
+        "ber.csv": "9515ed7c910b981a31d871ab16c8d65ee381628c07b5290afe6706f7fcf88439",
+        "summary.txt": "0dc576db6372325a361a5c4aba429b5643d9d64c70722bff66dde5cb20e01cca",
     },
     "ber-sine1-m16": {
-        "ber.csv": "484aff7b7de17d6ade2e7ccc94ec4c5d1c88d8197499ff200bdac1cd71415ae1",
-        "summary.txt": "97b1005ad00d00740370bd3e3ce62387f9510c371e32bc52996a181c41d14f5c",
+        "ber.csv": "0a1fd949ab8df09181134adab993fde33f09148673b76a5504f457286ac5f964",
+        "summary.txt": "0c31f15894453631fdc8087ae18e3a0ed8ff447eca4ca1dc385a403c9ef0d6a5",
     },
 }
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import statistics
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
+from scipy.stats import chi2
 
 from helpers import (
     ENGINE_PULSES,
@@ -18,6 +20,7 @@ from helpers import (
     TSINC,
     cfg_for,
     demap_bits,
+    label_bits,
     map_bits,
     run_fresh,
     traced_peak,
@@ -46,15 +49,51 @@ from papr_shaper.pulses import PulseDescriptor, PulseFamily, sample_pulse
 SINE = PulseDescriptor(family=PulseFamily.SINE_POWER)
 
 
+@functools.lru_cache(maxsize=None)
+def _word_labels(key, first_trial, n_trials, n_labels, bits):
+    """Labels read bit by bit from Python ints of raw Philox words: stream
+    layout 2 written out, the oracle of ``seeding.trial_labels``. Trial t
+    owns 4 ceil(ceil(n / P) / 4) words of the Philox keyed (key, 1),
+    P = 64 // bits, and label j is bits [(j % P) bits, (j % P + 1) bits)
+    of its word j // P."""
+    per_word = 64 // bits
+    words = 4 * math.ceil(math.ceil(n_labels / per_word) / 4)
+    gen = np.random.Philox(key=np.array([key, 1], np.uint64), counter=first_trial * words // 4)
+    raw = [int(w) for w in gen.random_raw(n_trials * words)]
+    labels = [
+        [raw[t * words + j // per_word] >> (bits * (j % per_word)) & (2**bits - 1)
+         for j in range(n_labels)]
+        for t in range(n_trials)
+    ]
+    out = np.array(labels, dtype=np.intp).reshape(n_trials, n_labels)
+    out.setflags(write=False)
+    return out
+
+
+def counted_draws(monkeypatch) -> list:
+    """The first trial of every call to a stream reader of ``seeding``, as it is made."""
+    draws = []
+    for name in ("trial_uniforms", "trial_labels"):
+
+        def counted(key, first, *args, reader=getattr(seeding, name), **kw):
+            draws.append(first)
+            return reader(key, first, *args, **kw)
+
+        monkeypatch.setattr(seeding, name, counted)
+    return draws
+
+
 def bit_frame_errors(kern, ebn0_db, first_frame, n_frames, key):
-    """The symbol-domain BER frame with fresh arrays, its errors counted
-    by comparing bits: the oracle of the label count."""
+    """The symbol-domain BER frame with fresh arrays, its labels read by
+    ``_word_labels`` and its errors counted by comparing bits: the oracle
+    of the label count."""
     N, nbits = kern.cfg.n_subcarriers, kern.cfg.bits_per_frame
-    u = seeding.trial_uniforms(key, first_frame, n_frames, nbits + 2 * N)
-    bits = seeding.uniforms_to_bits(u[:, :nbits])
+    k = kern.constellation.bits_per_symbol
+    bits = label_bits(_word_labels(key, first_frame, n_frames, N, k), k)
     a = map_bits(bits, kern.constellation)
     if ebn0_db != math.inf:
-        w = seeding.uniforms_to_normals(u[:, nbits:]).view(complex)
+        u = seeding.trial_uniforms(key, first_frame, n_frames, 2 * N)
+        w = seeding.uniforms_to_normals(u).view(complex)
         colour = kern.noise_colour
         w = w * colour if colour.ndim == 1 else w @ colour.T
         n0 = kern.frame_energy(a) * (10.0 ** (-ebn0_db / 10.0) / nbits)
@@ -273,20 +312,13 @@ class TestBatchSchedule:
         assert calls == []
 
     # a library caller's float or bool count is refused with ConfigKeyError
-    # naming its key before any batch draws a uniform: one row per (entry
-    # point, count)
+    # naming its key before any batch draws a uniform or a label: one row per
+    # (entry point, count)
     @pytest.mark.parametrize("value", [2.5, True, 1e4, np.bool_(True)],
                              ids=["float", "bool", "float-1e4", "numpy-bool"])
     def test_every_frame_loop_requires_integer_workers(self, value, monkeypatch):
         rect16, gamma = cfg_for(N=16), np.linspace(0, 12, 13)
-        draws, calls = [], []
-        trial_uniforms = seeding.trial_uniforms
-
-        def counted_uniforms(key, first, *args, **kw):
-            draws.append(first)
-            return trial_uniforms(key, first, *args, **kw)
-
-        monkeypatch.setattr(seeding, "trial_uniforms", counted_uniforms)
+        draws, calls = counted_draws(monkeypatch), []
         counts = [
             ("random", "trials", lambda v: max_papr(rect16, "random", trials=v)),
             ("random", "workers", lambda v: max_papr(rect16, "random", trials=100, workers=v)),
@@ -331,23 +363,18 @@ class TestBatchSchedule:
 
     # a library caller's bool, string, None or complex number for a real-valued
     # key is refused with ConfigKeyError naming the key before any batch draws
-    # a uniform or any curve is transformed: one row per (entry point, key)
+    # a uniform or a label or any curve is transformed: one row per (entry point, key)
     @pytest.mark.parametrize("value", [True, np.True_, "2", None, 1j],
                              ids=["bool", "numpy-bool", "str", "none", "complex"])
     def test_every_real_key_requires_a_real_number(self, value, monkeypatch):
         rect16 = cfg_for(N=16)
-        draws, transforms = [], []
-        trial_uniforms, chirp_z = seeding.trial_uniforms, analysis.chirp_z
-
-        def counted_uniforms(key, first, *args, **kw):
-            draws.append(first)
-            return trial_uniforms(key, first, *args, **kw)
+        draws, transforms = counted_draws(monkeypatch), []
+        chirp_z = analysis.chirp_z
 
         def counted_chirp_z(*args):
             transforms.append(args[1])
             return chirp_z(*args)
 
-        monkeypatch.setattr(seeding, "trial_uniforms", counted_uniforms)
         monkeypatch.setattr(analysis, "chirp_z", counted_chirp_z)
         reals = [
             ("PulseDescriptor", "shape_n",
@@ -474,6 +501,36 @@ def test_xcorr_report_takes_no_page_faults():
     assert int(line) <= 64, line
 
 
+# Two CCDF runs in a fresh interpreter, rect N = 64 and sine n = 1 N = 256:
+# prints the minor page faults of the second run of each.
+CCDF_FAULT_GUARD = """
+import resource
+import numpy as np
+from papr_shaper.analysis import ccdf_empirical
+from papr_shaper.modem import OfdmConfig
+from papr_shaper.pulses import PulseDescriptor, PulseFamily
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+for N, n, trials in [(64, 0, 20000), (256, 1, 10000)]:
+    family = PulseFamily.SINE_POWER if n else PulseFamily.RECT
+    cfg = OfdmConfig(N, 4, (PulseDescriptor(family=family, shape_n=n),))
+    for _ in range(2):
+        before = faults()
+        ccdf_empirical(cfg, trials, 1, np.linspace(0.0, 12.0, 121))
+    print(N, n, trials, faults() - before)
+"""
+
+
+def test_ccdf_batches_take_no_page_faults():
+    # a repeated run takes 0 minor faults over its 79 and 157 batches; a
+    # batch that mapped its arrays afresh would take hundreds each. Its own
+    # (trials,) arrays do fault past the mmap threshold: about 600 at 10**5
+    for line in run_fresh(CCDF_FAULT_GUARD):
+        assert int(line.split()[-1]) <= 64, line
+
+
 class TestFrameBatchSizes:
     # (N, M, pulse, Eb/N0, frames of the first batch): rect's diagonal noise
     # colour, whose screen skips most symbols, at M = 4, 8, 16 and 32 and at
@@ -556,6 +613,55 @@ class TestFrameBatchSizes:
         monkeypatch.setattr(seeding, "uniforms_to_normals", counted)
         assert normals_drawn(RECT) < 0.01 * 2 * 64 * 2048
         assert normals_drawn(SINE1) == 2 * 64 * 2048
+
+
+class TestLabelReader:
+    # (bits, labels per trial): k = 2-5, none a multiple of 64 // k, from
+    # under one word to several
+    SHAPES = [(2, 4), (2, 70), (3, 1), (3, 43), (4, 17), (4, 100), (5, 64), (5, 13)]
+
+    @pytest.mark.parametrize("bits,n", SHAPES)
+    def test_matches_bit_level_reading(self, bits, n):
+        key = seeding.mix64(bits, n)
+        for first, trials in ((0, 5), (1, 1), (37, 3), (1000, 2)):
+            labels = seeding.trial_labels(key, first, trials, n, bits)
+            assert labels.dtype == np.intp and labels.shape == (trials, n)
+            assert np.array_equal(labels, _word_labels(key, first, trials, n, bits))
+
+    @pytest.mark.parametrize("bits,n", SHAPES)
+    def test_every_batch_reads_the_same_labels(self, bits, n):
+        key = seeding.mix64(7, bits, n)
+        ref = seeding.trial_labels(key, 0, 1300, n, bits)
+        for size in (1, 3, 256):
+            for first in (0, 1, 5, 255, 256, 1000):
+                batch = seeding.trial_labels(key, first, size, n, bits)
+                assert np.array_equal(batch, ref[first : first + size]), (size, first)
+        out = np.empty((256, n), dtype=np.intp)
+        assert np.shares_memory(seeding.trial_labels(key, 3, 256, n, bits, out=out), out)
+        assert np.array_equal(out, ref[3:259])
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5])
+    def test_every_field_is_uniform(self, bits):
+        # 3 P + 1 labels a trial: every field of a word is read, each in
+        # 3000 or more trials of 2**bits values
+        per_word = 64 // bits
+        labels = seeding.trial_labels(seeding.mix64(bits), 0, 3000, 3 * per_word + 1, bits)
+        limit = chi2.isf(1e-6, 2**bits - 1)  # the test may fail once in 10**6 draws
+        for field in range(per_word):
+            values = labels[:, field::per_word].ravel()
+            counts = np.bincount(values, minlength=2**bits)
+            expected = values.size / 2**bits
+            assert ((counts - expected) ** 2 / expected).sum() < limit, field
+
+    @pytest.mark.parametrize("bits,n,trials", [(2, 4, 4096), (5, 13, 4096), (3, 43, 512)])
+    def test_temporaries_no_larger_than_the_labels(self, bits, n, trials):
+        # the labels, the raw words and numpy's ufunc buffers, each smaller
+        # than the labels: a P-label broadcast of every word owned would
+        # hold (trials, words, P), 4 MB for a batch of 4096 N = 4 trials
+        labels, peak = traced_peak(lambda: seeding.trial_labels(1, 0, trials, n, bits))
+        words = seeding.trial_words(-(-n // (64 // bits)))
+        buffers = 3 * 8 * min(np.getbufsize(), labels.size)  # one per broadcast operand
+        assert peak <= labels.nbytes + 8 * trials * words + buffers + 4096
 
 
 def ulps(z, ref):
