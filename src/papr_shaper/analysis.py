@@ -101,7 +101,7 @@ def _random_paprs(cfg: OfdmConfig, trials: int, seed: int, workers: int = 1) -> 
     any of its draws.
     """
     check_count("trials", trials, 1, MAX_TRIALS)
-    kern, key = get_kernel(cfg), seeding.mix64(seed)
+    key, kern = seeding.mix64(seed), get_kernel(cfg)
     N, bits = cfg.n_subcarriers, kern.constellation.bits_per_symbol
 
     def labels(lo, hi):

@@ -247,6 +247,22 @@ class TestCcdf:
         assert np.array_equal(paprs, _random_paprs(cfg, 1024, seed=2))
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 2**20 + 1])
+def test_largest_word_reads_the_last_label(n, monkeypatch):
+    # a raw word of all ones reads label M - 1 in every field for every M,
+    # so no trial's label falls outside the constellation
+    class AllOnes:  # a Philox generator whose raw words are all ones
+        class bit_generator:
+            @staticmethod
+            def random_raw(size):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+    monkeypatch.setattr(seeding, "_philox", lambda *args: AllOnes)
+    for bits in (2, 3, 4, 5):
+        labels = seeding.trial_labels(1, 0, 2, n, bits)
+        assert labels.shape == (2, n) and (labels == 2**bits - 1).all(), bits
+
+
 class TestReferenceCcdf:
     """``reference_crossing_db`` inverts the rect reference CCDF of ``helpers``."""
 
